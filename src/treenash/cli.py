@@ -2,7 +2,7 @@
 
 Exit codes are part of the contract: 0 success, 1 verify-reject or nothing
 found, 2 input error, 3 I/O failure, 4 no equilibrium at the configured scale,
-5 scan cap exceeded. The environment variable TREENASH_SEED supplies a default
+5 scan cap exceeded, 6 internal error (a solver result failed its own checks). The environment variable TREENASH_SEED supplies a default
 seed; an explicit --seed wins.
 """
 
@@ -26,9 +26,11 @@ from .errors import (
     NotATree,
     SchemaError,
     SetTooLarge,
+    TreenashError,
 )
 from .game import check_normalized
 from .generator import random_normalized_game
+from .lp import DEFAULT_LP_TOLERANCE
 from .oracle import all_equilibria, exhaustive_search, verify_profile
 from .serialize import load_game, load_profile, save_game, save_profile
 from .solver import DEFAULT_MAX_TRIES, SolveStats, SolverConfig, solve
@@ -40,6 +42,7 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 EXIT_NO_EQUILIBRIUM = 4
 EXIT_CAP = 5
+EXIT_INTERNAL = 6
 
 
 def _resolve_seed(explicit: int | None) -> int:
@@ -254,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--lp-threshold", type=_parse_threshold, default=None,
                          help="child count at which the LP route is tried first; 'inf' disables it")
     p_solve.add_argument("--max-tries", type=int, default=DEFAULT_MAX_TRIES)
-    p_solve.add_argument("--lp-tolerance", type=float, default=1e-7)
+    p_solve.add_argument("--lp-tolerance", type=float, default=DEFAULT_LP_TOLERANCE)
     p_solve.add_argument("--seed", type=int, default=None)
     p_solve.add_argument("--threads", type=int, default=1)
     p_solve.add_argument("--out", required=True)
@@ -308,6 +311,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except TreenashError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

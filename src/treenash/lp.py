@@ -1,13 +1,14 @@
 """Linear feasibility test for extending a strategy across a player's children,
 plus randomized rounding of the fractional solution into concrete choices.
 
-The program LP(player, parent, z, y) carries one mixture variable block per
-child (weights alpha over that child's candidate strategies), per-child
-aggregate strategies sigma_c coupled to the mixtures, and one row per action j
-requiring y to be an (epsilon/2)-best response to the aggregates together with
-the parent strategy z. Feasibility is decided operationally through a
-phase-one construction: minimize the total constraint violation and accept iff
-the optimum is within tolerance.
+The program LP(player, parent, z, y) has one block of mixture weights alpha_c
+per child c, over that child's candidate strategies X_c (one candidate per row).
+Its rows are one simplex equality per child (the weights sum to one) and one
+inequality per action j requiring y to be an (epsilon/2)-best response to the
+parent strategy z and the aggregates sigma_c = X_c^T alpha_c. The aggregates are
+substituted into the rows, so the weights are the only variables, and the
+objective is zero: the backend decides feasibility directly. Every solution is
+then re-checked against the instance arrays within the tolerance.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ DEFAULT_LP_TOLERANCE = 1e-7
 class LpInstance:
     """One feasibility program; trivially infeasible when a candidate set is empty.
 
-    Variables are laid out as [alpha blocks..., sigma blocks...]; the simplex
-    membership of each sigma_c is implied by the coupling and normalization
-    rows and is not added separately.
+    The variables are the children's alpha blocks, concatenated in child order
+    (``alpha_slices``), each bounded below by zero. ``a_eq`` holds one simplex
+    row per child and ``a_ub`` one best-response row per action.
     """
 
     player: int
@@ -52,9 +53,7 @@ class LpInstance:
     a_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
     alpha_slices: tuple[slice, ...] = ()
-    sigma_slices: tuple[slice, ...] = ()
     num_variables: int = 0
-    num_alpha: int = 0
     empty_children: tuple[int, ...] = ()
 
     @property
@@ -64,7 +63,8 @@ class LpInstance:
 
 @dataclass(eq=False)
 class FractionalExtension:
-    """A feasible fractional solution: per-child candidate mixtures and aggregates."""
+    """A feasible fractional solution: per-child candidate mixtures and their
+    aggregates, ``sigmas[i] = alphas[i] @ candidate_probs[i]``."""
 
     child_ids: tuple[int, ...]
     candidate_indices: tuple[np.ndarray, ...]
@@ -129,60 +129,37 @@ def build_lp(
     if empty:
         return LpInstance(**common, empty_children=empty)
 
-    sizes = [len(idx) for idx in cand_idx]
-    d = len(children)
-    num_alpha = sum(sizes)
-    num_vars = num_alpha + d * m
-    alpha_slices = []
-    offset = 0
-    for k in sizes:
-        alpha_slices.append(slice(offset, offset + k))
-        offset += k
-    sigma_slices = [slice(num_alpha + i * m, num_alpha + (i + 1) * m) for i in range(d)]
+    offsets = np.cumsum([0] + [len(idx) for idx in cand_idx])
+    alpha_slices = tuple(slice(int(lo), int(hi)) for lo, hi in zip(offsets[:-1], offsets[1:]))
+    num_vars = int(offsets[-1])
 
-    num_eq = d + d * m
-    a_eq = np.zeros((num_eq, num_vars))
-    b_eq = np.zeros(num_eq)
-    row = 0
-    for i in range(d):  # each child's mixture weights sum to one
-        a_eq[row, alpha_slices[i]] = 1.0
-        b_eq[row] = 1.0
-        row += 1
-    for i in range(d):  # sigma_c = sum_x alpha_x x, coordinatewise
-        x_mat = cand_probs[i]
-        for coord in range(m):
-            a_eq[row, sigma_slices[i].start + coord] = 1.0
-            a_eq[row, alpha_slices[i]] = -x_mat[:, coord]
-            row += 1
+    a_eq = np.zeros((len(children), num_vars))
+    for i, sl in enumerate(alpha_slices):  # each child's mixture weights sum to one
+        a_eq[i, sl] = 1.0
 
-    # Best-response rows, rearranged to <= form:
-    #   sum_c (e_j - y)^T A[player,c] sigma_c <= (y - e_j)^T base + epsilon/2
-    a_ub = np.zeros((m, num_vars))
-    b_ub = np.zeros(m)
-    y_base = mixed_payoff(y, base)
-    for j in range(m):
-        for i, c in enumerate(children):
-            a_c = game.matrix(player, c)
-            a_ub[j, sigma_slices[i]] = a_c[j, :] - y @ a_c
-        b_ub[j] = y_base - float(base[j]) + epsilon / 2.0
+    # Best-response rows, rearranged to <= form with sigma_c = X_c^T alpha_c:
+    #   sum_c (e_j - y)^T A[player,c] X_c^T alpha_c <= (y - e_j)^T base + epsilon/2
+    a_ub = np.empty((m, num_vars))
+    for i, c in enumerate(children):
+        a_c = game.matrix(player, c)
+        a_ub[:, alpha_slices[i]] = (a_c - y @ a_c) @ cand_probs[i].T
+    b_ub = mixed_payoff(y, base) - base + epsilon / 2.0
 
     return LpInstance(
         **common,
         a_eq=a_eq,
-        b_eq=b_eq,
+        b_eq=np.ones(len(children)),
         a_ub=a_ub,
         b_ub=b_ub,
-        alpha_slices=tuple(alpha_slices),
-        sigma_slices=tuple(sigma_slices),
+        alpha_slices=alpha_slices,
         num_variables=num_vars,
-        num_alpha=num_alpha,
     )
 
 
 def max_residual(instance: LpInstance, frac: FractionalExtension) -> float:
     """Largest constraint violation of a fractional solution, recomputed directly
     from the instance arrays (independent of whatever solver produced it)."""
-    x = np.concatenate([np.zeros(0), *frac.alphas, *frac.sigmas])
+    x = np.concatenate([np.zeros(0), *frac.alphas])
     worst = 0.0
     if instance.a_eq is not None:
         worst = max(worst, float(np.abs(instance.a_eq @ x - instance.b_eq).max()))
@@ -197,38 +174,24 @@ def max_residual(instance: LpInstance, frac: FractionalExtension) -> float:
 def solve_feasibility(
     instance: LpInstance, tolerance: float = DEFAULT_LP_TOLERANCE
 ) -> FractionalExtension | None:
-    """Phase-one solve: returns a fractional extension iff the minimum total
-    constraint violation is within tolerance, else None.
+    """Return a fractional extension if the program is feasible, else None.
 
-    Numerical failures of the backend are logged and treated as infeasible, so
-    callers can always fall back to exhaustive search. Identical instances
-    yield identical solutions (the backend is deterministic).
+    A returned solution has its weights clamped to zero and renormalized per
+    child, and its largest constraint violation, recomputed from the instance
+    arrays, is within ``tolerance``. Numerical failures of the backend are
+    logged and treated as infeasible, so callers can always fall back to
+    exhaustive search. Identical instances yield identical solutions (the
+    backend is deterministic).
     """
     if instance.trivially_infeasible:
         return None
-    a_eq, b_eq = instance.a_eq, instance.b_eq
-    a_ub, b_ub = instance.a_ub, instance.b_ub
-    num_vars = instance.num_variables
-    num_eq = a_eq.shape[0]
-    num_ub = a_ub.shape[0]
-
-    # Auxiliary nonnegative violation variables: u+ - u- absorbs equality
-    # residuals, v relaxes the inequality rows; objective is their sum.
-    a_eq_ext = np.hstack([a_eq, np.eye(num_eq), -np.eye(num_eq), np.zeros((num_eq, num_ub))])
-    a_ub_ext = np.hstack([a_ub, np.zeros((num_ub, 2 * num_eq)), -np.eye(num_ub)])
-    cost = np.concatenate([np.zeros(num_vars), np.ones(2 * num_eq + num_ub)])
-    bounds = (
-        [(0.0, None)] * instance.num_alpha
-        + [(None, None)] * (num_vars - instance.num_alpha)
-        + [(0.0, None)] * (2 * num_eq + num_ub)
-    )
     result = linprog(
-        cost,
-        A_ub=a_ub_ext,
-        b_ub=b_ub,
-        A_eq=a_eq_ext,
-        b_eq=b_eq,
-        bounds=bounds,
+        np.zeros(instance.num_variables),
+        A_ub=instance.a_ub,
+        b_ub=instance.b_ub,
+        A_eq=instance.a_eq,
+        b_eq=instance.b_eq,
+        bounds=(0.0, None),
         method="highs",
     )
     if result.status != 0:
@@ -242,13 +205,10 @@ def solve_feasibility(
             result.message,
         )
         return None
-    if float(result.fun) > tolerance:
-        return None
 
-    x = result.x
     alphas = []
     for sl in instance.alpha_slices:
-        a = np.clip(x[sl], 0.0, None)  # degenerate tiny negatives are clamped
+        a = np.clip(result.x[sl], 0.0, None)  # degenerate tiny negatives are clamped
         total = float(a.sum())
         if total <= 0.0:
             logger.warning(
@@ -257,13 +217,12 @@ def solve_feasibility(
             )
             return None
         alphas.append(a / total)
-    sigmas = [x[sl].copy() for sl in instance.sigma_slices]
     frac = FractionalExtension(
         child_ids=instance.child_ids,
         candidate_indices=instance.candidate_indices,
         candidate_probs=instance.candidate_probs,
         alphas=tuple(alphas),
-        sigmas=tuple(sigmas),
+        sigmas=tuple(a @ x for a, x in zip(alphas, instance.candidate_probs)),
     )
     if max_residual(instance, frac) > tolerance:
         logger.warning(

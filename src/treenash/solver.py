@@ -15,10 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +36,14 @@ from .game import (
     regret,
     validate_and_root,
 )
-from .lp import Extension, build_lp, max_residual, round_extension, solve_feasibility
+from .lp import (
+    DEFAULT_LP_TOLERANCE,
+    Extension,
+    build_lp,
+    max_residual,
+    round_extension,
+    solve_feasibility,
+)
 from .uniform import (
     DEFAULT_ENUMERATION_CAP,
     UniformStrategySet,
@@ -73,14 +77,16 @@ class SolverConfig:
     ``b_override`` replaces the theoretical support size; any returned
     certificate is verified regardless, only the success guarantee needs the
     default. ``lp_threshold=None`` means the child-count default; ``math.inf``
-    disables the LP route entirely.
+    disables the LP route entirely. ``thread_count`` is validated but unused:
+    membership tests run serially, since each holds the GIL and a thread pool
+    was slower than one thread.
     """
 
     epsilon: float
     b_override: int | None = None
     lp_threshold: int | float | None = None
     max_tries: int = DEFAULT_MAX_TRIES
-    lp_tolerance: float = 1e-7
+    lp_tolerance: float = DEFAULT_LP_TOLERANCE
     rng_seed: int = 0
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
@@ -111,7 +117,7 @@ class SolverConfig:
 
 @dataclass
 class SolveStats:
-    """Counters from one run; safe for concurrent updates."""
+    """Counters from one run."""
 
     support_size: int | None = None
     num_strategies: int | None = None
@@ -124,16 +130,13 @@ class SolveStats:
     fallbacks: int = 0
     exhaustive_calls: int = 0
     max_lp_residual: float = 0.0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def bump(self, **deltas: int) -> None:
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
+        for name, delta in deltas.items():
+            setattr(self, name, getattr(self, name) + delta)
 
     def record_lp_residual(self, value: float) -> None:
-        with self._lock:
-            self.max_lp_residual = max(self.max_lp_residual, value)
+        self.max_lp_residual = max(self.max_lp_residual, value)
 
 
 @dataclass(eq=False)
@@ -159,7 +162,7 @@ class CandidateTables:
 
 
 def _derived_seed(config: SolverConfig, player: int, z_index: int | None, y_index: int):
-    # Stable per-(player, z, y) stream so serial and parallel runs agree.
+    # Stable per-(player, z, y) stream, independent of the order tests run in.
     z_code = 0 if z_index is None else z_index + 1
     return np.random.SeedSequence([config.rng_seed, player, z_code, y_index])
 
@@ -345,12 +348,6 @@ def membership_test(
     )
 
 
-def _map_maybe_parallel(executor: ThreadPoolExecutor | None, fn, items: Iterable[int]) -> list:
-    if executor is None:
-        return [fn(item) for item in items]
-    return list(executor.map(fn, items))
-
-
 def build_tables(
     game: TreePolymatrixGame,
     rooted: RootedTree,
@@ -361,9 +358,7 @@ def build_tables(
     """Populate candidate tables bottom-up for every parent-child edge.
 
     Leaves get the direct best-response table; internal players run the
-    membership test for every (z, y) pair. For a fixed pair of players the
-    (z, y) tests are independent and may run on multiple threads; results are
-    merged in canonical order, so tables do not depend on interleaving.
+    membership test for every (z, y) pair, in canonical order.
     """
     stats = stats if stats is not None else SolveStats()
     report = check_normalized(game, config.epsilon)
@@ -375,39 +370,23 @@ def build_tables(
     tables = CandidateTables(
         epsilon=config.epsilon, num_strategies=size, masks={}, extensions={}
     )
-    executor = (
-        ThreadPoolExecutor(max_workers=config.thread_count)
-        if config.thread_count > 1
-        else None
-    )
-    try:
-        for parent in rooted.order:
-            for q in rooted.children[parent]:
-                if not rooted.children[q]:
-                    tables.masks[q] = _leaf_mask(game, q, parent, uset, config.epsilon)
-                    continue
-                mask = np.zeros((size, size), dtype=bool)
-                for y_index in range(size):
-                    if any(
-                        len(tables.candidate_set(c, y_index)) == 0
-                        for c in rooted.children[q]
-                    ):
-                        continue  # no witness possible for this y under any z
-
-                    def test_one(z_index: int, _y: int = y_index) -> Extension | None:
-                        return membership_test(
-                            game, rooted, q, parent, z_index, _y, tables, uset, config, stats
-                        )
-
-                    results = _map_maybe_parallel(executor, test_one, range(size))
-                    for z_index, extension in enumerate(results):
-                        if extension is not None:
-                            mask[z_index, y_index] = True
-                            tables.extensions[(q, z_index, y_index)] = extension.strategy_indices
-                tables.masks[q] = mask
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for parent in rooted.order:
+        for q in rooted.children[parent]:
+            if not rooted.children[q]:
+                tables.masks[q] = _leaf_mask(game, q, parent, uset, config.epsilon)
+                continue
+            mask = np.zeros((size, size), dtype=bool)
+            for y_index in range(size):
+                if any(len(tables.candidate_set(c, y_index)) == 0 for c in rooted.children[q]):
+                    continue  # no witness possible for this y under any z
+                for z_index in range(size):
+                    extension = membership_test(
+                        game, rooted, q, parent, z_index, y_index, tables, uset, config, stats
+                    )
+                    if extension is not None:
+                        mask[z_index, y_index] = True
+                        tables.extensions[(q, z_index, y_index)] = extension.strategy_indices
+            tables.masks[q] = mask
     return tables
 
 

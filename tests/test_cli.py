@@ -5,6 +5,7 @@ import json
 
 from helpers import identity_edge_game, matching_pennies_game
 from treenash.cli import main
+from treenash.errors import InternalSoundnessViolation
 from treenash.generator import random_tree
 from treenash.serialize import load_game, save_game, save_profile
 
@@ -124,6 +125,17 @@ class TestSolveVerifyRoundTrip:
                    "--out", str(tmp_path / "p.json"))
         assert code == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_internal_error_exit_6(self, tmp_path, monkeypatch, capsys):
+        def broken_solve(*args, **kwargs):
+            raise InternalSoundnessViolation("assembled profile failed verification")
+
+        monkeypatch.setattr("treenash.cli.solve", broken_solve)
+        game_path = write_game(tmp_path / "game.json", identity_edge_game())
+        code = run("solve", "--game", str(game_path), "--epsilon", "0.5",
+                   "--support-size", "1", "--out", str(tmp_path / "p.json"))
+        assert code == 6
+        assert "internal error" in capsys.readouterr().err
 
     def test_lp_threshold_inf_accepted(self, tmp_path):
         game_path = write_game(tmp_path / "game.json", identity_edge_game())

@@ -98,6 +98,20 @@ class TestBuildLp:
         with pytest.raises(ValueError):
             build_lp(game, rooted, 1, 0, None, E1, {2: [0, 1]}, uset, 0.5)
 
+    def test_variables_are_the_mixture_weights_only(self):
+        matrices = [np.eye(3), np.eye(3) * 0.5, np.ones((3, 3)) * 0.2]
+        game, rooted = root_with_children(matrices, m=3)
+        uset = enumerate_uniform(3, 2)
+        cand = {1: [0, 2, 5], 2: [1], 3: list(range(6))}
+        inst = instance_for(game, rooted, cand, uset.probs[3], 0.4, uset)
+        assert inst.num_variables == sum(len(v) for v in cand.values())
+        assert inst.a_eq.shape == (3, inst.num_variables)
+        assert inst.a_ub.shape == (3, inst.num_variables)
+        assert np.array_equal(inst.b_eq, np.ones(3))
+        # each simplex row covers exactly its child's block
+        for i, sl in enumerate(inst.alpha_slices):
+            assert np.array_equal(np.flatnonzero(inst.a_eq[i]), np.arange(sl.start, sl.stop))
+
     def test_parent_terms_enter_the_rows(self):
         # path 0-1-2, membership of player 1 given parent strategy z
         eye = np.eye(2)
@@ -186,6 +200,27 @@ class TestSolveFeasibility:
                 for alpha in frac.alphas:
                     assert np.all(alpha >= 0.0)
                     assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_sigmas_are_images_of_the_alphas(self):
+        rng = np.random.default_rng(11)
+        uset = enumerate_uniform(3, 2)
+        solved = 0
+        for _ in range(20):
+            d = int(rng.integers(1, 4))
+            matrices = [rng.random((3, 3)) / d for _ in range(d)]
+            game, rooted = root_with_children(matrices, m=3)
+            cand = {
+                c + 1: np.sort(rng.choice(len(uset), size=int(rng.integers(1, 5)), replace=False))
+                for c in range(d)
+            }
+            y = uset.probs[int(rng.integers(0, len(uset)))]
+            frac = solve_feasibility(instance_for(game, rooted, cand, y, 0.8, uset))
+            if frac is None:
+                continue
+            solved += 1
+            for alpha, probs, sigma in zip(frac.alphas, frac.candidate_probs, frac.sigmas):
+                assert np.array_equal(sigma, alpha @ probs)
+        assert solved >= 5
 
     def test_deterministic_solutions(self):
         game, rooted = root_with_children([np.eye(2), np.eye(2) * 0.5])

@@ -117,6 +117,22 @@ class TestBuildTables:
             assert is_epsilon_best_response(game, q, uset.probs[y_idx], neighbors, 0.5)
 
 
+    def test_masks_identical_with_and_without_the_lp_route(self):
+        # the LP route only decides which witness is stored; misses fall back
+        # to the complete scan, so every mask matches the exhaustive one
+        lp_calls = 0
+        for seed in range(20):
+            n, m, b = 6 + seed % 11, 2 + seed % 2, 1 + seed % 3
+            game = random_normalized_game(n, m, 0.5, rng_seed=seed)
+            _, _, exact, _, _ = tables_for(game, 0.5, b, lp_threshold=math.inf)
+            _, _, mixed, _, stats = tables_for(game, 0.5, b, lp_threshold=2, rng_seed=seed)
+            lp_calls += stats.lp_calls
+            assert set(exact.masks) == set(mixed.masks)
+            for q, mask in exact.masks.items():
+                assert np.array_equal(mask, mixed.masks[q]), (seed, q)
+        assert lp_calls > 0
+
+
 class TestExhaustiveMembership:
     def test_empty_candidate_sets_give_none(self):
         eye = np.eye(2)
