@@ -2,8 +2,9 @@
 
 Exit codes are part of the contract: 0 success, 1 verify-reject or nothing
 found, 2 input error, 3 I/O failure, 4 no equilibrium at the configured scale,
-5 scan cap exceeded, 6 internal error (a solver result failed its own checks). The environment variable TREENASH_SEED supplies a default
-seed; an explicit --seed wins.
+5 scan cap exceeded, 6 internal error (a solver result failed its own checks),
+7 out of memory (try a smaller --support-size). The environment variable
+TREENASH_SEED supplies a default seed; an explicit --seed wins.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_IO = 3
 EXIT_NO_EQUILIBRIUM = 4
 EXIT_CAP = 5
 EXIT_INTERNAL = 6
+EXIT_MEMORY = 7
 
 
 def _resolve_seed(explicit: int | None) -> int:
@@ -314,6 +316,9 @@ def main(argv=None) -> int:
     except TreenashError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError as exc:
+        print(f"out of memory; try a smaller --support-size ({exc})", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":  # pragma: no cover

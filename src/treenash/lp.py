@@ -172,7 +172,9 @@ def max_residual(instance: LpInstance, frac: FractionalExtension) -> float:
 
 
 def solve_feasibility(
-    instance: LpInstance, tolerance: float = DEFAULT_LP_TOLERANCE
+    instance: LpInstance,
+    tolerance: float = DEFAULT_LP_TOLERANCE,
+    stats: "SolveStats | None" = None,
 ) -> FractionalExtension | None:
     """Return a fractional extension if the program is feasible, else None.
 
@@ -181,7 +183,8 @@ def solve_feasibility(
     arrays, is within ``tolerance``. Numerical failures of the backend are
     logged and treated as infeasible, so callers can always fall back to
     exhaustive search. Identical instances yield identical solutions (the
-    backend is deterministic).
+    backend is deterministic). When ``stats`` is given, the residual of a
+    returned solution is folded into ``stats.max_lp_residual``.
     """
     if instance.trivially_infeasible:
         return None
@@ -224,12 +227,15 @@ def solve_feasibility(
         alphas=tuple(alphas),
         sigmas=tuple(a @ x for a, x in zip(alphas, instance.candidate_probs)),
     )
-    if max_residual(instance, frac) > tolerance:
+    residual = max_residual(instance, frac)
+    if residual > tolerance:
         logger.warning(
             "post-clamp residual exceeds tolerance for player %d; treating as infeasible",
             instance.player,
         )
         return None
+    if stats is not None:
+        stats.max_lp_residual = max(stats.max_lp_residual, residual)
     return frac
 
 
@@ -260,7 +266,7 @@ def round_extension(
     cums = [np.cumsum(a) for a in frac.alphas]
     fixed = {parent: np.asarray(z, dtype=np.float64)} if parent is not None else {}
     if stats is not None:
-        stats.bump(rounding_calls=1)
+        stats.rounding_calls += 1
     for _ in range(max_tries):
         draws = rng.random(d)
         positions = [
@@ -271,10 +277,10 @@ def round_extension(
         for i, c in enumerate(frac.child_ids):
             neighbor_strategies[c] = frac.candidate_probs[i][positions[i]]
         if stats is not None:
-            stats.bump(rounding_samples=1)
+            stats.rounding_samples += 1
         if is_epsilon_best_response(game, player, y, neighbor_strategies, epsilon):
             if stats is not None:
-                stats.bump(rounding_accepts=1)
+                stats.rounding_accepts += 1
             return Extension(
                 child_ids=frac.child_ids,
                 strategy_indices=tuple(

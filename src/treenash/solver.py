@@ -40,7 +40,6 @@ from .lp import (
     DEFAULT_LP_TOLERANCE,
     Extension,
     build_lp,
-    max_residual,
     round_extension,
     solve_feasibility,
 )
@@ -131,13 +130,6 @@ class SolveStats:
     exhaustive_calls: int = 0
     max_lp_residual: float = 0.0
 
-    def bump(self, **deltas: int) -> None:
-        for name, delta in deltas.items():
-            setattr(self, name, getattr(self, name) + delta)
-
-    def record_lp_residual(self, value: float) -> None:
-        self.max_lp_residual = max(self.max_lp_residual, value)
-
 
 @dataclass(eq=False)
 class CandidateTables:
@@ -190,8 +182,8 @@ def _leaf_mask(
     return mask
 
 
-# Full-product vectorization is used while the scan's payoff table stays under
-# this many float64 elements; beyond it, prefixes are enumerated lazily.
+# One vectorized block of the scan holds at most this many float64 payoffs;
+# it bounds the memory of a block, not the size of the product.
 _VECTORIZE_ELEMENT_LIMIT = 8_000_000
 
 
@@ -212,16 +204,19 @@ def exhaustive_membership(
     order; return the first tuple against which (with z) y is an epsilon-best
     response, or None. Deterministic.
 
+    The scan is one loop over prefixes of the children, vectorized over the
+    longest suffix whose payoff table fits in ``_VECTORIZE_ELEMENT_LIMIT``
+    float64 values; a player without children scans the single empty tuple.
     Raises CapExceeded if the product set is larger than ``cap``.
     """
     if stats is not None:
-        stats.bump(exhaustive_calls=1)
+        stats.exhaustive_calls += 1
     children = rooted.children[player]
     candidate_lists = [tables.candidate_set(c, y_index) for c in children]
-    if any(len(c) == 0 for c in candidate_lists):
-        return None
     sizes = [len(c) for c in candidate_lists]
     product_size = math.prod(sizes)
+    if product_size == 0:
+        return None
     if product_size > cap:
         raise CapExceeded(
             f"player {player}, strategy index {y_index}: candidate product of size "
@@ -237,56 +232,40 @@ def exhaustive_membership(
         base = game.matrix(player, parent) @ uset.probs[z_index]
         fixed = {parent: uset.probs[z_index]}
 
-    if not children:
-        if is_epsilon_best_response(game, player, y, fixed, epsilon):
-            return Extension(child_ids=(), strategy_indices=())
-        return None
-
     # Per-child payoff contributions, one row per candidate.
     contributions = [
         (game.matrix(player, c) @ uset.probs[candidate_lists[i]].T).T
         for i, c in enumerate(children)
     ]
-
-    def certify(positions: tuple[int, ...]) -> Extension | None:
-        # A vectorized hit is only returned once the canonical scalar check
-        # agrees, keeping acceptance identical to the game-core definition.
-        neighbor_strategies = dict(fixed)
-        for i, pos in enumerate(positions):
-            neighbor_strategies[children[i]] = uset.probs[candidate_lists[i][pos]]
-        if not is_epsilon_best_response(game, player, y, neighbor_strategies, epsilon):
-            return None
-        return Extension(
-            child_ids=tuple(children),
-            strategy_indices=tuple(int(candidate_lists[i][pos]) for i, pos in enumerate(positions)),
-        )
-
-    if product_size * m <= _VECTORIZE_ELEMENT_LIMIT:
-        # Payoff vectors of every tuple at once; row order is the canonical
-        # (C-order) tuple order, so the first hit is the canonical witness.
-        totals = base[None, :]
-        for rows in contributions:
+    split = next(
+        (i for i in range(len(sizes)) if math.prod(sizes[i:]) * m <= _VECTORIZE_ELEMENT_LIMIT),
+        len(sizes),
+    )
+    for prefix in itertools.product(*(range(k) for k in sizes[:split])):
+        # Payoffs summed left to right, ((base + c0) + c1) + ..., in every
+        # block; rows follow the canonical (C-order) tuple order, so the first
+        # confirmed hit is the canonical witness.
+        totals = base
+        for i, pos in enumerate(prefix):
+            totals = totals + contributions[i][pos]
+        totals = totals[None, :]
+        for rows in contributions[split:]:
             totals = (totals[:, None, :] + rows[None, :, :]).reshape(-1, m)
         hits = np.flatnonzero((totals * y).sum(axis=1) >= totals.max(axis=1) - epsilon - BR_TOL)
         for flat in hits:
-            positions = np.unravel_index(int(flat), sizes)
-            extension = certify(tuple(int(p) for p in positions))
-            if extension is not None:
-                return extension
-        return None
-
-    # Lazy scan: iterate prefixes, vectorize over the last child.
-    last_rows = contributions[-1]
-    for prefix in itertools.product(*(range(k) for k in sizes[:-1])):
-        partial = base.copy()
-        for i, pos in enumerate(prefix):
-            partial += contributions[i][pos]
-        totals = partial[None, :] + last_rows
-        hits = np.flatnonzero((totals * y).sum(axis=1) >= totals.max(axis=1) - epsilon - BR_TOL)
-        for k in hits:
-            extension = certify(prefix + (int(k),))
-            if extension is not None:
-                return extension
+            positions = prefix + tuple(int(p) for p in np.unravel_index(int(flat), sizes[split:]))
+            # A vectorized hit is only returned once the canonical scalar check
+            # agrees, keeping acceptance identical to the game-core definition.
+            neighbor_strategies = dict(fixed)
+            for i, pos in enumerate(positions):
+                neighbor_strategies[children[i]] = uset.probs[candidate_lists[i][pos]]
+            if is_epsilon_best_response(game, player, y, neighbor_strategies, epsilon):
+                return Extension(
+                    child_ids=tuple(children),
+                    strategy_indices=tuple(
+                        int(candidate_lists[i][pos]) for i, pos in enumerate(positions)
+                    ),
+                )
     return None
 
 
@@ -310,7 +289,7 @@ def membership_test(
     back to the exhaustive scan, so the result is never weaker than the direct
     search. Any returned witness satisfies the best-response condition.
     """
-    stats.bump(membership_tests=1)
+    stats.membership_tests += 1
     children = rooted.children[player]
     candidate_sets = {c: tables.candidate_set(c, y_index) for c in children}
     if any(len(v) == 0 for v in candidate_sets.values()):
@@ -320,13 +299,12 @@ def membership_test(
     if len(children) >= threshold:
         z = uset.probs[z_index] if z_index is not None else None
         y = uset.probs[y_index]
-        stats.bump(lp_calls=1)
+        stats.lp_calls += 1
         instance = build_lp(game, rooted, player, parent, z, y, candidate_sets, uset, config.epsilon)
-        frac = solve_feasibility(instance, config.lp_tolerance)
+        frac = solve_feasibility(instance, config.lp_tolerance, stats)
         if frac is None:
-            stats.bump(lp_infeasible=1)
+            stats.lp_infeasible += 1
         else:
-            stats.record_lp_residual(max_residual(instance, frac))
             extension = round_extension(
                 game,
                 rooted,
@@ -341,7 +319,7 @@ def membership_test(
             )
             if extension is not None:
                 return extension
-        stats.bump(fallbacks=1)
+        stats.fallbacks += 1
     return exhaustive_membership(
         game, rooted, player, parent, z_index, y_index, tables, uset,
         config.epsilon, config.exhaustive_cap, stats,

@@ -137,6 +137,17 @@ class TestSolveVerifyRoundTrip:
         assert code == 6
         assert "internal error" in capsys.readouterr().err
 
+    def test_out_of_memory_exit_7(self, tmp_path, monkeypatch, capsys):
+        def exhausted_solve(*args, **kwargs):
+            raise MemoryError("Unable to allocate 79.1 GiB")
+
+        monkeypatch.setattr("treenash.cli.solve", exhausted_solve)
+        game_path = write_game(tmp_path / "game.json", identity_edge_game())
+        code = run("solve", "--game", str(game_path), "--epsilon", "0.5",
+                   "--out", str(tmp_path / "p.json"))
+        assert code == 7
+        assert "--support-size" in capsys.readouterr().err
+
     def test_lp_threshold_inf_accepted(self, tmp_path):
         game_path = write_game(tmp_path / "game.json", identity_edge_game())
         assert run("solve", "--game", str(game_path), "--epsilon", "0.5",

@@ -18,6 +18,7 @@ from treenash.errors import CapExceeded, NoEquilibriumFound, SetTooLarge
 from treenash.game import is_epsilon_best_response, validate_and_root
 from treenash.generator import random_normalized_game
 from treenash.oracle import all_equilibria, verify_profile
+from treenash import solver as solver_module
 from treenash.solver import (
     CandidateTables,
     SolveStats,
@@ -132,6 +133,34 @@ class TestBuildTables:
                 assert np.array_equal(mask, mixed.masks[q]), (seed, q)
         assert lp_calls > 0
 
+    def test_tables_identical_for_every_scan_block_size(self, monkeypatch):
+        # the block size only cuts the canonical scan order into vectorized
+        # pieces, so masks and first witnesses cannot depend on it
+        default = solver_module._VECTORIZE_ELEMENT_LIMIT
+        split_scans = 0
+        for seed in range(12):
+            n, m, b = 8 + seed, 2 + seed % 2, 1 + seed % 3
+            game = random_normalized_game(n, m, 0.5, rng_seed=seed)
+            runs = []
+            for limit in (default, 60, 1):
+                monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
+                rooted, _, tables, _, _ = tables_for(game, 0.5, b, lp_threshold=math.inf)
+                runs.append(tables)
+            for tables in runs[1:]:
+                assert set(tables.masks) == set(runs[0].masks)
+                for q, mask in runs[0].masks.items():
+                    assert np.array_equal(mask, tables.masks[q]), (seed, q)
+                assert tables.extensions == runs[0].extensions, seed
+            # count scans that the limit of 60 cuts into a prefix loop over
+            # a vectorized suffix, so the mixed case is known to be covered
+            for q in runs[0].masks:
+                children = rooted.children[q]
+                for y_idx in range(runs[0].num_strategies):
+                    sizes = [len(runs[0].candidate_set(c, y_idx)) for c in children]
+                    if children and math.prod(sizes) * m > 60 and sizes[-1] * m <= 60:
+                        split_scans += 1
+        assert split_scans > 0
+
 
 class TestExhaustiveMembership:
     def test_empty_candidate_sets_give_none(self):
@@ -162,7 +191,12 @@ class TestExhaustiveMembership:
         assert ext.child_ids == (1, 2, 3)
         assert ext.strategy_indices == (0, 0, 0)
 
-    def test_matches_brute_force_over_product(self):
+    @pytest.mark.parametrize(
+        "limit", [solver_module._VECTORIZE_ELEMENT_LIMIT, 1], ids=["default", "1"]
+    )
+    def test_matches_brute_force_over_product(self, limit, monkeypatch):
+        # a limit of 1 vectorizes nothing, so every tuple is its own prefix
+        monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
         rng = np.random.default_rng(9)
         for _ in range(20):
             game = random_normalized_game(
