@@ -189,14 +189,20 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     base_seed = _resolve_seed(args.seed)
-    grid = list(
-        itertools.product(
-            _parse_int_list(args.n_values),
-            _parse_int_list(args.m_values),
-            _parse_float_list(args.epsilon_values),
-            _parse_int_list(args.b_values),
-        )
-    )
+    if args.repeats < 1:
+        raise SchemaError(f"--repeats must be at least 1, got {args.repeats}")
+    axes = {
+        "--n-values": _parse_int_list(args.n_values),
+        "--m-values": _parse_int_list(args.m_values),
+        "--epsilon-values": _parse_float_list(args.epsilon_values),
+        "--b-values": _parse_int_list(args.b_values),
+    }
+    # With no values at all the grid is empty on purpose (header-only CSV);
+    # an empty list next to given ones would silently empty it.
+    empty = [flag for flag, values in axes.items() if not values]
+    if empty and len(empty) < len(axes):
+        raise SchemaError(f"empty value list for {', '.join(empty)}")
+    grid = list(itertools.product(*axes.values()))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -6,13 +6,19 @@ of the child's subtree, together with one witness tuple of grandchild choices
 per stored (z, y). Membership of a (z, y) pair is decided either by exhaustive
 search over the product of the children's candidate sets or, for players with
 many children, by an LP relaxation followed by randomized rounding with an
-exhaustive fallback. Every returned profile is re-verified, so randomness can
-only affect running time, never correctness.
+exhaustive fallback.
+
+The exhaustive search is batched over z: the children's candidate sets depend
+on y alone, and z enters only through the payoff row A[player, parent] @ z. So
+for each y, one scan decides every parent strategy at once. It walks the
+candidate product in canonical order in blocks that start at one tuple and
+double in size, and a parent strategy leaves the scan at its first confirmed
+hit. Every returned profile is re-verified, so randomness can only affect
+running time, never correctness.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -159,6 +165,21 @@ def _derived_seed(config: SolverConfig, player: int, z_index: int | None, y_inde
     return np.random.SeedSequence([config.rng_seed, player, z_code, y_index])
 
 
+def parent_payoffs(
+    game: TreePolymatrixGame,
+    player: int,
+    parent: int | None,
+    z_indices,
+    uset: UniformStrategySet,
+) -> np.ndarray:
+    """One row ``A[player, parent] @ z`` per parent strategy index; a single
+    zero row for the root, which has no parent."""
+    if parent is None:
+        return np.zeros((1, game.num_actions))
+    matrix = game.matrix(player, parent)
+    return np.array([matrix @ uset.probs[z_index] for z_index in z_indices])
+
+
 def _leaf_mask(
     game: TreePolymatrixGame,
     leaf: int,
@@ -172,19 +193,104 @@ def _leaf_mask(
     vector, same multiply-sum utility, same comparison.
     """
     size = len(uset)
-    matrix = game.matrix(leaf, parent)
     mask = np.empty((size, size), dtype=bool)
     probs = uset.probs
-    for z_index in range(size):
-        v = matrix @ probs[z_index]
+    for z_index, v in enumerate(parent_payoffs(game, leaf, parent, range(size), uset)):
         threshold = float(v.max()) - epsilon - BR_TOL
         mask[z_index] = (probs * v).sum(axis=1) >= threshold
     return mask
 
 
-# One vectorized block of the scan holds at most this many float64 payoffs;
-# it bounds the memory of a block, not the size of the product.
+# One block of the scan holds at most this many values: the float64 payoffs of
+# every pending row for the block's tuples, plus the block's index arrays. It
+# bounds the memory of a block, not the size of the product.
 _VECTORIZE_ELEMENT_LIMIT = 8_000_000
+
+
+def first_witnesses(
+    game: TreePolymatrixGame,
+    player: int,
+    parent: int | None,
+    z_indices,
+    bases: np.ndarray,
+    y_index: int,
+    children: list[int],
+    candidate_lists: list[np.ndarray],
+    uset: UniformStrategySet,
+    epsilon: float,
+    cap: int,
+    stats: SolveStats | None = None,
+) -> list[Extension | None]:
+    """For every parent strategy ``z_indices[r]``, whose payoff row is
+    ``bases[r]``, the first tuple of the children's candidate product in
+    canonical index order against which (with z) y is an epsilon-best
+    response, or None. Deterministic.
+
+    The product is walked in flat-index blocks that start at one tuple and
+    double in size, each evaluated for every row still pending and capped by
+    ``_VECTORIZE_ELEMENT_LIMIT`` values. A row leaves at its first vectorized
+    hit that the scalar ``is_epsilon_best_response`` confirms; a player
+    without children scans the single empty tuple. Raises CapExceeded if the
+    product set is larger than ``cap``.
+    """
+    if stats is not None:
+        stats.exhaustive_calls += len(z_indices)
+    found: list[Extension | None] = [None] * len(z_indices)
+    sizes = [len(c) for c in candidate_lists]
+    product_size = math.prod(sizes)
+    if product_size == 0:
+        return found
+    if product_size > cap:
+        raise CapExceeded(
+            f"player {player}, strategy index {y_index}: candidate product of size "
+            f"{product_size} exceeds the exhaustive cap of {cap}"
+        )
+
+    m = game.num_actions
+    y = uset.probs[y_index]
+    # Per-child payoff contributions, one row per candidate.
+    contributions = [
+        (game.matrix(player, c) @ uset.probs[candidates].T).T
+        for c, candidates in zip(children, candidate_lists)
+    ]
+    pending = np.arange(len(z_indices))
+    start, block = 0, 1
+    while pending.size and start < product_size:
+        fits = _VECTORIZE_ELEMENT_LIMIT // (pending.size * m + len(sizes) + 1)
+        count = min(block, product_size - start, max(1, fits))
+        positions = np.unravel_index(np.arange(start, start + count), sizes) if sizes else ()
+        # Payoffs summed left to right, ((base + c0) + c1) + ..., in every
+        # block; columns follow the canonical (C-order) tuple order, so a
+        # row's first confirmed hit is its canonical witness.
+        totals = bases[pending][:, None, :]
+        for rows, pos in zip(contributions, positions):
+            totals = totals + rows[pos]
+        totals = totals.reshape(-1, m)
+        hits = (totals * y).sum(axis=1) >= totals.max(axis=1) - epsilon - BR_TOL
+        hits = hits.reshape(pending.size, count)
+        firsts = hits.argmax(axis=1)
+        settled = []
+        for r in np.flatnonzero(hits.any(axis=1)):
+            row, col = int(pending[r]), int(firsts[r])
+            while col < count:
+                chosen = tuple(int(cands[pos[col]]) for cands, pos in zip(candidate_lists, positions))
+                # A vectorized hit is only returned once the canonical scalar
+                # check agrees, keeping acceptance identical to the game-core
+                # definition.
+                neighbor_strategies = {} if parent is None else {parent: uset.probs[z_indices[row]]}
+                for c, index in zip(children, chosen):
+                    neighbor_strategies[c] = uset.probs[index]
+                if is_epsilon_best_response(game, player, y, neighbor_strategies, epsilon):
+                    found[row] = Extension(child_ids=tuple(children), strategy_indices=chosen)
+                    settled.append(r)
+                    break
+                # Rejected: go on to the row's next hit in this block, if any.
+                later = np.flatnonzero(hits[r, col + 1:])
+                col = col + 1 + int(later[0]) if later.size else count
+        pending = np.delete(pending, settled)
+        start += count
+        block *= 2
+    return found
 
 
 def exhaustive_membership(
@@ -199,74 +305,21 @@ def exhaustive_membership(
     epsilon: float,
     cap: int,
     stats: SolveStats | None = None,
+    candidate_lists: list[np.ndarray] | None = None,
 ) -> Extension | None:
-    """Scan the product of the children's candidate sets in canonical index
-    order; return the first tuple against which (with z) y is an epsilon-best
-    response, or None. Deterministic.
-
-    The scan is one loop over prefixes of the children, vectorized over the
-    longest suffix whose payoff table fits in ``_VECTORIZE_ELEMENT_LIMIT``
-    float64 values; a player without children scans the single empty tuple.
-    Raises CapExceeded if the product set is larger than ``cap``.
+    """``first_witnesses`` for the single pair (z, y): the first tuple of the
+    children's candidate product, in canonical index order, against which
+    (with z) y is an epsilon-best response, or None. ``candidate_lists``, one
+    per child, default to the tables' rows for y.
     """
-    if stats is not None:
-        stats.exhaustive_calls += 1
     children = rooted.children[player]
-    candidate_lists = [tables.candidate_set(c, y_index) for c in children]
-    sizes = [len(c) for c in candidate_lists]
-    product_size = math.prod(sizes)
-    if product_size == 0:
-        return None
-    if product_size > cap:
-        raise CapExceeded(
-            f"player {player}, strategy index {y_index}: candidate product of size "
-            f"{product_size} exceeds the exhaustive cap of {cap}"
-        )
-
-    m = game.num_actions
-    y = uset.probs[y_index]
-    if parent is None:
-        base = np.zeros(m)
-        fixed = {}
-    else:
-        base = game.matrix(player, parent) @ uset.probs[z_index]
-        fixed = {parent: uset.probs[z_index]}
-
-    # Per-child payoff contributions, one row per candidate.
-    contributions = [
-        (game.matrix(player, c) @ uset.probs[candidate_lists[i]].T).T
-        for i, c in enumerate(children)
-    ]
-    split = next(
-        (i for i in range(len(sizes)) if math.prod(sizes[i:]) * m <= _VECTORIZE_ELEMENT_LIMIT),
-        len(sizes),
-    )
-    for prefix in itertools.product(*(range(k) for k in sizes[:split])):
-        # Payoffs summed left to right, ((base + c0) + c1) + ..., in every
-        # block; rows follow the canonical (C-order) tuple order, so the first
-        # confirmed hit is the canonical witness.
-        totals = base
-        for i, pos in enumerate(prefix):
-            totals = totals + contributions[i][pos]
-        totals = totals[None, :]
-        for rows in contributions[split:]:
-            totals = (totals[:, None, :] + rows[None, :, :]).reshape(-1, m)
-        hits = np.flatnonzero((totals * y).sum(axis=1) >= totals.max(axis=1) - epsilon - BR_TOL)
-        for flat in hits:
-            positions = prefix + tuple(int(p) for p in np.unravel_index(int(flat), sizes[split:]))
-            # A vectorized hit is only returned once the canonical scalar check
-            # agrees, keeping acceptance identical to the game-core definition.
-            neighbor_strategies = dict(fixed)
-            for i, pos in enumerate(positions):
-                neighbor_strategies[children[i]] = uset.probs[candidate_lists[i][pos]]
-            if is_epsilon_best_response(game, player, y, neighbor_strategies, epsilon):
-                return Extension(
-                    child_ids=tuple(children),
-                    strategy_indices=tuple(
-                        int(candidate_lists[i][pos]) for i, pos in enumerate(positions)
-                    ),
-                )
-    return None
+    if candidate_lists is None:
+        candidate_lists = [tables.candidate_set(c, y_index) for c in children]
+    bases = parent_payoffs(game, player, parent, [z_index], uset)
+    return first_witnesses(
+        game, player, parent, [z_index], bases, y_index, children, candidate_lists,
+        uset, epsilon, cap, stats,
+    )[0]
 
 
 def membership_test(
@@ -280,6 +333,7 @@ def membership_test(
     uset: UniformStrategySet,
     config: SolverConfig,
     stats: SolveStats,
+    candidate_lists: list[np.ndarray] | None = None,
 ) -> Extension | None:
     """Decide whether strategy y of ``player`` extends across its children
     under parent strategy z, returning a witness when it does.
@@ -288,11 +342,13 @@ def membership_test(
     first (build, solve, round); rounding exhaustion or LP infeasibility falls
     back to the exhaustive scan, so the result is never weaker than the direct
     search. Any returned witness satisfies the best-response condition.
+    ``candidate_lists``, one per child, default to the tables' rows for y.
     """
     stats.membership_tests += 1
     children = rooted.children[player]
-    candidate_sets = {c: tables.candidate_set(c, y_index) for c in children}
-    if any(len(v) == 0 for v in candidate_sets.values()):
+    if candidate_lists is None:
+        candidate_lists = [tables.candidate_set(c, y_index) for c in children]
+    if any(len(candidates) == 0 for candidates in candidate_lists):
         return None
 
     threshold = config.effective_lp_threshold(game.num_actions)
@@ -300,6 +356,7 @@ def membership_test(
         z = uset.probs[z_index] if z_index is not None else None
         y = uset.probs[y_index]
         stats.lp_calls += 1
+        candidate_sets = dict(zip(children, candidate_lists))
         instance = build_lp(game, rooted, player, parent, z, y, candidate_sets, uset, config.epsilon)
         frac = solve_feasibility(instance, config.lp_tolerance, stats)
         if frac is None:
@@ -322,7 +379,7 @@ def membership_test(
         stats.fallbacks += 1
     return exhaustive_membership(
         game, rooted, player, parent, z_index, y_index, tables, uset,
-        config.epsilon, config.exhaustive_cap, stats,
+        config.epsilon, config.exhaustive_cap, stats, candidate_lists,
     )
 
 
@@ -335,8 +392,10 @@ def build_tables(
 ) -> CandidateTables:
     """Populate candidate tables bottom-up for every parent-child edge.
 
-    Leaves get the direct best-response table; internal players run the
-    membership test for every (z, y) pair, in canonical order.
+    Leaves get the direct best-response table. For an internal player below
+    the LP threshold, one ``first_witnesses`` call per strategy y decides
+    every parent strategy z at once; above it, ``membership_test`` runs for
+    every (z, y) pair. Candidate lists are computed once per y either way.
     """
     stats = stats if stats is not None else SolveStats()
     report = check_normalized(game, config.epsilon)
@@ -348,19 +407,37 @@ def build_tables(
     tables = CandidateTables(
         epsilon=config.epsilon, num_strategies=size, masks={}, extensions={}
     )
+    threshold = config.effective_lp_threshold(game.num_actions)
+    z_indices = range(size)
     for parent in rooted.order:
         for q in rooted.children[parent]:
-            if not rooted.children[q]:
+            children = rooted.children[q]
+            if not children:
                 tables.masks[q] = _leaf_mask(game, q, parent, uset, config.epsilon)
                 continue
+            batched = len(children) < threshold
+            if batched:
+                bases = parent_payoffs(game, q, parent, z_indices, uset)
             mask = np.zeros((size, size), dtype=bool)
             for y_index in range(size):
-                if any(len(tables.candidate_set(c, y_index)) == 0 for c in rooted.children[q]):
+                candidate_lists = [tables.candidate_set(c, y_index) for c in children]
+                if any(len(candidates) == 0 for candidates in candidate_lists):
                     continue  # no witness possible for this y under any z
-                for z_index in range(size):
-                    extension = membership_test(
-                        game, rooted, q, parent, z_index, y_index, tables, uset, config, stats
+                if batched:
+                    stats.membership_tests += size
+                    found = first_witnesses(
+                        game, q, parent, z_indices, bases, y_index, children,
+                        candidate_lists, uset, config.epsilon, config.exhaustive_cap, stats,
                     )
+                else:
+                    found = [
+                        membership_test(
+                            game, rooted, q, parent, z_index, y_index, tables, uset,
+                            config, stats, candidate_lists,
+                        )
+                        for z_index in z_indices
+                    ]
+                for z_index, extension in enumerate(found):
                     if extension is not None:
                         mask[z_index, y_index] = True
                         tables.extensions[(q, z_index, y_index)] = extension.strategy_indices

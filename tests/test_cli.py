@@ -3,7 +3,9 @@
 import csv
 import json
 
-from helpers import identity_edge_game, matching_pennies_game
+import pytest
+
+from helpers import identity_edge_game, matching_pennies_game, zero_game
 from treenash.cli import main
 from treenash.errors import InternalSoundnessViolation
 from treenash.generator import random_tree
@@ -117,6 +119,16 @@ class TestSolveVerifyRoundTrip:
         code = run("solve", "--game", str(game_path), "--epsilon", "0.5",
                    "--support-size", "100000000", "--out", str(tmp_path / "p.json"))
         assert code == 5
+
+    def test_solve_cap_exceeded_on_a_batched_player_exit_5(self, tmp_path, capsys):
+        # hub 1 has 20 leaves, below the LP threshold of 67: its candidate
+        # product of 2**20 tuples exceeds the default exhaustive cap
+        edges = [(0, 1)] + [(1, leaf) for leaf in range(2, 22)]
+        game_path = write_game(tmp_path / "hub.json", zero_game(22, edges))
+        code = run("solve", "--game", game_path, "--epsilon", "0.5",
+                   "--support-size", "1", "--out", str(tmp_path / "p.json"))
+        assert code == 5
+        assert "player 1" in capsys.readouterr().out
 
     def test_solve_malformed_game_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -250,6 +262,24 @@ class TestBench:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].split(",")[:4] == ["n", "m", "epsilon", "b"]
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_repeats_below_one_exit_2(self, tmp_path, repeats, capsys):
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--n-values", "2", "--m-values", "2", "--epsilon-values", "0.5",
+                   "--b-values", "1", "--repeats", repeats, "--out", str(out)) == 2
+        assert "--repeats" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--n-values", "--m-values", "--epsilon-values", "--b-values"])
+    def test_one_empty_value_list_exit_2(self, tmp_path, flag, capsys):
+        values = {"--n-values": "2", "--m-values": "2", "--epsilon-values": "0.5", "--b-values": "1"}
+        values[flag] = ""
+        out = tmp_path / "bench.csv"
+        argv = [part for item in values.items() for part in item]
+        assert run("bench", *argv, "--out", str(out)) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_seed_deterministic_columns(self, tmp_path):
         args = ["bench", "--n-values", "3,5", "--m-values", "2",

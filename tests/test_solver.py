@@ -27,6 +27,7 @@ from treenash.solver import (
     build_tables,
     default_lp_threshold,
     exhaustive_membership,
+    first_witnesses,
     process_root,
     solve,
 )
@@ -240,6 +241,174 @@ class TestExhaustiveMembership:
         )
         with pytest.raises(CapExceeded):
             exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, 0.5, 7)
+
+
+def first_tuple_by_brute_force(game, player, parent, children, z_idx, y_idx, candidate_lists, uset,
+                               epsilon, accept=is_epsilon_best_response):
+    """Reference scan: itertools.product in canonical order, scalar check only."""
+    for chosen in itertools.product(*candidate_lists):
+        neighbors = {} if parent is None else {parent: uset.probs[z_idx]}
+        neighbors.update({c: uset.probs[i] for c, i in zip(children, chosen)})
+        if accept(game, player, uset.probs[y_idx], neighbors, epsilon):
+            return tuple(int(i) for i in chosen)
+    return None
+
+
+class TestFirstWitnesses:
+    LIMITS = [solver_module._VECTORIZE_ELEMENT_LIMIT, 60, 1]
+
+    def scans(self, seeds):
+        """Every (game, player, parent, y, candidate lists) of small seeded
+        games with the LP route off: childless players and, at the small
+        epsilon, empty candidate sets included."""
+        for seed in seeds:
+            n, m, b = 4 + seed % 5, 2 + seed % 2, 1 + seed % 2
+            epsilon = (0.5, 0.05)[seed % 2]
+            game = random_normalized_game(n, m, 0.5, rng_seed=seed)
+            rooted, uset, tables, _, _ = tables_for(game, epsilon, b, lp_threshold=math.inf)
+            for q in range(n):
+                parent = rooted.parent[q]
+                for y_idx in range(len(uset)):
+                    lists = [tables.candidate_set(c, y_idx) for c in rooted.children[q]]
+                    yield game, rooted, tables, uset, epsilon, q, parent, y_idx, lists
+
+    @pytest.mark.parametrize("limit", LIMITS, ids=["default", "60", "1"])
+    def test_every_row_matches_one_row_call_and_brute_force(self, limit, monkeypatch):
+        monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
+        childless = empty = 0
+        for game, rooted, tables, uset, epsilon, q, parent, y_idx, lists in self.scans(range(12)):
+            z_indices = [None] if parent is None else range(len(uset))
+            bases = solver_module.parent_payoffs(game, q, parent, z_indices, uset)
+            children = rooted.children[q]
+            stats = SolveStats()
+            rows = first_witnesses(
+                game, q, parent, z_indices, bases, y_idx, children, lists, uset, epsilon, 10**6, stats,
+            )
+            assert stats.exhaustive_calls == len(z_indices)
+            childless += not children
+            empty += any(len(c) == 0 for c in lists)
+            for z_idx, row in zip(z_indices, rows):
+                single = exhaustive_membership(
+                    game, rooted, q, parent, z_idx, y_idx, tables, uset, epsilon, 10**6
+                )
+                expected = first_tuple_by_brute_force(
+                    game, q, parent, children, z_idx, y_idx, lists, uset, epsilon
+                )
+                if expected is None:
+                    assert row is None and single is None
+                else:
+                    assert row.strategy_indices == single.strategy_indices == expected
+                    assert row.child_ids == single.child_ids == tuple(children)
+        assert childless > 0 and empty > 0
+
+    @pytest.mark.parametrize("limit", LIMITS, ids=["default", "60", "1"])
+    def test_rejected_hit_moves_only_its_row_to_the_next_hit(self, limit, monkeypatch):
+        monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
+        checked = 0
+        for game, rooted, tables, uset, epsilon, q, parent, y_idx, lists in self.scans(range(12)):
+            if parent is None or not lists:
+                continue
+            z_indices = range(len(uset))
+            bases = solver_module.parent_payoffs(game, q, parent, z_indices, uset)
+            children = rooted.children[q]
+            expected = [
+                first_tuple_by_brute_force(game, q, parent, children, z, y_idx, lists, uset, epsilon)
+                for z in z_indices
+            ]
+            target = next((z for z, e in enumerate(expected) if e is not None), None)
+            if target is None:
+                continue
+            rejected = []
+
+            def reject_first_hit(game_, player, strategy, neighbors, eps):
+                chosen = tuple(uset.index_of(neighbors[c]) for c in children)
+                if np.array_equal(neighbors[parent], uset.probs[target]) and chosen == expected[target]:
+                    rejected.append(chosen)
+                    return False
+                return is_epsilon_best_response(game_, player, strategy, neighbors, eps)
+
+            monkeypatch.setattr(solver_module, "is_epsilon_best_response", reject_first_hit)
+            rows = first_witnesses(
+                game, q, parent, z_indices, bases, y_idx, children, lists, uset, epsilon, 10**6,
+            )
+            monkeypatch.setattr(solver_module, "is_epsilon_best_response", is_epsilon_best_response)
+            assert rejected == [expected[target]]
+            following = first_tuple_by_brute_force(
+                game, q, parent, children, target, y_idx, lists, uset, epsilon,
+                accept=reject_first_hit,
+            )
+            for z, row in enumerate(rows):
+                want = following if z == target else expected[z]
+                assert (row.strategy_indices if row is not None else None) == want, (q, y_idx, z)
+            checked += 1
+        assert checked > 0
+
+    def test_zero_game_rejected_row_takes_the_second_tuple(self, monkeypatch):
+        # every tuple hits, so the next hit is the next tuple in C order
+        game = zero_game(4, [(0, 1), (1, 2), (1, 3)])
+        rooted, uset, tables, _, _ = tables_for(game, 0.5, 1, lp_threshold=math.inf)
+        lists = [tables.candidate_set(c, 0) for c in (2, 3)]
+        bases = solver_module.parent_payoffs(game, 1, 0, range(2), uset)
+        calls = []
+
+        def reject_once_for_z1(game_, player, strategy, neighbors, eps):
+            calls.append(uset.index_of(neighbors[0]))
+            if calls.count(1) == 1 and calls[-1] == 1:
+                return False
+            return is_epsilon_best_response(game_, player, strategy, neighbors, eps)
+
+        monkeypatch.setattr(solver_module, "is_epsilon_best_response", reject_once_for_z1)
+        rows = first_witnesses(game, 1, 0, range(2), bases, 0, [2, 3], lists, uset, 0.5, 100)
+        assert [row.strategy_indices for row in rows] == [(0, 0), (0, 1)]
+        assert sorted(calls) == [0, 1, 1]
+
+    def test_counters_keep_their_per_pair_meaning(self, monkeypatch):
+        game = random_normalized_game(10, 2, 0.5, rng_seed=3)
+        counted = []
+        original = CandidateTables.candidate_set
+
+        def candidate_set(self, child, parent_strategy_index):
+            counted.append(child)
+            return original(self, child, parent_strategy_index)
+
+        monkeypatch.setattr(CandidateTables, "candidate_set", candidate_set)
+        for threshold in (math.inf, 2):
+            counted.clear()
+            rooted, uset, tables, _, stats = tables_for(game, 0.5, 2, lp_threshold=threshold)
+            internal = [q for q in range(10) if rooted.children[q] and q != rooted.root]
+
+            def pairs(players):
+                return sum(
+                    len(uset)
+                    for q in players
+                    for y_idx in range(len(uset))
+                    if all(tables.masks[c][y_idx].any() for c in rooted.children[q])
+                )
+
+            lp_players = [q for q in internal if len(rooted.children[q]) >= threshold]
+            batched = pairs([q for q in internal if q not in lp_players])
+            assert stats.membership_tests == pairs(internal)
+            assert stats.lp_calls == pairs(lp_players)
+            assert stats.exhaustive_calls == batched + stats.fallbacks
+            # one candidate list per child and strategy y, on either route
+            assert len(counted) == len(uset) * sum(len(rooted.children[q]) for q in internal)
+        assert stats.lp_calls > 0 and batched > 0
+
+    def test_cap_exceeded_on_a_batched_player(self, monkeypatch):
+        # hub 1 under root 0 with three leaves: a product of 8 tuples per y
+        game = zero_game(5, [(0, 1), (1, 2), (1, 3), (1, 4)])
+        config = SolverConfig(epsilon=0.5, b_override=1, exhaustive_cap=7)
+        calls = []
+        original = solver_module.first_witnesses
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "first_witnesses", spy)
+        with pytest.raises(CapExceeded):
+            solve(game, config)
+        assert calls == [1]
 
 
 class TestMembershipTest:
