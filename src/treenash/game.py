@@ -1,14 +1,15 @@
 """Tree polymatrix games: payoff storage, utilities, regrets, normalization checks.
 
 A game lives on an undirected graph; every edge (u, v) carries two payoff
-matrices, one per endpoint, and a player's utility is the sum of bilinear
-payoffs over incident edges. All functions here are pure reads of immutable
-game data and safe to call concurrently.
+matrices, one per endpoint, kept in one read-only array grouped by the player
+they pay; a player's utility is the sum of bilinear payoffs over incident
+edges. All functions here are pure reads and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -29,21 +30,6 @@ BR_TOL = 1e-9
 VERIFY_TOL = 1e-9
 
 
-def _as_payoff_matrix(values, num_actions: int, owner: int, other: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, order="C")
-    if arr.shape != (num_actions, num_actions):
-        raise InvalidGame(
-            f"payoff matrix for ({owner}, {other}) has shape {arr.shape}, "
-            f"expected ({num_actions}, {num_actions})"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidGame(f"payoff matrix for ({owner}, {other}) has non-finite entries")
-    if np.any(arr < 0.0):
-        raise InvalidGame(f"payoff matrix for ({owner}, {other}) has negative entries")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Edge:
     """One undirected edge; ``payoff_u_v[a_u, a_v]`` pays u, ``payoff_v_u[a_v, a_u]`` pays v."""
@@ -58,16 +44,25 @@ class Edge:
 class TreePolymatrixGame:
     """Polymatrix game whose interaction graph is expected to be a tree.
 
-    Construction validates local structure (player ids, matrix shapes, signs,
-    duplicate edges); tree-ness of the whole edge set is checked separately by
-    :func:`validate_and_root`.
+    Every directed payoff matrix is stored once, in the read-only float64 array
+    ``payoffs`` of shape (2 * len(edges), m, m), grouped by the player it pays
+    and then by neighbour, both ascending: slots ``offsets[p]:offsets[p + 1]``
+    pay p, and slot s holds ``A[owners[s], neighbor_ids[s]]``. ``matrix(p, q)``
+    and every edge's ``payoff_u_v`` / ``payoff_v_u`` are views into it.
+    Construction checks player ids, self-loops, duplicate edges and shapes,
+    then finiteness and signs over the whole array; tree-ness of the edge set
+    is checked separately by :func:`validate_and_root`.
     """
 
     num_players: int
     num_actions: int
     edges: list[Edge]
-    _matrices: dict = field(init=False, repr=False)
-    _neighbors: dict = field(init=False, repr=False)
+    payoffs: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    owners: np.ndarray = field(init=False, repr=False)
+    neighbor_ids: np.ndarray = field(init=False, repr=False)
+    _neighbors: list[list[int]] = field(init=False, repr=False)
+    _incident: list[list[np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, m = self.num_players, self.num_actions
@@ -75,10 +70,8 @@ class TreePolymatrixGame:
             raise InvalidGame("num_players must be >= 1")
         if m < 1:
             raise InvalidGame("num_actions must be >= 1")
-        matrices: dict[tuple[int, int], np.ndarray] = {}
-        neighbors: dict[int, list[int]] = {p: [] for p in range(n)}
         seen: set[tuple[int, int]] = set()
-        normalized = []
+        pairs, matrices = [], []
         for edge in self.edges:
             u, v = edge.u, edge.v
             if not (0 <= u < n and 0 <= v < n):
@@ -89,16 +82,32 @@ class TreePolymatrixGame:
             if key in seen:
                 raise InvalidGame(f"duplicate edge ({u}, {v})")
             seen.add(key)
-            a_uv = _as_payoff_matrix(edge.payoff_u_v, m, u, v)
-            a_vu = _as_payoff_matrix(edge.payoff_v_u, m, v, u)
-            normalized.append(Edge(u, v, a_uv, a_vu))
-            matrices[(u, v)] = a_uv
-            matrices[(v, u)] = a_vu
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        self.edges = normalized
-        self._matrices = matrices
-        self._neighbors = {p: sorted(qs) for p, qs in neighbors.items()}
+            for pair, values in (((u, v), edge.payoff_u_v), ((v, u), edge.payoff_v_u)):
+                arr = np.asarray(values, dtype=np.float64)
+                if arr.shape != (m, m):
+                    raise InvalidGame(
+                        f"payoff matrix for {pair} has shape {arr.shape}, expected ({m}, {m})"
+                    )
+                pairs.append(pair)
+                matrices.append(arr)
+        pair_ids = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        slots = np.lexsort((pair_ids[:, 1], pair_ids[:, 0]))  # by owner, then neighbour
+        self.owners, self.neighbor_ids = pair_ids[slots].T
+        self.payoffs = payoffs = np.array(matrices, dtype=np.float64).reshape(-1, m, m)[slots]
+        for bad, problem in ((~np.isfinite(payoffs), "non-finite"), (payoffs < 0.0, "negative")):
+            if bad.any():
+                pair = pairs[slots[np.argwhere(bad)[0, 0]]]
+                raise InvalidGame(f"payoff matrix for {pair} has {problem} entries")
+        payoffs.setflags(write=False)
+        self.offsets = np.searchsorted(self.owners, np.arange(n + 1))
+        # one prebuilt view per slot, shared by edges, matrix() and hot action_payoffs
+        views, ids, starts = list(payoffs), self.neighbor_ids.tolist(), self.offsets.tolist()
+        self._neighbors = [ids[lo:hi] for lo, hi in zip(starts, starts[1:])]
+        self._incident = [views[lo:hi] for lo, hi in zip(starts, starts[1:])]
+        self.edges = [
+            Edge(e.u, e.v, views[uv], views[vu])
+            for e, (uv, vu) in zip(self.edges, np.argsort(slots).reshape(-1, 2).tolist())
+        ]
 
     def neighbors(self, p: int) -> list[int]:
         """Neighbors of p in ascending order."""
@@ -109,7 +118,10 @@ class TreePolymatrixGame:
 
     def matrix(self, p: int, q: int) -> np.ndarray:
         """Payoff matrix to p on edge (p, q), indexed ``[a_p, a_q]``."""
-        return self._matrices[(p, q)]
+        i = bisect_left(self._neighbors[p], q)
+        if self._neighbors[p][i:i + 1] != [q]:
+            raise KeyError((p, q))
+        return self._incident[p][i]
 
 
 @dataclass(eq=False)
@@ -218,8 +230,8 @@ def action_payoffs(
             f"player {p}: missing strategies for {missing}, unexpected for {extra}"
         )
     v = np.zeros(game.num_actions)
-    for q in expected:
-        v += game.matrix(p, q) @ np.asarray(neighbor_strategies[q], dtype=np.float64)
+    for q, matrix in zip(expected, game._incident[p]):
+        v += matrix @ np.asarray(neighbor_strategies[q], dtype=np.float64)
     return v
 
 
@@ -338,32 +350,28 @@ def check_normalized(
     """Check the per-entry caps and the [0, 1] pure-utility range for every player.
 
     The utility range is checked exactly through per-edge row maxima/minima,
-    which is valid because utilities are separable across edges. Violations are
-    reported, never raised.
+    summed per player over its neighbours in ascending order, which is valid
+    because utilities are separable across edges. Violations are reported,
+    never raised, in player order (a player's "max" before its "min").
     """
-    entry_violations: list[EntryViolation] = []
-    utility_violations: list[UtilityRangeViolation] = []
-    for p in range(game.num_players):
-        d = game.degree(p)
-        if d == 0:
-            continue  # isolated player: utility is identically 0
-        bound = entry_bound(d, game.num_actions, epsilon, log_base)
-        total_max = np.zeros(game.num_actions)
-        total_min = np.zeros(game.num_actions)
-        for q in game.neighbors(p):
-            a = game.matrix(p, q)
-            for row, col in np.argwhere((a > bound + atol) | (a < -atol)):
-                entry_violations.append(
-                    EntryViolation(p, q, int(row), int(col), float(a[row, col]), bound)
-                )
-            total_max += a.max(axis=1)
-            total_min += a.min(axis=1)
-        worst_max = float(total_max.max())
-        worst_min = float(total_min.min())
-        if worst_max > 1.0 + atol:
-            utility_violations.append(UtilityRangeViolation(p, "max", worst_max))
-        if worst_min < -atol:
-            utility_violations.append(UtilityRangeViolation(p, "min", worst_min))
+    m, owners, payoffs = game.num_actions, game.owners, game.payoffs
+    degrees, per_slot = np.unique(np.diff(game.offsets)[owners], return_inverse=True)
+    bounds = np.array([entry_bound(int(d), m, epsilon, log_base) for d in degrees])[per_slot]
+    outside = (payoffs > (bounds + atol)[:, None, None]) | (payoffs < -atol)
+    entry_violations = [
+        EntryViolation(int(owners[s]), int(game.neighbor_ids[s]), row, col,
+                       float(payoffs[s, row, col]), float(bounds[s]))
+        for s, row, col in np.argwhere(outside).tolist()
+    ]
+    totals = np.zeros((game.num_players, 2, m))
+    np.add.at(totals, owners, np.stack([payoffs.max(axis=2), payoffs.min(axis=2)], axis=1))
+    worst = np.column_stack([totals[:, 0].max(axis=1), totals[:, 1].min(axis=1)])
+    flagged = np.column_stack([worst[:, 0] > 1.0 + atol, worst[:, 1] < -atol])
+    flagged &= (np.diff(game.offsets) > 0)[:, None]  # an isolated player's utility is 0
+    utility_violations = [
+        UtilityRangeViolation(p, ("max", "min")[kind], float(worst[p, kind]))
+        for p, kind in np.argwhere(flagged).tolist()
+    ]
     return NormalizationReport(epsilon, entry_violations, utility_violations)
 
 

@@ -75,32 +75,17 @@ def random_normalized_game(
         edges = [(int(u), int(v)) for u, v in topology]
     rooted_tree_from_edges(n, edges, root=0)  # raises unless the topology is a tree
 
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    bounds = [entry_bound(d, m, epsilon) if d > 0 else 0.0 for d in degree]
+    ends = np.array(edges, dtype=np.intp).reshape(-1)  # owner of each matrix, in draw order
+    degree = np.bincount(ends, minlength=n)
+    bounds = np.array([entry_bound(int(d), m, epsilon) if d > 0 else 0.0 for d in degree])
 
     # Matrices come from a stream separate from the tree's so that the tree
     # matches random_tree(n, rng_seed) exactly.
     rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(1,)))
-    matrices: dict[tuple[int, int], np.ndarray] = {}
-    neighbors: dict[int, list[int]] = {p: [] for p in range(n)}
-    for u, v in edges:
-        matrices[(u, v)] = rng.uniform(0.0, bounds[u], size=(m, m))
-        matrices[(v, u)] = rng.uniform(0.0, bounds[v], size=(m, m))
-        neighbors[u].append(v)
-        neighbors[v].append(u)
+    drawn = rng.uniform(0.0, bounds[ends][:, None, None], size=(len(ends), m, m))
+    max_pure = np.zeros((n, m))
+    np.add.at(max_pure, ends, drawn.max(axis=2))
+    drawn *= (1.0 / np.maximum(max_pure.max(axis=1), 1.0))[ends][:, None, None]
 
-    for p in range(n):
-        incident = neighbors[p]
-        if not incident:
-            continue
-        max_pure = float(sum(matrices[(p, q)].max(axis=1) for q in incident).max())
-        if max_pure > 1.0:
-            scale = 1.0 / max_pure
-            for q in incident:
-                matrices[(p, q)] = matrices[(p, q)] * scale
-
-    game_edges = [Edge(u, v, matrices[(u, v)], matrices[(v, u)]) for u, v in edges]
+    game_edges = [Edge(u, v, drawn[2 * i], drawn[2 * i + 1]) for i, (u, v) in enumerate(edges)]
     return TreePolymatrixGame(num_players=n, num_actions=m, edges=game_edges)

@@ -139,6 +139,8 @@ def profile_from_dict(data: dict) -> ProfileDocument:
             [_as_number(x, f"profile.strategies[{i}][{j}]") for j, x in enumerate(row)],
             dtype=np.float64,
         )
+        if not np.all(np.isfinite(vec)):
+            raise SchemaError(f"profile.strategies[{i}]: non-finite probability")
         if np.any(vec < 0.0):
             raise SchemaError(f"profile.strategies[{i}]: negative probability")
         if abs(float(vec.sum()) - 1.0) > SIMPLEX_TOL:

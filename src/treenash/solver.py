@@ -189,21 +189,23 @@ def _leaf_mask(
 ) -> np.ndarray:
     """Boolean table [z, y]: is y an epsilon-best response of the leaf to z?
 
-    Row computation matches is_epsilon_best_response bit-for-bit: same payoff
-    vector, same multiply-sum utility, same comparison.
+    Entries match is_epsilon_best_response bit-for-bit: same payoff vector,
+    same multiply-sum utility, same comparison. Evaluated in blocks of z rows.
     """
     size = len(uset)
+    payoffs = parent_payoffs(game, leaf, parent, range(size), uset)
+    thresholds = payoffs.max(axis=1) - epsilon - BR_TOL
     mask = np.empty((size, size), dtype=bool)
-    probs = uset.probs
-    for z_index, v in enumerate(parent_payoffs(game, leaf, parent, range(size), uset)):
-        threshold = float(v.max()) - epsilon - BR_TOL
-        mask[z_index] = (probs * v).sum(axis=1) >= threshold
+    rows = max(1, _VECTORIZE_ELEMENT_LIMIT // (size * game.num_actions))
+    for start in range(0, size, rows):
+        block = slice(start, start + rows)
+        mask[block] = (uset.probs * payoffs[block, None, :]).sum(axis=2) >= thresholds[block, None]
     return mask
 
 
-# One block of the scan holds at most this many values: the float64 payoffs of
-# every pending row for the block's tuples, plus the block's index arrays. It
-# bounds the memory of a block, not the size of the product.
+# One block of a scan holds at most this many values: the float64 payoffs of
+# every pending row for the block's tuples plus its index arrays, or of a leaf
+# mask's block of z rows against every y. It bounds memory, not the scan size.
 _VECTORIZE_ELEMENT_LIMIT = 8_000_000
 
 

@@ -102,6 +102,8 @@ class UniformStrategySet:
         arr = np.asarray(strategy, dtype=np.float64)
         if arr.shape != (self.m,):
             raise ValueError(f"strategy has shape {arr.shape}, expected ({self.m},)")
+        if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+            raise ValueError("strategy has negative or non-finite entries")
         counts = np.rint(arr * self.b).astype(np.int64)
         if int(counts.sum()) != self.b or np.any(np.abs(counts / self.b - arr) > 1e-9):
             raise ValueError("strategy is not on the 1/b probability grid")

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from treenash.game import Edge, TreePolymatrixGame
+from treenash.game import (
+    Edge,
+    EntryViolation,
+    TreePolymatrixGame,
+    UtilityRangeViolation,
+    entry_bound,
+)
 
 
 def game_from_matrices(n, m, edge_matrices):
@@ -70,3 +77,29 @@ def random_small_game(rng, n=None, m=None):
         parent = int(rng.integers(0, child))
         edges.append((parent, child, rng.random((m, m)), rng.random((m, m))))
     return game_from_matrices(n, m, edges)
+
+
+def reference_normalization(game, epsilon, log_base=math.e, atol=1e-12):
+    """(entry violations, utility violations) of check_normalized, found by a
+    plain loop over players and their neighbours in ascending order."""
+    entry_violations, utility_violations = [], []
+    for p in range(game.num_players):
+        if game.degree(p) == 0:
+            continue
+        bound = entry_bound(game.degree(p), game.num_actions, epsilon, log_base)
+        total_max = np.zeros(game.num_actions)
+        total_min = np.zeros(game.num_actions)
+        for q in game.neighbors(p):
+            a = game.matrix(p, q)
+            for row in range(game.num_actions):
+                for col in range(game.num_actions):
+                    value = float(a[row, col])
+                    if value > bound + atol or value < -atol:
+                        entry_violations.append(EntryViolation(p, q, row, col, value, bound))
+            total_max += a.max(axis=1)
+            total_min += a.min(axis=1)
+        if float(total_max.max()) > 1.0 + atol:
+            utility_violations.append(UtilityRangeViolation(p, "max", float(total_max.max())))
+        if float(total_min.min()) < -atol:
+            utility_violations.append(UtilityRangeViolation(p, "min", float(total_min.min())))
+    return entry_violations, utility_violations

@@ -2,14 +2,16 @@
 
 import csv
 import json
+import math
+import re
 
 import pytest
 
 from helpers import identity_edge_game, matching_pennies_game, zero_game
 from treenash.cli import main
-from treenash.errors import InternalSoundnessViolation
+from treenash.errors import InternalSoundnessViolation, SchemaError
 from treenash.generator import random_tree
-from treenash.serialize import load_game, save_game, save_profile
+from treenash.serialize import load_game, profile_from_dict, save_game, save_profile
 
 
 def run(*argv):
@@ -191,6 +193,16 @@ class TestVerify:
         profile_path.write_text(json.dumps({"strategies": [[1.0, 0.0]]}))
         assert run("verify", "--game", str(game_path), "--profile", str(profile_path),
                    "--epsilon", "0.5") == 2
+
+    def test_nan_probability_exit_2(self, tmp_path, capsys):
+        game_path = write_game(tmp_path / "game.json", identity_edge_game())
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps({"strategies": [[1.0, 0.0], [math.nan, math.nan]]}))
+        assert run("verify", "--game", str(game_path), "--profile", str(profile_path),
+                   "--epsilon", "0.5") == 2
+        assert "profile.strategies[1]: non-finite probability" in capsys.readouterr().err
+        with pytest.raises(SchemaError, match=re.escape("profile.strategies[0]")):
+            profile_from_dict({"strategies": [[math.nan, math.nan]]})
 
     def test_unknown_field_exit_2(self, tmp_path):
         game_path = write_game(tmp_path / "game.json", identity_edge_game())

@@ -1,6 +1,7 @@
 """Tests for game representation, utilities, regrets, and normalization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from helpers import (
     identity_edge_game,
     path_edges,
     random_small_game,
+    reference_normalization,
+    star_edges,
     zero_game,
 )
 from treenash.errors import (
@@ -20,7 +23,9 @@ from treenash.errors import (
     NotATree,
 )
 from treenash.game import (
+    Edge,
     EquilibriumCertificate,
+    TreePolymatrixGame,
     check_normalized,
     check_profile,
     check_strategy,
@@ -31,6 +36,7 @@ from treenash.game import (
     regret,
     validate_and_root,
 )
+from treenash.generator import random_normalized_game
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -61,6 +67,67 @@ class TestGameConstruction:
         game = identity_edge_game()
         with pytest.raises(ValueError):
             game.matrix(0, 1)[0, 0] = 2.0
+
+    @pytest.mark.parametrize("edge, side, value, message", [
+        (2, 0, np.zeros((2, 3)), "payoff matrix for (2, 3) has shape (2, 3)"),
+        (2, 1, [[0.0, np.nan], [0.0, 0.0]], "payoff matrix for (3, 2) has non-finite entries"),
+        (3, 0, [[0.0, 0.0], [-0.1, 0.0]], "payoff matrix for (1, 4) has negative entries"),
+    ])
+    def test_bad_matrix_on_a_later_edge_names_its_pair(self, edge, side, value, message):
+        zero = np.zeros((2, 2))
+        edges = [[0, 1, zero, zero], [1, 2, zero, zero], [2, 3, zero, zero], [1, 4, zero, zero]]
+        edges[edge][2 + side] = value
+        with pytest.raises(InvalidGame, match=re.escape(message)):
+            game_from_matrices(5, 2, edges)
+
+    def test_payoffs_are_one_owner_grouped_read_only_array(self):
+        rng = np.random.default_rng(5)
+        for trial in range(20):
+            n, m = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+            given = random_normalized_game(n, m, 0.5, rng_seed=trial)
+            inputs = [(e.u, e.v, e.payoff_u_v.copy(), e.payoff_v_u.copy()) for e in given.edges]
+            game = game_from_matrices(n, m, inputs)
+            assert game.payoffs.shape == (2 * (n - 1), m, m)
+            assert not game.payoffs.flags.writeable
+            assert game.offsets.tolist() == [
+                sum(game.degree(q) for q in range(p)) for p in range(n + 1)
+            ]
+            for p in range(n):
+                block = slice(game.offsets[p], game.offsets[p + 1])
+                assert game.owners[block].tolist() == [p] * game.degree(p)
+                assert game.neighbor_ids[block].tolist() == game.neighbors(p)
+                assert game.neighbors(p) == sorted(game.neighbors(p))
+                for q in game.neighbors(p):
+                    assert np.shares_memory(game.matrix(p, q), game.payoffs)
+            for s in range(len(game.payoffs)):
+                matrix = game.matrix(int(game.owners[s]), int(game.neighbor_ids[s]))
+                assert matrix.ctypes.data == game.payoffs[s].ctypes.data
+            for edge, (u, v, a_uv, a_vu) in zip(game.edges, inputs):
+                assert (edge.u, edge.v) == (u, v)
+                assert np.array_equal(edge.payoff_u_v, a_uv) and np.array_equal(edge.payoff_v_u, a_vu)
+                assert np.array_equal(edge.payoff_u_v, game.matrix(u, v))
+                assert np.array_equal(edge.payoff_v_u, game.matrix(v, u))
+                assert np.shares_memory(edge.payoff_u_v, game.payoffs)
+                assert np.shares_memory(edge.payoff_v_u, game.payoffs)
+                with pytest.raises(ValueError):
+                    edge.payoff_v_u[0, 0] = 1.0
+                a_uv[0, 0] = 7.0  # the game keeps its own copy
+                assert game.matrix(u, v)[0, 0] != 7.0
+
+    def test_matrix_of_a_non_neighbour_raises(self):
+        game = zero_game(4, path_edges(4))
+        with pytest.raises(KeyError):
+            game.matrix(0, 2)
+        with pytest.raises(KeyError):
+            game.matrix(3, 4)
+
+    def test_edge_list_may_come_in_any_order(self):
+        zero = np.zeros((2, 2))
+        edges = [Edge(3, 1, zero, zero + 0.25), Edge(0, 1, zero + 0.5, zero), Edge(2, 1, zero, zero)]
+        game = TreePolymatrixGame(4, 2, edges)
+        assert game.neighbors(1) == [0, 2, 3]
+        assert game.matrix(1, 3)[0, 0] == 0.25 and game.matrix(0, 1)[0, 0] == 0.5
+        assert [(e.u, e.v) for e in game.edges] == [(3, 1), (0, 1), (2, 1)]
 
 
 class TestValidateAndRoot:
@@ -307,6 +374,37 @@ class TestCheckNormalized:
     def test_single_action_game(self):
         game = game_from_matrices(2, 1, [(0, 1, [[0.5]], [[1.0]])])
         assert check_normalized(game, 0.5).ok
+
+    def test_matches_the_per_neighbour_reference(self):
+        # Games with and without entry and utility violations: normalized
+        # games, stars scaled past their caps, and uniform [0, scale) entries.
+        # A negative atol makes small entries and pure utilities count as
+        # below the lower bound, so "min" violations are covered too.
+        rng = np.random.default_rng(11)
+        seen = {"ok": 0, "entry": 0, "max": 0, "min": 0}
+        for trial in range(60):
+            n, m = int(rng.integers(1, 25)), int(rng.integers(1, 5))
+            epsilon = float(rng.choice([0.2, 0.5, 1.0]))
+            kind = trial % 3
+            if kind == 0:
+                game = random_normalized_game(n, m, epsilon, rng_seed=trial)
+            elif kind == 1:
+                base = random_normalized_game(n, m, epsilon, topology=star_edges(n), rng_seed=trial)
+                scale = float(rng.choice([1.0, 1.5, 4.0]))
+                game = game_from_matrices(n, m, [
+                    (e.u, e.v, e.payoff_u_v * scale, e.payoff_v_u) for e in base.edges
+                ])
+            else:
+                game = random_small_game(rng, n=max(n, 2), m=m)
+            for atol in (1e-12, -0.3):
+                report = check_normalized(game, epsilon, atol=atol)
+                expected = reference_normalization(game, epsilon, atol=atol)
+                assert (report.entry_violations, report.utility_violations) == expected
+                seen["ok"] += report.ok
+                seen["entry"] += bool(report.entry_violations)
+                for violation in report.utility_violations:
+                    seen[violation.kind] += 1
+        assert all(count > 0 for count in seen.values()), seen
 
 
 class TestStrategyValidation:

@@ -1,5 +1,7 @@
 """Tests for random tree and normalized game generation."""
 
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -110,3 +112,26 @@ class TestRandomNormalizedGame:
     def test_single_player(self):
         game = random_normalized_game(1, 3, 0.5, rng_seed=0)
         assert game.edges == []
+
+    # sha256 over every edge's payoff_u_v then payoff_v_u bytes, in edge order,
+    # as the generator produced them when it kept one dict entry per matrix and
+    # rescaled player by player. The 61-star at epsilon 1 takes the rescaling
+    # branch.
+    @pytest.mark.parametrize("n, m, epsilon, topology, seed, digest", [
+        (1, 2, 0.5, None, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (8, 3, 0.5, None, 0, "f456be8354846030df01fcdc46b62a3f657d543a75ae339a77c1d0933db92504"),
+        (12, 2, 1.0, None, 7, "36b970e6c06472c88f85b0bc5f5aed2934505d4d1ec6017cf2b22d39c1ce0104"),
+        (5, 4, 0.3, [(0, 1), (1, 2), (2, 3), (3, 4)], 11,
+         "a2c6eaf82712fc0c436682ac8897295cbc99d692cced978c7e2b07eef3879b16"),
+        (61, 2, 1.0, star_edges(61), 3,
+         "91e9bf941bf41bb234eb44656423a51117852d0dcc5bef99f81515a5954ba19d"),
+        (41, 3, 1.0, star_edges(41), 5,
+         "caf353e8dc6f2fa53d30143fecb8485eca7a0a218d7084aa613af83a93e46252"),
+    ])
+    def test_seeded_payoff_bytes_are_pinned(self, n, m, epsilon, topology, seed, digest):
+        game = random_normalized_game(n, m, epsilon, topology=topology, rng_seed=seed)
+        h = hashlib.sha256()
+        for edge in game.edges:
+            h.update(edge.payoff_u_v.tobytes())
+            h.update(edge.payoff_v_u.tobytes())
+        assert h.hexdigest() == digest

@@ -108,6 +108,17 @@ class TestEnumerateUniform:
         with pytest.raises(ValueError):
             uset.index_of([0.5, 0.5, 0.0])
 
+    @pytest.mark.parametrize("m, b, strategy", [
+        (2, 2, [1.5, -0.5]),  # counts (3, -1) sum to b
+        (3, 2, [1.0, 0.5, -0.5]),  # would rank as (0.5, 0.5, 0)
+        (2, 2, [np.nan, 1.0]),
+        (2, 2, [np.inf, 0.0]),
+        (2, 2, [-np.inf, 1.0]),
+    ])
+    def test_index_of_rejects_points_off_the_simplex(self, m, b, strategy):
+        with pytest.raises(ValueError, match="negative or non-finite"):
+            enumerate_uniform(m, b).index_of(strategy)
+
     def test_cap_exceeded_reports_exact_count(self):
         with pytest.raises(SetTooLarge) as excinfo:
             enumerate_uniform(3, 10, cap=5)
