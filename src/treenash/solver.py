@@ -12,15 +12,16 @@ The exhaustive search is batched over z: the children's candidate sets depend
 on y alone, and z enters only through the payoff row A[player, parent] @ z. So
 for each y, one scan decides every parent strategy at once. It walks the
 candidate product in canonical order in blocks that start at one tuple and
-double in size, and a parent strategy leaves the scan at its first confirmed
-hit. Every returned profile is re-verified, so randomness can only affect
-running time, never correctness.
+double in size, and a parent strategy leaves the scan at its first hit, which
+is computed with ``action_payoffs``' own arithmetic. Every returned profile is
+re-verified, so randomness can only affect running time, never correctness.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ from .game import (
     RootedTree,
     TreePolymatrixGame,
     check_normalized,
-    is_epsilon_best_response,
+    is_epsilon_best_response,  # noqa: F401 -- unused; perfbench's tracer wraps it here by name
     regret,
     validate_and_root,
 )
@@ -168,16 +169,17 @@ def _derived_seed(config: SolverConfig, player: int, z_index: int | None, y_inde
 def parent_payoffs(
     game: TreePolymatrixGame,
     player: int,
-    parent: int | None,
-    z_indices,
+    neighbor: int | None,
+    indices,
     uset: UniformStrategySet,
 ) -> np.ndarray:
-    """One row ``A[player, parent] @ z`` per parent strategy index; a single
-    zero row for the root, which has no parent."""
-    if parent is None:
+    """One row ``A[player, neighbor] @ x`` per strategy index, the same gemv
+    ``action_payoffs`` runs for that neighbour; a single zero row when
+    ``neighbor`` is None (the root, which has no parent)."""
+    if neighbor is None:
         return np.zeros((1, game.num_actions))
-    matrix = game.matrix(player, parent)
-    return np.array([matrix @ uset.probs[z_index] for z_index in z_indices])
+    matrix = game.matrix(player, neighbor)
+    return np.array([matrix @ uset.probs[index] for index in indices])
 
 
 def _leaf_mask(
@@ -226,13 +228,16 @@ def first_witnesses(
     """For every parent strategy ``z_indices[r]``, whose payoff row is
     ``bases[r]``, the first tuple of the children's candidate product in
     canonical index order against which (with z) y is an epsilon-best
-    response, or None. Deterministic.
+    response, or None. ``children`` must be ascending, as in RootedTree.
+    Deterministic.
 
     The product is walked in flat-index blocks that start at one tuple and
     double in size, each evaluated for every row still pending and capped by
-    ``_VECTORIZE_ELEMENT_LIMIT`` values. A row leaves at its first vectorized
-    hit that the scalar ``is_epsilon_best_response`` confirms; a player
-    without children scans the single empty tuple. Raises CapExceeded if the
+    ``_VECTORIZE_ELEMENT_LIMIT`` values. A row leaves at its first hit; a
+    player without children scans the single empty tuple. Each column sums
+    ``action_payoffs``' gemv terms in its order (ascending neighbour id, the
+    parent's base at its sorted place), so a hit is exactly an
+    ``is_epsilon_best_response`` acceptance. Raises CapExceeded if the
     product set is larger than ``cap``.
     """
     if stats is not None:
@@ -250,45 +255,31 @@ def first_witnesses(
 
     m = game.num_actions
     y = uset.probs[y_index]
-    # Per-child payoff contributions, one row per candidate.
-    contributions = [
-        (game.matrix(player, c) @ uset.probs[candidates].T).T
+    child_rows = [
+        parent_payoffs(game, player, c, candidates, uset)
         for c, candidates in zip(children, candidate_lists)
     ]
+    parent_at = 0 if parent is None else bisect_left(children, parent)
     pending = np.arange(len(z_indices))
     start, block = 0, 1
     while pending.size and start < product_size:
         fits = _VECTORIZE_ELEMENT_LIMIT // (pending.size * m + len(sizes) + 1)
         count = min(block, product_size - start, max(1, fits))
         positions = np.unravel_index(np.arange(start, start + count), sizes) if sizes else ()
-        # Payoffs summed left to right, ((base + c0) + c1) + ..., in every
-        # block; columns follow the canonical (C-order) tuple order, so a
-        # row's first confirmed hit is its canonical witness.
-        totals = bases[pending][:, None, :]
-        for rows, pos in zip(contributions, positions):
-            totals = totals + rows[pos]
+        terms = [rows[pos] for rows, pos in zip(child_rows, positions)]
+        terms.insert(parent_at, bases[pending][:, None, :])
+        totals = terms[0]
+        for term in terms[1:]:
+            totals = totals + term
         totals = totals.reshape(-1, m)
         hits = (totals * y).sum(axis=1) >= totals.max(axis=1) - epsilon - BR_TOL
         hits = hits.reshape(pending.size, count)
-        firsts = hits.argmax(axis=1)
-        settled = []
-        for r in np.flatnonzero(hits.any(axis=1)):
-            row, col = int(pending[r]), int(firsts[r])
-            while col < count:
-                chosen = tuple(int(cands[pos[col]]) for cands, pos in zip(candidate_lists, positions))
-                # A vectorized hit is only returned once the canonical scalar
-                # check agrees, keeping acceptance identical to the game-core
-                # definition.
-                neighbor_strategies = {} if parent is None else {parent: uset.probs[z_indices[row]]}
-                for c, index in zip(children, chosen):
-                    neighbor_strategies[c] = uset.probs[index]
-                if is_epsilon_best_response(game, player, y, neighbor_strategies, epsilon):
-                    found[row] = Extension(child_ids=tuple(children), strategy_indices=chosen)
-                    settled.append(r)
-                    break
-                # Rejected: go on to the row's next hit in this block, if any.
-                later = np.flatnonzero(hits[r, col + 1:])
-                col = col + 1 + int(later[0]) if later.size else count
+        # Columns follow the canonical (C-order) tuple order, so a row's first
+        # hit is its canonical witness.
+        settled = np.flatnonzero(hits.any(axis=1))
+        for r, col in zip(settled.tolist(), hits[settled].argmax(axis=1).tolist()):
+            chosen = tuple(int(cands[pos[col]]) for cands, pos in zip(candidate_lists, positions))
+            found[int(pending[r])] = Extension(child_ids=tuple(children), strategy_indices=chosen)
         pending = np.delete(pending, settled)
         start += count
         block *= 2

@@ -244,12 +244,12 @@ class TestExhaustiveMembership:
 
 
 def first_tuple_by_brute_force(game, player, parent, children, z_idx, y_idx, candidate_lists, uset,
-                               epsilon, accept=is_epsilon_best_response):
+                               epsilon):
     """Reference scan: itertools.product in canonical order, scalar check only."""
     for chosen in itertools.product(*candidate_lists):
         neighbors = {} if parent is None else {parent: uset.probs[z_idx]}
         neighbors.update({c: uset.probs[i] for c, i in zip(children, chosen)})
-        if accept(game, player, uset.probs[y_idx], neighbors, epsilon):
+        if is_epsilon_best_response(game, player, uset.probs[y_idx], neighbors, epsilon):
             return tuple(int(i) for i in chosen)
     return None
 
@@ -259,18 +259,23 @@ class TestFirstWitnesses:
 
     def scans(self, seeds):
         """Every (game, player, parent, y, candidate lists) of small seeded
-        games with the LP route off: childless players and, at the small
-        epsilon, empty candidate sets included."""
+        games with the LP route off, each rooted at player 0 and at a non-zero
+        player so that parent ids fall below, between and above the
+        children's: childless players and, at the small epsilon, empty
+        candidate sets included."""
         for seed in seeds:
             n, m, b = 4 + seed % 5, 2 + seed % 2, 1 + seed % 2
             epsilon = (0.5, 0.05)[seed % 2]
             game = random_normalized_game(n, m, 0.5, rng_seed=seed)
-            rooted, uset, tables, _, _ = tables_for(game, epsilon, b, lp_threshold=math.inf)
-            for q in range(n):
-                parent = rooted.parent[q]
-                for y_idx in range(len(uset)):
-                    lists = [tables.candidate_set(c, y_idx) for c in rooted.children[q]]
-                    yield game, rooted, tables, uset, epsilon, q, parent, y_idx, lists
+            for root in (0, 1 + seed % (n - 1)):
+                rooted, uset, tables, _, _ = tables_for(
+                    game, epsilon, b, lp_threshold=math.inf, root=root
+                )
+                for q in range(n):
+                    parent = rooted.parent[q]
+                    for y_idx in range(len(uset)):
+                        lists = [tables.candidate_set(c, y_idx) for c in rooted.children[q]]
+                        yield game, rooted, tables, uset, epsilon, q, parent, y_idx, lists
 
     @pytest.mark.parametrize("limit", LIMITS, ids=["default", "60", "1"])
     def test_every_row_matches_one_row_call_and_brute_force(self, limit, monkeypatch):
@@ -301,66 +306,56 @@ class TestFirstWitnesses:
                     assert row.child_ids == single.child_ids == tuple(children)
         assert childless > 0 and empty > 0
 
-    @pytest.mark.parametrize("limit", LIMITS, ids=["default", "60", "1"])
-    def test_rejected_hit_moves_only_its_row_to_the_next_hit(self, limit, monkeypatch):
-        monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
-        checked = 0
-        for game, rooted, tables, uset, epsilon, q, parent, y_idx, lists in self.scans(range(12)):
-            if parent is None or not lists:
-                continue
-            z_indices = range(len(uset))
-            bases = solver_module.parent_payoffs(game, q, parent, z_indices, uset)
-            children = rooted.children[q]
-            expected = [
-                first_tuple_by_brute_force(game, q, parent, children, z, y_idx, lists, uset, epsilon)
-                for z in z_indices
-            ]
-            target = next((z for z, e in enumerate(expected) if e is not None), None)
-            if target is None:
-                continue
-            rejected = []
+    def test_hit_exactly_when_the_scalar_check_accepts_at_its_boundary(self):
+        # The scan has no scalar confirm, so its payoff sums must round like
+        # action_payoffs'. Rooted at 0, 3 and 4, player 2's parent id falls
+        # below, between and above its children's ids. Epsilon is set to the
+        # smallest float at which the scalar check accepts the first tuple of
+        # the candidate product, and to the float just below it. Each list
+        # has a second candidate, so per-child rows come from several
+        # candidates at once, as in a real scan.
+        edges = [(3, 2), (2, 1), (2, 4), (2, 0)]
+        rng = np.random.default_rng(11)
+        checked = later = 0
+        for m in (2, 3, 4):
+            game = random_normalized_game(5, m, 0.5, topology=edges, rng_seed=m)
+            uset = enumerate_uniform(m, 3)
+            size = len(uset)
+            for root in (0, 3, 4):
+                rooted = validate_and_root(game, root)
+                for q in range(5):
+                    parent, children = rooted.parent[q], rooted.children[q]
+                    for _ in range(40):
+                        z_idx = None if parent is None else int(rng.integers(size))
+                        y_idx = int(rng.integers(size))
+                        first = rng.integers(size, size=len(children))
+                        second = (first + rng.integers(1, size, size=len(children))) % size
+                        lists = [np.array(pair) for pair in zip(first, second)]
+                        neighbors = {} if parent is None else {parent: uset.probs[z_idx]}
+                        neighbors.update({c: uset.probs[i] for c, i in zip(children, first)})
 
-            def reject_first_hit(game_, player, strategy, neighbors, eps):
-                chosen = tuple(uset.index_of(neighbors[c]) for c in children)
-                if np.array_equal(neighbors[parent], uset.probs[target]) and chosen == expected[target]:
-                    rejected.append(chosen)
-                    return False
-                return is_epsilon_best_response(game_, player, strategy, neighbors, eps)
+                        def accepts(eps):
+                            y = uset.probs[y_idx]
+                            return is_epsilon_best_response(game, q, y, neighbors, eps)
 
-            monkeypatch.setattr(solver_module, "is_epsilon_best_response", reject_first_hit)
-            rows = first_witnesses(
-                game, q, parent, z_indices, bases, y_idx, children, lists, uset, epsilon, 10**6,
-            )
-            monkeypatch.setattr(solver_module, "is_epsilon_best_response", is_epsilon_best_response)
-            assert rejected == [expected[target]]
-            following = first_tuple_by_brute_force(
-                game, q, parent, children, target, y_idx, lists, uset, epsilon,
-                accept=reject_first_hit,
-            )
-            for z, row in enumerate(rows):
-                want = following if z == target else expected[z]
-                assert (row.strategy_indices if row is not None else None) == want, (q, y_idx, z)
-            checked += 1
-        assert checked > 0
-
-    def test_zero_game_rejected_row_takes_the_second_tuple(self, monkeypatch):
-        # every tuple hits, so the next hit is the next tuple in C order
-        game = zero_game(4, [(0, 1), (1, 2), (1, 3)])
-        rooted, uset, tables, _, _ = tables_for(game, 0.5, 1, lp_threshold=math.inf)
-        lists = [tables.candidate_set(c, 0) for c in (2, 3)]
-        bases = solver_module.parent_payoffs(game, 1, 0, range(2), uset)
-        calls = []
-
-        def reject_once_for_z1(game_, player, strategy, neighbors, eps):
-            calls.append(uset.index_of(neighbors[0]))
-            if calls.count(1) == 1 and calls[-1] == 1:
-                return False
-            return is_epsilon_best_response(game_, player, strategy, neighbors, eps)
-
-        monkeypatch.setattr(solver_module, "is_epsilon_best_response", reject_once_for_z1)
-        rows = first_witnesses(game, 1, 0, range(2), bases, 0, [2, 3], lists, uset, 0.5, 100)
-        assert [row.strategy_indices for row in rows] == [(0, 0), (0, 1)]
-        assert sorted(calls) == [0, 1, 1]
+                        low, high = -1.0, 2.0  # payoffs lie in [0, 1]
+                        while (mid := (low + high) / 2) not in (low, high):
+                            low, high = (low, mid) if accepts(mid) else (mid, high)
+                        assert accepts(high) and not accepts(low)
+                        bases = solver_module.parent_payoffs(game, q, parent, [z_idx], uset)
+                        for eps in (high, low):
+                            [row] = first_witnesses(
+                                game, q, parent, [z_idx], bases, y_idx, children, lists, uset,
+                                eps, 10**6,
+                            )
+                            expected = first_tuple_by_brute_force(
+                                game, q, parent, children, z_idx, y_idx, lists, uset, eps
+                            )
+                            found = None if row is None else row.strategy_indices
+                            assert found == expected, (m, root, q, eps)
+                            checked += 1
+                            later += eps == low and expected is not None
+        assert checked == 2 * 3 * 3 * 5 * 40 and later > 0
 
     def test_counters_keep_their_per_pair_meaning(self, monkeypatch):
         game = random_normalized_game(10, 2, 0.5, rng_seed=3)
@@ -564,6 +559,29 @@ class TestSolve:
                 assert expected == []
             agreements += 1
         assert agreements == 15
+
+    def test_exactness_against_oracle_at_three_actions(self):
+        # five players and three actions, beyond acceptance criterion 2's
+        # n <= 4, m = 2; each random tree is rooted at both ends of its ids
+        outcomes = []
+        for i in range(16):
+            b, epsilon = 1 + i % 2, (0.1, 0.5)[i // 2 % 2]
+            game = random_normalized_game(5, 3, epsilon, rng_seed=330 + i)
+            uset = enumerate_uniform(3, b)
+            expected = set(all_equilibria(game, epsilon, uset))
+            for root in (0, 4):
+                config = SolverConfig(
+                    epsilon=epsilon, b_override=b, lp_threshold=math.inf, root=root
+                )
+                try:
+                    cert = solve(game, config)
+                except NoEquilibriumFound:
+                    assert not expected, (i, root)
+                    outcomes.append(False)
+                    continue
+                assert tuple(uset.index_of(s) for s in cert.profile) in expected, (i, root)
+                outcomes.append(True)
+        assert len(outcomes) == 32 and True in outcomes and False in outcomes
 
     def test_deterministic_with_fixed_seed(self):
         game = random_normalized_game(9, 2, 0.5, rng_seed=55)
