@@ -47,12 +47,16 @@ def _as_number(value, context: str) -> float:
 def _as_matrix(value, m: int, context: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != m:
         raise SchemaError(f"{context}: expected {m} rows")
-    rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != m:
             raise SchemaError(f"{context}, row {i}: expected {m} entries")
-        rows.append([_as_number(x, f"{context}[{i}][{j}]") for j, x in enumerate(row)])
-    return np.array(rows, dtype=np.float64)
+    # One pass over plain JSON numbers; the per-entry walk runs only to name
+    # the first bad entry (or to accept number subclasses other than bool).
+    if not all(type(x) is float or type(x) is int for row in value for x in row):
+        for i, row in enumerate(value):
+            for j, x in enumerate(row):
+                _as_number(x, f"{context}[{i}][{j}]")
+    return np.array(value, dtype=np.float64)
 
 
 def game_to_dict(game: TreePolymatrixGame, epsilon_normalization: float) -> dict:

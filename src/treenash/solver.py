@@ -13,8 +13,14 @@ on y alone, and z enters only through the payoff row A[player, parent] @ z. So
 for each y, one scan decides every parent strategy at once. It walks the
 candidate product in canonical order in blocks that start at one tuple and
 double in size, and a parent strategy leaves the scan at its first hit, which
-is computed with ``action_payoffs``' own arithmetic. Every returned profile is
-re-verified, so randomness can only affect running time, never correctness.
+is computed with ``action_payoffs``' own arithmetic.
+
+The LP route walks the z rows of one y in ascending order. It runs the LP for
+the first pending row only, then tests the witness it returns on every pending
+row with the same scan over that one tuple; the rows it settles share the
+witness. So a player on the LP route costs about one LP per y, not one per
+(z, y). Every returned profile is re-verified, so randomness can only affect
+running time, never correctness.
 """
 
 from __future__ import annotations
@@ -123,7 +129,12 @@ class SolverConfig:
 
 @dataclass
 class SolveStats:
-    """Counters from one run."""
+    """Counters from one run.
+
+    ``membership_tests`` counts every decided (z, y) pair; ``lp_calls`` the
+    LPs actually solved; ``reused_witnesses`` the LP-route pairs settled by a
+    witness found for a lower z of the same y, without an LP.
+    """
 
     support_size: int | None = None
     num_strategies: int | None = None
@@ -135,6 +146,7 @@ class SolveStats:
     rounding_accepts: int = 0
     fallbacks: int = 0
     exhaustive_calls: int = 0
+    reused_witnesses: int = 0
     max_lp_residual: float = 0.0
 
 
@@ -260,12 +272,17 @@ def first_witnesses(
         for c, candidates in zip(children, candidate_lists)
     ]
     parent_at = 0 if parent is None else bisect_left(children, parent)
+    child_ids = tuple(children)
+    # Each child's position in a flat C-order index, by mixed-radix arithmetic
+    # (np.unravel_index stops at 64 dimensions, one per child)
+    radices = np.array(sizes, dtype=np.int64)[:, None]
+    strides = product_size // np.cumprod(radices)[:, None]
     pending = np.arange(len(z_indices))
     start, block = 0, 1
     while pending.size and start < product_size:
         fits = _VECTORIZE_ELEMENT_LIMIT // (pending.size * m + len(sizes) + 1)
         count = min(block, product_size - start, max(1, fits))
-        positions = np.unravel_index(np.arange(start, start + count), sizes) if sizes else ()
+        positions = np.arange(start, start + count) // strides % radices
         terms = [rows[pos] for rows, pos in zip(child_rows, positions)]
         terms.insert(parent_at, bases[pending][:, None, :])
         totals = terms[0]
@@ -277,9 +294,13 @@ def first_witnesses(
         # Columns follow the canonical (C-order) tuple order, so a row's first
         # hit is its canonical witness.
         settled = np.flatnonzero(hits.any(axis=1))
-        for r, col in zip(settled.tolist(), hits[settled].argmax(axis=1).tolist()):
-            chosen = tuple(int(cands[pos[col]]) for cands, pos in zip(candidate_lists, positions))
-            found[int(pending[r])] = Extension(child_ids=tuple(children), strategy_indices=chosen)
+        cols = hits[settled].argmax(axis=1)
+        # one row per child (the reshape keeps the shape with no children)
+        chosen = np.array(
+            [cands[pos[cols]] for cands, pos in zip(candidate_lists, positions)], dtype=np.int64
+        ).reshape(len(sizes), settled.size)
+        for row, indices in zip(pending[settled].tolist(), chosen.T.tolist()):
+            found[row] = Extension(child_ids=child_ids, strategy_indices=tuple(indices))
         pending = np.delete(pending, settled)
         start += count
         block *= 2
@@ -336,6 +357,8 @@ def membership_test(
     back to the exhaustive scan, so the result is never weaker than the direct
     search. Any returned witness satisfies the best-response condition.
     ``candidate_lists``, one per child, default to the tables' rows for y.
+    ``build_tables`` calls it only for the (z, y) pairs that no earlier
+    witness of y settled; ``stats.lp_calls`` counts the LPs it solves.
     """
     stats.membership_tests += 1
     children = rooted.children[player]
@@ -376,6 +399,53 @@ def membership_test(
     )
 
 
+def _lp_route_witnesses(
+    game: TreePolymatrixGame,
+    rooted: RootedTree,
+    player: int,
+    parent: int,
+    bases: np.ndarray,
+    y_index: int,
+    tables: CandidateTables,
+    uset: UniformStrategySet,
+    config: SolverConfig,
+    stats: SolveStats,
+    candidate_lists: list[np.ndarray],
+) -> list[Extension | None]:
+    """Decide every parent strategy of (player, y) on the LP route.
+
+    ``membership_test`` runs for the lowest pending z row only. Each witness it
+    returns is then tested against every pending row in one ``first_witnesses``
+    call over the witness as a one-tuple product; the rows it settles take
+    that witness, so one LP usually serves every z. A reused tuple lies in the
+    candidate product, so the masks are those of the complete scan.
+    """
+    children = rooted.children[player]
+    found: list[Extension | None] = [None] * len(bases)
+    pending = np.arange(len(bases))
+    while pending.size:
+        z_index, pending = int(pending[0]), pending[1:]
+        extension = membership_test(
+            game, rooted, player, parent, z_index, y_index, tables, uset, config, stats,
+            candidate_lists,
+        )
+        found[z_index] = extension
+        if extension is None or not pending.size:
+            continue
+        single = [np.array([index]) for index in extension.strategy_indices]
+        reused = first_witnesses(
+            game, player, parent, pending, bases[pending], y_index, children, single,
+            uset, config.epsilon, 1,
+        )
+        settled = [r for r, hit in enumerate(reused) if hit is not None]
+        for r in settled:
+            found[int(pending[r])] = extension
+        stats.membership_tests += len(settled)
+        stats.reused_witnesses += len(settled)
+        pending = np.delete(pending, settled)
+    return found
+
+
 def build_tables(
     game: TreePolymatrixGame,
     rooted: RootedTree,
@@ -388,7 +458,9 @@ def build_tables(
     Leaves get the direct best-response table. For an internal player below
     the LP threshold, one ``first_witnesses`` call per strategy y decides
     every parent strategy z at once; above it, ``membership_test`` runs for
-    every (z, y) pair. Candidate lists are computed once per y either way.
+    the lowest z row still pending and its witness is reused on every other
+    row it settles (``_lp_route_witnesses``). Candidate lists and the parent
+    payoff rows are computed once per y and once per edge either way.
     """
     stats = stats if stats is not None else SolveStats()
     report = check_normalized(game, config.epsilon)
@@ -409,8 +481,7 @@ def build_tables(
                 tables.masks[q] = _leaf_mask(game, q, parent, uset, config.epsilon)
                 continue
             batched = len(children) < threshold
-            if batched:
-                bases = parent_payoffs(game, q, parent, z_indices, uset)
+            bases = parent_payoffs(game, q, parent, z_indices, uset)
             mask = np.zeros((size, size), dtype=bool)
             for y_index in range(size):
                 candidate_lists = [tables.candidate_set(c, y_index) for c in children]
@@ -423,13 +494,10 @@ def build_tables(
                         candidate_lists, uset, config.epsilon, config.exhaustive_cap, stats,
                     )
                 else:
-                    found = [
-                        membership_test(
-                            game, rooted, q, parent, z_index, y_index, tables, uset,
-                            config, stats, candidate_lists,
-                        )
-                        for z_index in z_indices
-                    ]
+                    found = _lp_route_witnesses(
+                        game, rooted, q, parent, bases, y_index, tables, uset, config,
+                        stats, candidate_lists,
+                    )
                 for z_index, extension in enumerate(found):
                     if extension is not None:
                         mask[z_index, y_index] = True

@@ -107,16 +107,32 @@ class TestBuildTables:
                         assert bool(tables.masks[q][z_idx, y_idx]) == expected
 
     def test_stored_extensions_reference_candidates_and_best_responses(self):
-        game = random_normalized_game(8, 2, 0.5, rng_seed=12)
-        rooted, uset, tables, config, _ = tables_for(game, 0.5, 2)
-        for (q, z_idx, y_idx), indices in tables.extensions.items():
-            children = rooted.children[q]
-            assert len(indices) == len(children)
-            neighbors = {rooted.parent[q]: uset.probs[z_idx]}
-            for c, x_idx in zip(children, indices):
-                assert tables.masks[c][y_idx, x_idx]  # witness drawn from the child's set
-                neighbors[c] = uset.probs[x_idx]
-            assert is_epsilon_best_response(game, q, uset.probs[y_idx], neighbors, 0.5)
+        # the exhaustive route, then the LP route with infeasible LPs,
+        # fallbacks and witnesses reused across parent strategies
+        inputs = [(8, 2, 0.5, 2, 12, None)] + [
+            (10 + seed % 5, 3 + seed % 2, 0.1, 2, seed, 2) for seed in range(4)
+        ]
+        lp_stats = SolveStats()
+        for n, m, eps, b, seed, threshold in inputs:
+            game = random_normalized_game(n, m, eps, rng_seed=seed)
+            rooted, uset, tables, config, stats = tables_for(
+                game, eps, b, lp_threshold=threshold, rng_seed=seed
+            )
+            if threshold is not None:
+                lp_stats.lp_infeasible += stats.lp_infeasible
+                lp_stats.fallbacks += stats.fallbacks
+                lp_stats.reused_witnesses += stats.reused_witnesses
+            for (q, z_idx, y_idx), indices in tables.extensions.items():
+                children = rooted.children[q]
+                assert len(indices) == len(children)
+                neighbors = {rooted.parent[q]: uset.probs[z_idx]}
+                for c, x_idx in zip(children, indices):
+                    assert tables.masks[c][y_idx, x_idx]  # witness drawn from the child's set
+                    neighbors[c] = uset.probs[x_idx]
+                assert is_epsilon_best_response(game, q, uset.probs[y_idx], neighbors, eps)
+        assert lp_stats.lp_infeasible > 0
+        assert lp_stats.fallbacks > 0
+        assert lp_stats.reused_witnesses > 0
 
 
     def test_masks_identical_with_and_without_the_lp_route(self):
@@ -383,7 +399,7 @@ class TestFirstWitnesses:
             lp_players = [q for q in internal if len(rooted.children[q]) >= threshold]
             batched = pairs([q for q in internal if q not in lp_players])
             assert stats.membership_tests == pairs(internal)
-            assert stats.lp_calls == pairs(lp_players)
+            assert stats.lp_calls + stats.reused_witnesses == pairs(lp_players)
             assert stats.exhaustive_calls == batched + stats.fallbacks
             # one candidate list per child and strategy y, on either route
             assert len(counted) == len(uset) * sum(len(rooted.children[q]) for q in internal)
@@ -453,6 +469,20 @@ class TestMembershipTest:
             neighbors.update({c: uset.probs[i] for c, i in zip(rooted.children[q], indices)})
             assert is_epsilon_best_response(game, q, uset.probs[y_idx], neighbors, 0.2)
 
+    def test_zero_game_one_lp_per_strategy_under_a_parent(self):
+        # every tuple works for every z in a zero game, so the first LP's
+        # witness for y settles all other parent strategies of y
+        game = zero_game(5, [(0, 1), (1, 2), (1, 3), (1, 4)])
+        rooted, uset, tables, config, stats = tables_for(game, 0.5, 2, lp_threshold=2)
+        size = len(uset)
+        assert tables.masks[1].all()
+        assert stats.lp_calls == size
+        assert stats.reused_witnesses == size * (size - 1)
+        assert stats.membership_tests == size * size
+        for y_idx in range(size):
+            witnesses = {tables.extensions[(1, z_idx, y_idx)] for z_idx in range(size)}
+            assert len(witnesses) == 1
+
 
 class TestProcessRoot:
     def test_zero_game_first_strategy(self):
@@ -506,6 +536,26 @@ class TestBacktrack:
 
 
 class TestSolve:
+    def test_star_with_more_than_64_leaves(self, monkeypatch):
+        # a hub's candidate product has one dimension per child, beyond
+        # numpy's 64-dimension limit for unravel_index
+        n = 71
+        eye = np.eye(2)
+        game = game_from_matrices(n, 2, [(0, i, eye, eye.copy()) for i in range(1, n)])
+        for threshold in (None, math.inf):
+            cert = solve(game, SolverConfig(epsilon=0.1, b_override=1, lp_threshold=threshold))
+            assert cert.max_regret == 0.0
+        # rooted at a leaf, the hub takes the LP route under a parent; every
+        # LP reads infeasible, so the exhaustive fallback decides each y and
+        # its witness is reused for the other parent strategy
+        monkeypatch.setattr(solver_module, "solve_feasibility", lambda *args: None)
+        stats = SolveStats()
+        config = SolverConfig(epsilon=0.1, b_override=1, lp_threshold=2, root=1)
+        cert = solve(game, config, stats)
+        assert cert.max_regret == 0.0
+        assert stats.fallbacks == stats.lp_calls == 2
+        assert stats.reused_witnesses == 2
+
     def test_zero_tree_all_regrets_zero(self):
         game = zero_game(5, path_edges(5))
         cert = solve(game, SolverConfig(epsilon=0.3, b_override=2))
