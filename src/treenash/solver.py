@@ -13,7 +13,10 @@ on y alone, and z enters only through the payoff row A[player, parent] @ z. So
 for each y, one scan decides every parent strategy at once. It walks the
 candidate product in canonical order in blocks that start at one tuple and
 double in size, and a parent strategy leaves the scan at its first hit, which
-is computed with ``action_payoffs``' own arithmetic.
+is computed with ``action_payoffs``' own arithmetic. The payoff rows
+A[player, c] @ x of every neighbour c and grid strategy x are built once per
+edge, and each y's scan only indexes them with its candidate lists. The scan
+returns each witness as a plain tuple of strategy indices.
 
 The LP route walks the z rows of one y in ascending order. It runs the LP for
 the first pending row only, then tests the witness it returns on every pending
@@ -194,6 +197,18 @@ def parent_payoffs(
     return np.array([matrix @ uset.probs[index] for index in indices])
 
 
+def payoff_rows(
+    game: TreePolymatrixGame,
+    player: int,
+    uset: UniformStrategySet,
+) -> dict[int, np.ndarray]:
+    """Per neighbour c of ``player``, the rows ``A[player, c] @ x`` of every
+    grid strategy x, indexed by strategy index: one ``parent_payoffs`` call
+    per edge, so an indexed row has the bits of that call's gemv."""
+    strategies = range(len(uset))
+    return {c: parent_payoffs(game, player, c, strategies, uset) for c in game.neighbors(player)}
+
+
 def _leaf_mask(
     game: TreePolymatrixGame,
     leaf: int,
@@ -218,8 +233,9 @@ def _leaf_mask(
 
 
 # One block of a scan holds at most this many values: the float64 payoffs of
-# every pending row for the block's tuples plus its index arrays, or of a leaf
-# mask's block of z rows against every y. It bounds memory, not the scan size.
+# every pending row for the block's tuples, the gathered child rows and the
+# index arrays, or of a leaf mask's block of z rows against every y. It bounds
+# memory, not the scan size.
 _VECTORIZE_ELEMENT_LIMIT = 8_000_000
 
 
@@ -232,16 +248,19 @@ def first_witnesses(
     y_index: int,
     children: list[int],
     candidate_lists: list[np.ndarray],
+    rows: dict[int, np.ndarray],
     uset: UniformStrategySet,
     epsilon: float,
     cap: int,
     stats: SolveStats | None = None,
-) -> list[Extension | None]:
+) -> list[tuple[int, ...] | None]:
     """For every parent strategy ``z_indices[r]``, whose payoff row is
     ``bases[r]``, the first tuple of the children's candidate product in
     canonical index order against which (with z) y is an epsilon-best
-    response, or None. ``children`` must be ascending, as in RootedTree.
-    Deterministic.
+    response, as strategy indices aligned with ``children``, or None.
+    ``children`` must be ascending, as in RootedTree; ``rows[c]`` holds child
+    c's payoff rows by strategy index, as ``payoff_rows`` builds them once per
+    edge. Deterministic.
 
     The product is walked in flat-index blocks that start at one tuple and
     double in size, each evaluated for every row still pending and capped by
@@ -254,7 +273,7 @@ def first_witnesses(
     """
     if stats is not None:
         stats.exhaustive_calls += len(z_indices)
-    found: list[Extension | None] = [None] * len(z_indices)
+    found: list[tuple[int, ...] | None] = [None] * len(z_indices)
     sizes = [len(c) for c in candidate_lists]
     product_size = math.prod(sizes)
     if product_size == 0:
@@ -267,12 +286,8 @@ def first_witnesses(
 
     m = game.num_actions
     y = uset.probs[y_index]
-    child_rows = [
-        parent_payoffs(game, player, c, candidates, uset)
-        for c, candidates in zip(children, candidate_lists)
-    ]
+    gathered = [rows[c][candidates] for c, candidates in zip(children, candidate_lists)]
     parent_at = 0 if parent is None else bisect_left(children, parent)
-    child_ids = tuple(children)
     # Each child's position in a flat C-order index, by mixed-radix arithmetic
     # (np.unravel_index stops at 64 dimensions, one per child)
     radices = np.array(sizes, dtype=np.int64)[:, None]
@@ -280,10 +295,12 @@ def first_witnesses(
     pending = np.arange(len(z_indices))
     start, block = 0, 1
     while pending.size and start < product_size:
-        fits = _VECTORIZE_ELEMENT_LIMIT // (pending.size * m + len(sizes) + 1)
+        # per tuple: m payoffs per pending row, m per gathered child row, one
+        # position per child and the flat index
+        fits = _VECTORIZE_ELEMENT_LIMIT // ((pending.size + len(sizes)) * m + len(sizes) + 1)
         count = min(block, product_size - start, max(1, fits))
         positions = np.arange(start, start + count) // strides % radices
-        terms = [rows[pos] for rows, pos in zip(child_rows, positions)]
+        terms = [child_rows[pos] for child_rows, pos in zip(gathered, positions)]
         terms.insert(parent_at, bases[pending][:, None, :])
         totals = terms[0]
         for term in terms[1:]:
@@ -300,7 +317,7 @@ def first_witnesses(
             [cands[pos[cols]] for cands, pos in zip(candidate_lists, positions)], dtype=np.int64
         ).reshape(len(sizes), settled.size)
         for row, indices in zip(pending[settled].tolist(), chosen.T.tolist()):
-            found[row] = Extension(child_ids=child_ids, strategy_indices=tuple(indices))
+            found[row] = tuple(indices)
         pending = np.delete(pending, settled)
         start += count
         block *= 2
@@ -320,20 +337,28 @@ def exhaustive_membership(
     cap: int,
     stats: SolveStats | None = None,
     candidate_lists: list[np.ndarray] | None = None,
+    rows: dict[int, np.ndarray] | None = None,
 ) -> Extension | None:
     """``first_witnesses`` for the single pair (z, y): the first tuple of the
     children's candidate product, in canonical index order, against which
     (with z) y is an epsilon-best response, or None. ``candidate_lists``, one
-    per child, default to the tables' rows for y.
+    per child, default to the tables' rows for y, and ``rows`` to
+    ``payoff_rows`` of the player.
     """
     children = rooted.children[player]
     if candidate_lists is None:
         candidate_lists = [tables.candidate_set(c, y_index) for c in children]
-    bases = parent_payoffs(game, player, parent, [z_index], uset)
-    return first_witnesses(
-        game, player, parent, [z_index], bases, y_index, children, candidate_lists,
+    if rows is None:
+        rows = payoff_rows(game, player, uset)
+    if parent is None:
+        bases = parent_payoffs(game, player, None, [z_index], uset)
+    else:
+        bases = rows[parent][[z_index]]
+    [indices] = first_witnesses(
+        game, player, parent, [z_index], bases, y_index, children, candidate_lists, rows,
         uset, epsilon, cap, stats,
-    )[0]
+    )
+    return None if indices is None else Extension(tuple(children), indices)
 
 
 def membership_test(
@@ -348,6 +373,7 @@ def membership_test(
     config: SolverConfig,
     stats: SolveStats,
     candidate_lists: list[np.ndarray] | None = None,
+    rows: dict[int, np.ndarray] | None = None,
 ) -> Extension | None:
     """Decide whether strategy y of ``player`` extends across its children
     under parent strategy z, returning a witness when it does.
@@ -356,9 +382,10 @@ def membership_test(
     first (build, solve, round); rounding exhaustion or LP infeasibility falls
     back to the exhaustive scan, so the result is never weaker than the direct
     search. Any returned witness satisfies the best-response condition.
-    ``candidate_lists``, one per child, default to the tables' rows for y.
-    ``build_tables`` calls it only for the (z, y) pairs that no earlier
-    witness of y settled; ``stats.lp_calls`` counts the LPs it solves.
+    ``candidate_lists``, one per child, default to the tables' rows for y;
+    ``rows`` (``payoff_rows``) reach the exhaustive fallback. ``build_tables``
+    calls it only for the (z, y) pairs that no earlier witness of y settled;
+    ``stats.lp_calls`` counts the LPs it solves.
     """
     stats.membership_tests += 1
     children = rooted.children[player]
@@ -395,7 +422,7 @@ def membership_test(
         stats.fallbacks += 1
     return exhaustive_membership(
         game, rooted, player, parent, z_index, y_index, tables, uset,
-        config.epsilon, config.exhaustive_cap, stats, candidate_lists,
+        config.epsilon, config.exhaustive_cap, stats, candidate_lists, rows,
     )
 
 
@@ -404,14 +431,14 @@ def _lp_route_witnesses(
     rooted: RootedTree,
     player: int,
     parent: int,
-    bases: np.ndarray,
     y_index: int,
     tables: CandidateTables,
     uset: UniformStrategySet,
     config: SolverConfig,
     stats: SolveStats,
     candidate_lists: list[np.ndarray],
-) -> list[Extension | None]:
+    rows: dict[int, np.ndarray],
+) -> list[tuple[int, ...] | None]:
     """Decide every parent strategy of (player, y) on the LP route.
 
     ``membership_test`` runs for the lowest pending z row only. Each witness it
@@ -421,25 +448,28 @@ def _lp_route_witnesses(
     candidate product, so the masks are those of the complete scan.
     """
     children = rooted.children[player]
-    found: list[Extension | None] = [None] * len(bases)
+    bases = rows[parent]
+    found: list[tuple[int, ...] | None] = [None] * len(bases)
     pending = np.arange(len(bases))
     while pending.size:
         z_index, pending = int(pending[0]), pending[1:]
         extension = membership_test(
             game, rooted, player, parent, z_index, y_index, tables, uset, config, stats,
-            candidate_lists,
+            candidate_lists, rows,
         )
-        found[z_index] = extension
-        if extension is None or not pending.size:
+        if extension is None:
             continue
-        single = [np.array([index]) for index in extension.strategy_indices]
+        witness = found[z_index] = extension.strategy_indices
+        if not pending.size:
+            continue
+        single = [np.array([index]) for index in witness]
         reused = first_witnesses(
-            game, player, parent, pending, bases[pending], y_index, children, single,
+            game, player, parent, pending, bases[pending], y_index, children, single, rows,
             uset, config.epsilon, 1,
         )
         settled = [r for r, hit in enumerate(reused) if hit is not None]
         for r in settled:
-            found[int(pending[r])] = extension
+            found[int(pending[r])] = witness
         stats.membership_tests += len(settled)
         stats.reused_witnesses += len(settled)
         pending = np.delete(pending, settled)
@@ -459,8 +489,11 @@ def build_tables(
     the LP threshold, one ``first_witnesses`` call per strategy y decides
     every parent strategy z at once; above it, ``membership_test`` runs for
     the lowest z row still pending and its witness is reused on every other
-    row it settles (``_lp_route_witnesses``). Candidate lists and the parent
-    payoff rows are computed once per y and once per edge either way.
+    row it settles (``_lp_route_witnesses``). Candidate lists are computed
+    once per y, and the payoff rows of every (player, neighbour) edge once
+    (``payoff_rows``), either way. Each y's witnesses are index tuples; its
+    mask column is written in one vector write and its witnesses in one
+    ``update``.
     """
     stats = stats if stats is not None else SolveStats()
     report = check_normalized(game, config.epsilon)
@@ -481,7 +514,7 @@ def build_tables(
                 tables.masks[q] = _leaf_mask(game, q, parent, uset, config.epsilon)
                 continue
             batched = len(children) < threshold
-            bases = parent_payoffs(game, q, parent, z_indices, uset)
+            rows = payoff_rows(game, q, uset)
             mask = np.zeros((size, size), dtype=bool)
             for y_index in range(size):
                 candidate_lists = [tables.candidate_set(c, y_index) for c in children]
@@ -490,18 +523,20 @@ def build_tables(
                 if batched:
                     stats.membership_tests += size
                     found = first_witnesses(
-                        game, q, parent, z_indices, bases, y_index, children,
-                        candidate_lists, uset, config.epsilon, config.exhaustive_cap, stats,
+                        game, q, parent, z_indices, rows[parent], y_index, children,
+                        candidate_lists, rows, uset, config.epsilon, config.exhaustive_cap,
+                        stats,
                     )
                 else:
                     found = _lp_route_witnesses(
-                        game, rooted, q, parent, bases, y_index, tables, uset, config,
-                        stats, candidate_lists,
+                        game, rooted, q, parent, y_index, tables, uset, config, stats,
+                        candidate_lists, rows,
                     )
-                for z_index, extension in enumerate(found):
-                    if extension is not None:
-                        mask[z_index, y_index] = True
-                        tables.extensions[(q, z_index, y_index)] = extension.strategy_indices
+                mask[:, y_index] = [indices is not None for indices in found]
+                tables.extensions.update(
+                    {(q, z_index, y_index): indices for z_index, indices in enumerate(found)
+                     if indices is not None}
+                )
             tables.masks[q] = mask
     return tables
 

@@ -1,5 +1,6 @@
 """Tests for the dynamic program: tables, membership, root processing, solve."""
 
+import hashlib
 import itertools
 import math
 
@@ -178,6 +179,49 @@ class TestBuildTables:
                         split_scans += 1
         assert split_scans > 0
 
+    # sha256 prefixes of the masks, the sorted witness dict and the profile's
+    # grid indices of seeded solves; only discrete outputs are pinned, since
+    # float bits may vary with the BLAS. LP-route witnesses follow the LP
+    # solution HiGHS returns.
+    @pytest.mark.parametrize(
+        "n, m, eps, b, seed, topology, options, expected",
+        [
+            (10, 2, 0.5, 2, 1, None, dict(lp_threshold=math.inf, root=0),
+             ("541339fe9d0048c2", "085281be4f8bbc6b", "d264c8025b306984")),
+            (12, 3, 0.5, 2, 2, None, dict(lp_threshold=math.inf, root=7),
+             ("41843682dbdc50af", "b46fa872ec07ec8e", "9619dc4c7d486310")),
+            (16, 4, 0.3, 1, 3, None, dict(lp_threshold=math.inf, root=15),
+             ("310a4419e154b2aa", "e2f481e19c51a7b9", "a813119983eddfc3")),
+            (20, 3, 0.5, 3, 7, None, dict(lp_threshold=math.inf, root=10),
+             ("089110946d5720f5", "e338fe3130d3eee0", "298b7784d13a28bc")),
+            (9, 2, 0.5, 2, 4, None, dict(lp_threshold=2, root=4, rng_seed=4),
+             ("c86c63419480c26e", "a8c6acc0b2455e0b", "c50296e314347e75")),
+            (13, 3, 0.1, 2, 5, None, dict(lp_threshold=2, root=12, rng_seed=5),
+             ("513e1739fe2bd178", "dd93d2170f89c780", "37acd4a348516fa2")),
+            (3, 2, 0.8, 120, 6, path_edges(3), dict(lp_threshold=math.inf, root=2),
+             ("c376660c09363f33", "3d9051f7813d4632", "ef07a1fd1a788f2e")),
+        ],
+        ids=["n10", "n12-root7", "n16-m4-root15", "n20-b3-root10", "lp-n9-root4",
+             "lp-n13-eps0.1-root12", "path-b120-root2"],
+    )
+    def test_discrete_outputs_match_recorded_digests(
+        self, n, m, eps, b, seed, topology, options, expected
+    ):
+        game = random_normalized_game(n, m, eps, topology=topology, rng_seed=seed)
+        rooted, uset, tables, config, stats = tables_for(game, eps, b, **options)
+        y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
+        profile = backtrack(rooted, tables, y_idx, ext, uset)
+        masks = hashlib.sha256()
+        for q in sorted(tables.masks):
+            masks.update(repr((q, tables.masks[q].shape)).encode())
+            masks.update(tables.masks[q].tobytes())
+        witnesses = hashlib.sha256(repr(sorted(tables.extensions.items())).encode())
+        indices = hashlib.sha256(repr([uset.index_of(s) for s in profile]).encode())
+        found = tuple(h.hexdigest()[:16] for h in (masks, witnesses, indices))
+        assert found == expected
+        if options["lp_threshold"] == 2:
+            assert stats.fallbacks > 0 and stats.reused_witnesses > 0
+
 
 class TestExhaustiveMembership:
     def test_empty_candidate_sets_give_none(self):
@@ -299,11 +343,17 @@ class TestFirstWitnesses:
         childless = empty = 0
         for game, rooted, tables, uset, epsilon, q, parent, y_idx, lists in self.scans(range(12)):
             z_indices = [None] if parent is None else range(len(uset))
-            bases = solver_module.parent_payoffs(game, q, parent, z_indices, uset)
+            # the per-edge rows build_tables passes
+            edge_rows = solver_module.payoff_rows(game, q, uset)
+            if parent is None:
+                bases = solver_module.parent_payoffs(game, q, None, z_indices, uset)
+            else:
+                bases = edge_rows[parent]
             children = rooted.children[q]
             stats = SolveStats()
             rows = first_witnesses(
-                game, q, parent, z_indices, bases, y_idx, children, lists, uset, epsilon, 10**6, stats,
+                game, q, parent, z_indices, bases, y_idx, children, lists, edge_rows, uset,
+                epsilon, 10**6, stats,
             )
             assert stats.exhaustive_calls == len(z_indices)
             childless += not children
@@ -318,8 +368,8 @@ class TestFirstWitnesses:
                 if expected is None:
                     assert row is None and single is None
                 else:
-                    assert row.strategy_indices == single.strategy_indices == expected
-                    assert row.child_ids == single.child_ids == tuple(children)
+                    assert row == single.strategy_indices == expected
+                    assert single.child_ids == tuple(children)
         assert childless > 0 and empty > 0
 
     def test_hit_exactly_when_the_scalar_check_accepts_at_its_boundary(self):
@@ -341,6 +391,8 @@ class TestFirstWitnesses:
                 rooted = validate_and_root(game, root)
                 for q in range(5):
                     parent, children = rooted.parent[q], rooted.children[q]
+                    # the per-edge rows build_tables passes
+                    edge_rows = solver_module.payoff_rows(game, q, uset)
                     for _ in range(40):
                         z_idx = None if parent is None else int(rng.integers(size))
                         y_idx = int(rng.integers(size))
@@ -358,17 +410,19 @@ class TestFirstWitnesses:
                         while (mid := (low + high) / 2) not in (low, high):
                             low, high = (low, mid) if accepts(mid) else (mid, high)
                         assert accepts(high) and not accepts(low)
-                        bases = solver_module.parent_payoffs(game, q, parent, [z_idx], uset)
+                        if parent is None:
+                            bases = solver_module.parent_payoffs(game, q, None, [z_idx], uset)
+                        else:
+                            bases = edge_rows[parent][[z_idx]]
                         for eps in (high, low):
                             [row] = first_witnesses(
-                                game, q, parent, [z_idx], bases, y_idx, children, lists, uset,
-                                eps, 10**6,
+                                game, q, parent, [z_idx], bases, y_idx, children, lists,
+                                edge_rows, uset, eps, 10**6,
                             )
                             expected = first_tuple_by_brute_force(
                                 game, q, parent, children, z_idx, y_idx, lists, uset, eps
                             )
-                            found = None if row is None else row.strategy_indices
-                            assert found == expected, (m, root, q, eps)
+                            assert row == expected, (m, root, q, eps)
                             checked += 1
                             later += eps == low and expected is not None
         assert checked == 2 * 3 * 3 * 5 * 40 and later > 0
@@ -404,6 +458,85 @@ class TestFirstWitnesses:
             # one candidate list per child and strategy y, on either route
             assert len(counted) == len(uset) * sum(len(rooted.children[q]) for q in internal)
         assert stats.lp_calls > 0 and batched > 0
+
+    def test_payoff_rows_built_once_per_edge(self, monkeypatch):
+        # every scan, LP-route reuse check and exhaustive fallback indexes the
+        # rows built once per (player, neighbour) edge, whatever K is
+        game = random_normalized_game(10, 3, 0.1, rng_seed=3)
+        calls = []
+        original = solver_module.parent_payoffs
+
+        def parent_payoffs(game, player, neighbor, indices, uset):
+            calls.append((player, neighbor))
+            return original(game, player, neighbor, indices, uset)
+
+        monkeypatch.setattr(solver_module, "parent_payoffs", parent_payoffs)
+        fallbacks = reused = 0
+        for threshold in (math.inf, 2):
+            for b in (1, 2, 3):
+                calls.clear()
+                rooted, _, _, _, stats = tables_for(
+                    game, 0.1, b, lp_threshold=threshold, rng_seed=b
+                )
+                edges = [
+                    (q, c) for q in range(10) if q != rooted.root for c in game.neighbors(q)
+                ]
+                assert sorted(calls) == sorted(edges), (threshold, b)
+                fallbacks += stats.fallbacks
+                reused += stats.reused_witnesses
+        assert fallbacks > 0 and reused > 0
+
+    @pytest.mark.parametrize("num_rows", [1, 3], ids=["one-row", "every-row"])
+    def test_blocks_hold_at_most_the_limit_of_values(self, num_rows, monkeypatch):
+        # A block holds, per tuple, m payoffs per pending row, one gathered
+        # (tuple, m) row per child, one position per child and the flat
+        # index. The reads of the gathered child rows and of the pending
+        # bases are recorded, so every block's real shapes are counted. A
+        # negative epsilon hits nothing, so the whole product is walked.
+        limit = 2000
+        monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
+        reads = []
+
+        class BlockRows(np.ndarray):
+            def __getitem__(self, key):
+                out = np.asarray(self).__getitem__(key)
+                reads.append(("child", out.shape))
+                return out
+
+        class EdgeRows(np.ndarray):
+            def __getitem__(self, key):
+                return np.asarray(self).__getitem__(key).view(BlockRows)
+
+        class Bases(np.ndarray):
+            def __getitem__(self, key):
+                out = np.asarray(self).__getitem__(key)
+                reads.append(("bases", out.shape))
+                return out
+
+        n, m = 9, 3
+        game = random_normalized_game(n, m, 0.5, topology=star_edges(n), rng_seed=5)
+        uset = enumerate_uniform(m, 1)
+        edge_rows = solver_module.payoff_rows(game, 0, uset)
+        children = list(range(1, n))
+        lists = [np.arange(len(uset))] * len(children)
+        bases = np.zeros((num_rows, m)).view(Bases)
+        found = first_witnesses(
+            game, 0, None, list(range(num_rows)), bases, 0, children, lists,
+            {c: edge_rows[c].view(EdgeRows) for c in children}, uset, -1.0, 10**6,
+        )
+        assert found == [None] * num_rows
+        d = len(children)
+        blocks = [reads[i:i + d + 1] for i in range(0, len(reads), d + 1)]
+        tuples = 0
+        for block in blocks:
+            assert [kind for kind, _ in block] == ["child"] * d + ["bases"]
+            count, pending = block[0][1][0], block[-1][1][0]
+            assert all(shape == (count, m) for _, shape in block[:d])
+            tuples += count
+            values = pending * count * m + d * count * m + (d + 1) * count
+            assert count == 1 or values <= limit, (count, pending)
+        assert tuples == len(uset) ** d
+        assert max(block[0][1][0] for block in blocks) > 1
 
     def test_cap_exceeded_on_a_batched_player(self, monkeypatch):
         # hub 1 under root 0 with three leaves: a product of 8 tuples per y
