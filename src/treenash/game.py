@@ -310,7 +310,7 @@ class EntryViolation:
 @dataclass(frozen=True)
 class UtilityRangeViolation:
     player: int
-    kind: str  # "max": a pure utility exceeds 1; "min": a pure utility is below 0
+    kind: str  # "max": a pure utility exceeds 1 (the only kind check_normalized reports)
     value: float
 
 
@@ -349,28 +349,31 @@ def check_normalized(
 ) -> NormalizationReport:
     """Check the per-entry caps and the [0, 1] pure-utility range for every player.
 
-    The utility range is checked exactly through per-edge row maxima/minima,
-    summed per player over its neighbours in ascending order, which is valid
-    because utilities are separable across edges. Violations are reported,
-    never raised, in player order (a player's "max" before its "min").
+    The utility range is checked exactly through per-edge row maxima, summed
+    per player over its neighbours in ascending order, which is valid because
+    utilities are separable across edges. Construction rejects negative
+    entries, so no entry and no pure utility can fall below 0, and only the
+    upper ends are checked. Violations are reported, never raised, in player
+    order. Raises ValueError for a negative ``atol``.
     """
+    if not atol >= 0.0:
+        raise ValueError(f"atol must be >= 0, got {atol!r}")
     m, owners, payoffs = game.num_actions, game.owners, game.payoffs
     degrees, per_slot = np.unique(np.diff(game.offsets)[owners], return_inverse=True)
     bounds = np.array([entry_bound(int(d), m, epsilon, log_base) for d in degrees])[per_slot]
-    outside = (payoffs > (bounds + atol)[:, None, None]) | (payoffs < -atol)
+    outside = payoffs > (bounds + atol)[:, None, None]
     entry_violations = [
         EntryViolation(int(owners[s]), int(game.neighbor_ids[s]), row, col,
                        float(payoffs[s, row, col]), float(bounds[s]))
         for s, row, col in np.argwhere(outside).tolist()
     ]
-    totals = np.zeros((game.num_players, 2, m))
-    np.add.at(totals, owners, np.stack([payoffs.max(axis=2), payoffs.min(axis=2)], axis=1))
-    worst = np.column_stack([totals[:, 0].max(axis=1), totals[:, 1].min(axis=1)])
-    flagged = np.column_stack([worst[:, 0] > 1.0 + atol, worst[:, 1] < -atol])
-    flagged &= (np.diff(game.offsets) > 0)[:, None]  # an isolated player's utility is 0
+    totals = np.zeros((game.num_players, m))
+    np.add.at(totals, owners, payoffs.max(axis=2))
+    worst = totals.max(axis=1)
+    # an isolated player's utility is 0
+    flagged = (worst > 1.0 + atol) & (np.diff(game.offsets) > 0)
     utility_violations = [
-        UtilityRangeViolation(p, ("max", "min")[kind], float(worst[p, kind]))
-        for p, kind in np.argwhere(flagged).tolist()
+        UtilityRangeViolation(p, "max", float(worst[p])) for p in np.flatnonzero(flagged).tolist()
     ]
     return NormalizationReport(epsilon, entry_violations, utility_violations)
 

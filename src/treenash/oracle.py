@@ -7,6 +7,7 @@ it serves as ground truth for the solver's outputs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -25,6 +26,13 @@ from .uniform import UniformStrategySet
 DEFAULT_PROFILE_CAP = 100_000_000
 
 
+def _check_epsilon(epsilon: float) -> None:
+    # 0 is an exact-equilibrium check; NaN and inf would accept or reject
+    # every profile
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+
+
 def iter_equilibria(
     game: TreePolymatrixGame,
     epsilon: float,
@@ -33,6 +41,7 @@ def iter_equilibria(
 ) -> Iterator[tuple[int, ...]]:
     """Yield index tuples of grid profiles whose max regret is within epsilon,
     in canonical order (last player's index varies fastest)."""
+    _check_epsilon(epsilon)
     total = len(uset) ** game.num_players
     if total > cap:
         raise CapExceeded(f"{total} profile checks exceed the cap of {cap}")
@@ -90,6 +99,7 @@ def verify_profile(
 ) -> VerificationResult:
     """Compute every player's regret; accept iff the maximum is within epsilon
     (plus verification tolerance)."""
+    _check_epsilon(epsilon)
     strategies = check_profile(game, profile)
     regrets = np.array([regret(game, p, strategies) for p in range(game.num_players)])
     accepted = bool(regrets.size == 0 or float(regrets.max()) <= epsilon + VERIFY_TOL)

@@ -21,9 +21,11 @@ returns each witness as a plain tuple of strategy indices.
 The LP route walks the z rows of one y in ascending order. It runs the LP for
 the first pending row only, then tests the witness it returns on every pending
 row with the same scan over that one tuple; the rows it settles share the
-witness. So a player on the LP route costs about one LP per y, not one per
-(z, y). Every returned profile is re-verified, so randomness can only affect
-running time, never correctness.
+witness. The player's most recent witness is carried to the next y and, when
+it lies in that y's candidate product, tried on every row before the first
+LP. So a player on the LP route often needs only a few LPs in all, not one
+per y or per (z, y). Every returned profile is re-verified, so randomness can
+only affect running time, never correctness.
 """
 
 from __future__ import annotations
@@ -117,8 +119,8 @@ class SolverConfig:
             raise ValueError("lp_threshold must be >= 2")
         if self.max_tries < 1 or self.exhaustive_cap < 1 or self.enumeration_cap < 1:
             raise ValueError("caps and max_tries must be positive")
-        if self.lp_tolerance <= 0.0:
-            raise ValueError("lp_tolerance must be positive")
+        if not (math.isfinite(self.lp_tolerance) and self.lp_tolerance > 0.0):
+            raise ValueError("lp_tolerance must be finite and positive")
         if self.thread_count < 1:
             raise ValueError("thread_count must be >= 1")
         if self.rng_seed < 0:
@@ -135,8 +137,10 @@ class SolveStats:
     """Counters from one run.
 
     ``membership_tests`` counts every decided (z, y) pair; ``lp_calls`` the
-    LPs actually solved; ``reused_witnesses`` the LP-route pairs settled by a
-    witness found for a lower z of the same y, without an LP.
+    LPs actually solved; ``reused_witnesses`` the LP-route pairs settled
+    without an LP, by a witness found for a lower z of the same y or for an
+    earlier y. Without a root on the LP route, ``lp_calls + reused_witnesses``
+    is the number of (z, y) pairs ``build_tables`` sends to the LP route.
     """
 
     support_size: int | None = None
@@ -438,30 +442,40 @@ def _lp_route_witnesses(
     stats: SolveStats,
     candidate_lists: list[np.ndarray],
     rows: dict[int, np.ndarray],
-) -> list[tuple[int, ...] | None]:
+    latest: tuple[int, ...] | None,
+) -> tuple[list[tuple[int, ...] | None], tuple[int, ...] | None]:
     """Decide every parent strategy of (player, y) on the LP route.
 
-    ``membership_test`` runs for the lowest pending z row only. Each witness it
-    returns is then tested against every pending row in one ``first_witnesses``
-    call over the witness as a one-tuple product; the rows it settles take
-    that witness, so one LP usually serves every z. A reused tuple lies in the
-    candidate product, so the masks are those of the complete scan.
+    ``latest`` is the witness the player's LP route found most recently, for
+    any earlier y. If it lies in y's candidate product it is tried first on
+    every z row. Then ``membership_test`` runs for the lowest pending row
+    only. Each witness is tested against every pending row in one
+    ``first_witnesses`` call over the witness as a one-tuple product; the rows
+    it settles take that witness, so one LP usually serves many (z, y) pairs.
+    A reused tuple lies in the candidate product, so the masks are those of
+    the complete scan. Returns the witnesses by z and the new latest witness.
     """
     children = rooted.children[player]
     bases = rows[parent]
     found: list[tuple[int, ...] | None] = [None] * len(bases)
     pending = np.arange(len(bases))
+    witness = latest
+    if witness is not None and not all(
+        tables.masks[c][y_index, index] for c, index in zip(children, witness)
+    ):
+        witness = None
     while pending.size:
-        z_index, pending = int(pending[0]), pending[1:]
-        extension = membership_test(
-            game, rooted, player, parent, z_index, y_index, tables, uset, config, stats,
-            candidate_lists, rows,
-        )
-        if extension is None:
-            continue
-        witness = found[z_index] = extension.strategy_indices
-        if not pending.size:
-            continue
+        if witness is None:
+            z_index, pending = int(pending[0]), pending[1:]
+            extension = membership_test(
+                game, rooted, player, parent, z_index, y_index, tables, uset, config, stats,
+                candidate_lists, rows,
+            )
+            if extension is None:
+                continue
+            witness = latest = found[z_index] = extension.strategy_indices
+            if not pending.size:
+                break
         single = [np.array([index]) for index in witness]
         reused = first_witnesses(
             game, player, parent, pending, bases[pending], y_index, children, single, rows,
@@ -473,7 +487,8 @@ def _lp_route_witnesses(
         stats.membership_tests += len(settled)
         stats.reused_witnesses += len(settled)
         pending = np.delete(pending, settled)
-    return found
+        witness = None
+    return found, latest
 
 
 def build_tables(
@@ -487,9 +502,11 @@ def build_tables(
 
     Leaves get the direct best-response table. For an internal player below
     the LP threshold, one ``first_witnesses`` call per strategy y decides
-    every parent strategy z at once; above it, ``membership_test`` runs for
-    the lowest z row still pending and its witness is reused on every other
-    row it settles (``_lp_route_witnesses``). Candidate lists are computed
+    every parent strategy z at once; above it, the player's most recent
+    witness, carried over from earlier strategies y, is tried on every row
+    first, then ``membership_test`` runs for the lowest z row still pending
+    and its witness is reused on every other row it settles
+    (``_lp_route_witnesses``). Candidate lists are computed
     once per y, and the payoff rows of every (player, neighbour) edge once
     (``payoff_rows``), either way. Each y's witnesses are index tuples; its
     mask column is written in one vector write and its witnesses in one
@@ -515,6 +532,7 @@ def build_tables(
                 continue
             batched = len(children) < threshold
             rows = payoff_rows(game, q, uset)
+            latest = None  # the LP route's most recent witness for q
             mask = np.zeros((size, size), dtype=bool)
             for y_index in range(size):
                 candidate_lists = [tables.candidate_set(c, y_index) for c in children]
@@ -528,9 +546,9 @@ def build_tables(
                         stats,
                     )
                 else:
-                    found = _lp_route_witnesses(
+                    found, latest = _lp_route_witnesses(
                         game, rooted, q, parent, y_index, tables, uset, config, stats,
-                        candidate_lists, rows,
+                        candidate_lists, rows, latest,
                     )
                 mask[:, y_index] = [indices is not None for indices in found]
                 tables.extensions.update(

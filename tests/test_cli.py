@@ -168,6 +168,14 @@ class TestSolveVerifyRoundTrip:
                    "--support-size", "1", "--lp-threshold", "inf",
                    "--out", str(tmp_path / "p.json")) == 0
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-9"])
+    def test_non_finite_or_non_positive_lp_tolerance_exit_2(self, tmp_path, tolerance, capsys):
+        game_path = write_game(tmp_path / "game.json", identity_edge_game())
+        assert run("solve", "--game", str(game_path), "--epsilon", "0.5",
+                   f"--lp-tolerance={tolerance}", "--out", str(tmp_path / "p.json")) == 2
+        assert "lp_tolerance" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
 
 class TestVerify:
     def test_reject_exit_1_with_regrets(self, tmp_path, capsys):
@@ -224,6 +232,25 @@ class TestVerify:
                    "--epsilon", "0.5") == 2
 
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_epsilon_exit_2(self, tmp_path, epsilon, capsys):
+        game_path = write_game(tmp_path / "game.json", identity_edge_game())
+        profile_path = tmp_path / "profile.json"
+        save_profile(str(profile_path), [[1.0, 0.0], [0.0, 1.0]], 0.5, [0.0, 0.0])
+        assert run("verify", "--game", str(game_path), "--profile", str(profile_path),
+                   "--epsilon", epsilon) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "epsilon" in captured.err
+
+    def test_zero_epsilon_is_an_exact_check(self, tmp_path, capsys):
+        game_path = write_game(tmp_path / "game.json", identity_edge_game())
+        profile_path = tmp_path / "profile.json"
+        save_profile(str(profile_path), [[1.0, 0.0], [1.0, 0.0]], 0.5, [0.0, 0.0])
+        assert run("verify", "--game", str(game_path), "--profile", str(profile_path),
+                   "--epsilon", "0") == 0
+        assert json.loads(capsys.readouterr().out)["accepted"] is True
+
+
 class TestOracle:
     def test_found_and_none(self, tmp_path, capsys):
         good = write_game(tmp_path / "good.json", identity_edge_game())
@@ -250,6 +277,15 @@ class TestOracle:
         game_path = write_game(tmp_path / "game.json", identity_edge_game())
         assert run("oracle", "--game", game_path, "--epsilon", "0.5",
                    "--support-size", "100000000") == 5
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("listing", [[], ["--all"]], ids=["first", "all"])
+    def test_non_finite_or_negative_epsilon_exit_2(self, tmp_path, epsilon, listing, capsys):
+        game_path = write_game(tmp_path / "game.json", identity_edge_game())
+        assert run("oracle", "--game", game_path, "--epsilon", epsilon,
+                   "--support-size", "1", *listing) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "epsilon" in captured.err
 
 
 class TestBench:

@@ -378,10 +378,8 @@ class TestCheckNormalized:
     def test_matches_the_per_neighbour_reference(self):
         # Games with and without entry and utility violations: normalized
         # games, stars scaled past their caps, and uniform [0, scale) entries.
-        # A negative atol makes small entries and pure utilities count as
-        # below the lower bound, so "min" violations are covered too.
         rng = np.random.default_rng(11)
-        seen = {"ok": 0, "entry": 0, "max": 0, "min": 0}
+        seen = {"ok": 0, "entry": 0, "max": 0}
         for trial in range(60):
             n, m = int(rng.integers(1, 25)), int(rng.integers(1, 5))
             epsilon = float(rng.choice([0.2, 0.5, 1.0]))
@@ -396,7 +394,7 @@ class TestCheckNormalized:
                 ])
             else:
                 game = random_small_game(rng, n=max(n, 2), m=m)
-            for atol in (1e-12, -0.3):
+            for atol in (1e-12, 0.3):
                 report = check_normalized(game, epsilon, atol=atol)
                 expected = reference_normalization(game, epsilon, atol=atol)
                 assert (report.entry_violations, report.utility_violations) == expected
@@ -405,6 +403,14 @@ class TestCheckNormalized:
                 for violation in report.utility_violations:
                     seen[violation.kind] += 1
         assert all(count > 0 for count in seen.values()), seen
+
+    @pytest.mark.parametrize("atol", [-0.3, -1e-12, math.nan])
+    def test_negative_atol_raises(self, atol):
+        # construction rejects negative entries, so no pure utility is below
+        # 0 unless a negative atol moves the lower bound above it
+        game = game_from_matrices(2, 2, [(0, 1, [[1.0, 0.3], [0.0, 0.7]], np.zeros((2, 2)))])
+        with pytest.raises(ValueError, match="atol"):
+            check_normalized(game, 0.5, atol=atol)
 
 
 class TestStrategyValidation:

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import identity_edge_game, matching_pennies_game, zero_game
 from treenash.errors import CapExceeded
-from treenash.oracle import all_equilibria, exhaustive_search, verify_profile
+from treenash.oracle import all_equilibria, exhaustive_search, iter_equilibria, verify_profile
 from treenash.uniform import enumerate_uniform
 
 E1 = np.array([1.0, 0.0])
@@ -80,3 +80,12 @@ class TestVerifyProfile:
     def test_tolerance_bias_toward_acceptance(self):
         result = verify_profile(identity_edge_game(), [E1, E1], 0.0)
         assert result.accepted  # exact equilibrium passes at epsilon 0
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, -1e-12])
+    def test_non_finite_or_negative_epsilon_raises(self, epsilon):
+        # inf would accept every profile and NaN reject every one
+        with pytest.raises(ValueError, match="epsilon"):
+            verify_profile(identity_edge_game(), [E1, E1], epsilon)
+        uset = enumerate_uniform(2, 1)
+        with pytest.raises(ValueError, match="epsilon"):
+            next(iter_equilibria(zero_game(2, [(0, 1)]), epsilon, uset))

@@ -59,6 +59,10 @@ class TestConfig:
             SolverConfig(epsilon=0.5, max_tries=0)
         with pytest.raises(ValueError):
             SolverConfig(epsilon=0.5, thread_count=0)
+        # NaN and inf would switch off the LP residual re-check
+        for tolerance in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lp_tolerance"):
+                SolverConfig(epsilon=0.5, lp_tolerance=tolerance)
         assert SolverConfig(epsilon=0.5, lp_threshold=math.inf).lp_threshold == math.inf
 
 
@@ -138,18 +142,29 @@ class TestBuildTables:
 
     def test_masks_identical_with_and_without_the_lp_route(self):
         # the LP route only decides which witness is stored; misses fall back
-        # to the complete scan, so every mask matches the exhaustive one
-        lp_calls = 0
+        # to the complete scan, so every mask matches the exhaustive one. A
+        # witness carried over from an earlier y settles some strategies y
+        # without an LP, so there are fewer LPs than LP-route (player, y)
+        # pairs with non-empty candidate lists.
+        lp_calls = lp_pairs = 0
         for seed in range(20):
             n, m, b = 6 + seed % 11, 2 + seed % 2, 1 + seed % 3
             game = random_normalized_game(n, m, 0.5, rng_seed=seed)
             _, _, exact, _, _ = tables_for(game, 0.5, b, lp_threshold=math.inf)
-            _, _, mixed, _, stats = tables_for(game, 0.5, b, lp_threshold=2, rng_seed=seed)
+            rooted, _, mixed, _, stats = tables_for(
+                game, 0.5, b, lp_threshold=2, rng_seed=seed
+            )
             lp_calls += stats.lp_calls
+            lp_pairs += sum(
+                all(mixed.masks[c][y_idx].any() for c in rooted.children[q])
+                for q in mixed.masks
+                if len(rooted.children[q]) >= 2
+                for y_idx in range(mixed.num_strategies)
+            )
             assert set(exact.masks) == set(mixed.masks)
             for q, mask in exact.masks.items():
                 assert np.array_equal(mask, mixed.masks[q]), (seed, q)
-        assert lp_calls > 0
+        assert 0 < lp_calls < lp_pairs
 
     def test_tables_identical_for_every_scan_block_size(self, monkeypatch):
         # the block size only cuts the canonical scan order into vectorized
@@ -195,9 +210,9 @@ class TestBuildTables:
             (20, 3, 0.5, 3, 7, None, dict(lp_threshold=math.inf, root=10),
              ("089110946d5720f5", "e338fe3130d3eee0", "298b7784d13a28bc")),
             (9, 2, 0.5, 2, 4, None, dict(lp_threshold=2, root=4, rng_seed=4),
-             ("c86c63419480c26e", "a8c6acc0b2455e0b", "c50296e314347e75")),
+             ("c86c63419480c26e", "a39bbbb9c24f7e4a", "c50296e314347e75")),
             (13, 3, 0.1, 2, 5, None, dict(lp_threshold=2, root=12, rng_seed=5),
-             ("513e1739fe2bd178", "dd93d2170f89c780", "37acd4a348516fa2")),
+             ("513e1739fe2bd178", "a2e41a3114c4dea0", "d98b5d6084eb6bc4")),
             (3, 2, 0.8, 120, 6, path_edges(3), dict(lp_threshold=math.inf, root=2),
              ("c376660c09363f33", "3d9051f7813d4632", "ef07a1fd1a788f2e")),
         ],
@@ -602,19 +617,21 @@ class TestMembershipTest:
             neighbors.update({c: uset.probs[i] for c, i in zip(rooted.children[q], indices)})
             assert is_epsilon_best_response(game, q, uset.probs[y_idx], neighbors, 0.2)
 
-    def test_zero_game_one_lp_per_strategy_under_a_parent(self):
-        # every tuple works for every z in a zero game, so the first LP's
-        # witness for y settles all other parent strategies of y
+    def test_zero_game_one_lp_per_lp_route_player(self):
+        # every tuple works for every (z, y) in a zero game, so the first LP's
+        # witness settles every other parent strategy of its y and is then
+        # carried over to every later y
         game = zero_game(5, [(0, 1), (1, 2), (1, 3), (1, 4)])
         rooted, uset, tables, config, stats = tables_for(game, 0.5, 2, lp_threshold=2)
         size = len(uset)
         assert tables.masks[1].all()
-        assert stats.lp_calls == size
-        assert stats.reused_witnesses == size * (size - 1)
+        assert stats.lp_calls == 1
+        assert stats.reused_witnesses == size * size - 1
         assert stats.membership_tests == size * size
-        for y_idx in range(size):
-            witnesses = {tables.extensions[(1, z_idx, y_idx)] for z_idx in range(size)}
-            assert len(witnesses) == 1
+        witnesses = {
+            tables.extensions[(1, z_idx, y_idx)] for z_idx in range(size) for y_idx in range(size)
+        }
+        assert len(witnesses) == 1
 
 
 class TestProcessRoot:
