@@ -2,37 +2,30 @@
 
 For every parent-child edge and every parent strategy z on the uniform grid,
 the tables record which child strategies y extend into a partial equilibrium
-of the child's subtree, together with one witness tuple of grandchild choices
-per stored (z, y). Membership of a (z, y) pair is decided either by exhaustive
-search over the product of the children's candidate sets or, for players with
-many children, by an LP relaxation followed by randomized rounding with an
-exhaustive fallback.
+of the child's subtree, with one witness tuple of grandchild choices per
+stored (z, y). Every player, the root included, decides one strategy y at a
+time against all its parent strategies at once, with one routine; the root's
+parent has a single, payoff-free strategy. Candidate sets depend on y alone,
+and z enters only through the payoff row A[player, parent] @ z.
 
-The exhaustive search is batched over z: the children's candidate sets depend
-on y alone, and z enters only through the payoff row A[player, parent] @ z. So
-for each y, one scan decides every parent strategy at once. It walks the
-candidate product in canonical order in blocks that start at one tuple and
-double in size, and a parent strategy leaves the scan at its first hit, which
-is computed with ``action_payoffs``' own arithmetic. The payoff rows
-A[player, c] @ x of every neighbour c and grid strategy x are built once per
-edge, and each y's scan only indexes them with its candidate lists. The scan
-returns each witness as a plain tuple of strategy indices.
-
-The LP route walks the z rows of one y in ascending order. It runs the LP for
-the first pending row only, then tests the witness it returns on every pending
-row with the same scan over that one tuple; the rows it settles share the
-witness. The player's most recent witness is carried to the next y and, when
-it lies in that y's candidate product, tried on every row before the first
-LP. So a player on the LP route often needs only a few LPs in all, not one
-per y or per (z, y). Every returned profile is re-verified, so randomness can
-only affect running time, never correctness.
+Below the LP threshold, one exhaustive scan decides every parent strategy of
+a y: it walks the candidate product in canonical order, in blocks that double
+in size, and each row leaves at its first hit, computed with
+``action_payoffs``' own arithmetic from payoff rows built once per edge.
+Players with many children take the LP route (LP, randomized rounding,
+exhaustive fallback) for the lowest pending row only; each witness it finds,
+and the player's witness carried from the previous y, is tried on every
+pending row by the same scan over that one tuple. Every returned profile is
+re-verified, so randomness can only affect running time, never correctness.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,18 +106,19 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         validate_epsilon(self.epsilon)
-        if self.b_override is not None and self.b_override < 1:
-            raise ValueError("b_override must be >= 1")
-        if self.lp_threshold is not None and self.lp_threshold < 2:
+        # NaN passes every comparison, and a float count would reach range()
+        # or switch a scan cap off
+        counts = dict(max_tries=1, exhaustive_cap=1, enumeration_cap=1, thread_count=1, rng_seed=0)
+        if self.b_override is not None:
+            counts["b_override"] = 1
+        for name, least in counts.items():
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
+        if self.lp_threshold is not None and not self.lp_threshold >= 2:
             raise ValueError("lp_threshold must be >= 2")
-        if self.max_tries < 1 or self.exhaustive_cap < 1 or self.enumeration_cap < 1:
-            raise ValueError("caps and max_tries must be positive")
         if not (math.isfinite(self.lp_tolerance) and self.lp_tolerance > 0.0):
             raise ValueError("lp_tolerance must be finite and positive")
-        if self.thread_count < 1:
-            raise ValueError("thread_count must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
 
     def effective_lp_threshold(self, m: int) -> int | float:
         if self.lp_threshold is not None:
@@ -136,11 +130,11 @@ class SolverConfig:
 class SolveStats:
     """Counters from one run.
 
-    ``membership_tests`` counts every decided (z, y) pair; ``lp_calls`` the
-    LPs actually solved; ``reused_witnesses`` the LP-route pairs settled
-    without an LP, by a witness found for a lower z of the same y or for an
-    earlier y. Without a root on the LP route, ``lp_calls + reused_witnesses``
-    is the number of (z, y) pairs ``build_tables`` sends to the LP route.
+    ``membership_tests`` counts every decided (z, y) pair, root included,
+    whose candidate product is not empty; ``lp_calls`` the LPs actually
+    solved; ``reused_witnesses`` the LP-route pairs settled without an LP, by
+    a witness found for a lower z of the same y or for an earlier y. So
+    ``lp_calls + reused_witnesses`` is the number of LP-route pairs.
     """
 
     support_size: int | None = None
@@ -247,24 +241,23 @@ def first_witnesses(
     game: TreePolymatrixGame,
     player: int,
     parent: int | None,
-    z_indices,
     bases: np.ndarray,
     y_index: int,
     children: list[int],
     candidate_lists: list[np.ndarray],
-    rows: dict[int, np.ndarray],
+    rows: Mapping[int, np.ndarray],
     uset: UniformStrategySet,
     epsilon: float,
     cap: int,
     stats: SolveStats | None = None,
 ) -> list[tuple[int, ...] | None]:
-    """For every parent strategy ``z_indices[r]``, whose payoff row is
-    ``bases[r]``, the first tuple of the children's candidate product in
-    canonical index order against which (with z) y is an epsilon-best
-    response, as strategy indices aligned with ``children``, or None.
-    ``children`` must be ascending, as in RootedTree; ``rows[c]`` holds child
-    c's payoff rows by strategy index, as ``payoff_rows`` builds them once per
-    edge. Deterministic.
+    """For every parent payoff row ``bases[r]`` (``A[player, parent] @ z``),
+    the first tuple of the children's candidate product in canonical index
+    order against which (with z) y is an epsilon-best response, as strategy
+    indices aligned with ``children``, or None. ``children`` must be
+    ascending, as in RootedTree; ``rows[c]`` holds child c's payoff rows by
+    strategy index, as ``payoff_rows`` builds them once per edge.
+    Deterministic.
 
     The product is walked in flat-index blocks that start at one tuple and
     double in size, each evaluated for every row still pending and capped by
@@ -276,8 +269,8 @@ def first_witnesses(
     product set is larger than ``cap``.
     """
     if stats is not None:
-        stats.exhaustive_calls += len(z_indices)
-    found: list[tuple[int, ...] | None] = [None] * len(z_indices)
+        stats.exhaustive_calls += len(bases)
+    found: list[tuple[int, ...] | None] = [None] * len(bases)
     sizes = [len(c) for c in candidate_lists]
     product_size = math.prod(sizes)
     if product_size == 0:
@@ -296,7 +289,7 @@ def first_witnesses(
     # (np.unravel_index stops at 64 dimensions, one per child)
     radices = np.array(sizes, dtype=np.int64)[:, None]
     strides = product_size // np.cumprod(radices)[:, None]
-    pending = np.arange(len(z_indices))
+    pending = np.arange(len(bases))
     start, block = 0, 1
     while pending.size and start < product_size:
         # per tuple: m payoffs per pending row, m per gathered child row, one
@@ -341,7 +334,7 @@ def exhaustive_membership(
     cap: int,
     stats: SolveStats | None = None,
     candidate_lists: list[np.ndarray] | None = None,
-    rows: dict[int, np.ndarray] | None = None,
+    rows: Mapping[int, np.ndarray] | None = None,
 ) -> Extension | None:
     """``first_witnesses`` for the single pair (z, y): the first tuple of the
     children's candidate product, in canonical index order, against which
@@ -359,8 +352,8 @@ def exhaustive_membership(
     else:
         bases = rows[parent][[z_index]]
     [indices] = first_witnesses(
-        game, player, parent, [z_index], bases, y_index, children, candidate_lists, rows,
-        uset, epsilon, cap, stats,
+        game, player, parent, bases, y_index, children, candidate_lists, rows, uset, epsilon,
+        cap, stats,
     )
     return None if indices is None else Extension(tuple(children), indices)
 
@@ -376,88 +369,90 @@ def membership_test(
     uset: UniformStrategySet,
     config: SolverConfig,
     stats: SolveStats,
-    candidate_lists: list[np.ndarray] | None = None,
-    rows: dict[int, np.ndarray] | None = None,
+    candidate_lists: list[np.ndarray],
+    rows: Mapping[int, np.ndarray],
 ) -> Extension | None:
-    """Decide whether strategy y of ``player`` extends across its children
-    under parent strategy z, returning a witness when it does.
-
-    Players with at least ``lp_threshold`` children go through the LP route
-    first (build, solve, round); rounding exhaustion or LP infeasibility falls
-    back to the exhaustive scan, so the result is never weaker than the direct
-    search. Any returned witness satisfies the best-response condition.
-    ``candidate_lists``, one per child, default to the tables' rows for y;
-    ``rows`` (``payoff_rows``) reach the exhaustive fallback. ``build_tables``
-    calls it only for the (z, y) pairs that no earlier witness of y settled;
-    ``stats.lp_calls`` counts the LPs it solves.
+    """The LP route for one pair (z, y), given the children's non-empty
+    ``candidate_lists`` and the player's ``payoff_rows``: solve the LP and
+    round its solution; when the LP is infeasible or rounding gives up, fall
+    back to the exhaustive scan. So the result is never weaker than the
+    direct search, and any witness is an epsilon-best-response extension.
     """
-    stats.membership_tests += 1
     children = rooted.children[player]
-    if candidate_lists is None:
-        candidate_lists = [tables.candidate_set(c, y_index) for c in children]
-    if any(len(candidates) == 0 for candidates in candidate_lists):
-        return None
-
-    threshold = config.effective_lp_threshold(game.num_actions)
-    if len(children) >= threshold:
-        z = uset.probs[z_index] if z_index is not None else None
-        y = uset.probs[y_index]
-        stats.lp_calls += 1
-        candidate_sets = dict(zip(children, candidate_lists))
-        instance = build_lp(game, rooted, player, parent, z, y, candidate_sets, uset, config.epsilon)
-        frac = solve_feasibility(instance, config.lp_tolerance, stats)
-        if frac is None:
-            stats.lp_infeasible += 1
-        else:
-            extension = round_extension(
-                game,
-                rooted,
-                player,
-                z,
-                y,
-                frac,
-                config.epsilon,
-                _derived_seed(config, player, z_index, y_index),
-                config.max_tries,
-                stats,
-            )
-            if extension is not None:
-                return extension
-        stats.fallbacks += 1
+    z = uset.probs[z_index] if z_index is not None else None
+    y = uset.probs[y_index]
+    stats.lp_calls += 1
+    candidate_sets = dict(zip(children, candidate_lists))
+    instance = build_lp(game, rooted, player, parent, z, y, candidate_sets, uset, config.epsilon)
+    frac = solve_feasibility(instance, config.lp_tolerance, stats)
+    if frac is None:
+        stats.lp_infeasible += 1
+    else:
+        seed = _derived_seed(config, player, z_index, y_index)
+        extension = round_extension(
+            game, rooted, player, z, y, frac, config.epsilon, seed, config.max_tries, stats
+        )
+        if extension is not None:
+            return extension
+    stats.fallbacks += 1
     return exhaustive_membership(
         game, rooted, player, parent, z_index, y_index, tables, uset,
         config.epsilon, config.exhaustive_cap, stats, candidate_lists, rows,
     )
 
 
-def _lp_route_witnesses(
+class _RowsOnDemand(dict):
+    """``payoff_rows`` of one player, built on the first lookup."""
+
+    def __init__(self, game: TreePolymatrixGame, player: int, uset: UniformStrategySet):
+        super().__init__()
+        self._source = (game, player, uset)
+
+    def __missing__(self, neighbor: int) -> np.ndarray:
+        rows = payoff_rows(*self._source)
+        self.update(rows)
+        return rows[neighbor]
+
+
+def _decide_strategy(
     game: TreePolymatrixGame,
     rooted: RootedTree,
     player: int,
-    parent: int,
+    parent: int | None,
+    bases: np.ndarray,
     y_index: int,
     tables: CandidateTables,
     uset: UniformStrategySet,
     config: SolverConfig,
     stats: SolveStats,
-    candidate_lists: list[np.ndarray],
-    rows: dict[int, np.ndarray],
+    rows: Mapping[int, np.ndarray],
     latest: tuple[int, ...] | None,
 ) -> tuple[list[tuple[int, ...] | None], tuple[int, ...] | None]:
-    """Decide every parent strategy of (player, y) on the LP route.
+    """Decide strategy y of ``player`` under every parent payoff row
+    ``bases[z]`` (``rows[parent]``, or one zero row at the root); return the
+    witness tuple or None per row, and the player's latest LP-route witness.
 
-    ``latest`` is the witness the player's LP route found most recently, for
-    any earlier y. If it lies in y's candidate product it is tried first on
-    every z row. Then ``membership_test`` runs for the lowest pending row
-    only. Each witness is tested against every pending row in one
-    ``first_witnesses`` call over the witness as a one-tuple product; the rows
-    it settles take that witness, so one LP usually serves many (z, y) pairs.
-    A reused tuple lies in the candidate product, so the masks are those of
-    the complete scan. Returns the witnesses by z and the new latest witness.
+    An empty candidate product decides every row without a count. Below
+    ``lp_threshold`` one ``first_witnesses`` call decides every row. On the LP
+    route, ``latest`` (from an earlier y) is tried first when it lies in y's
+    candidate product, then ``membership_test`` runs for the lowest pending
+    row; each witness is tried on every pending row by one ``first_witnesses``
+    call over that one tuple and taken by the rows it settles. A reused tuple
+    lies in the candidate product, so the masks are those of the full scan.
     """
     children = rooted.children[player]
-    bases = rows[parent]
+    candidate_lists = [tables.candidate_set(c, y_index) for c in children]
     found: list[tuple[int, ...] | None] = [None] * len(bases)
+    if any(len(candidates) == 0 for candidates in candidate_lists):
+        return found, latest
+    stats.membership_tests += len(bases)
+    if len(children) < config.effective_lp_threshold(game.num_actions):
+        found = first_witnesses(
+            game, player, parent, bases, y_index, children, candidate_lists, rows, uset,
+            config.epsilon, config.exhaustive_cap, stats,
+        )
+        return found, latest
+
     pending = np.arange(len(bases))
     witness = latest
     if witness is not None and not all(
@@ -466,25 +461,24 @@ def _lp_route_witnesses(
         witness = None
     while pending.size:
         if witness is None:
-            z_index, pending = int(pending[0]), pending[1:]
+            r, pending = int(pending[0]), pending[1:]
             extension = membership_test(
-                game, rooted, player, parent, z_index, y_index, tables, uset, config, stats,
-                candidate_lists, rows,
+                game, rooted, player, parent, None if parent is None else r, y_index, tables,
+                uset, config, stats, candidate_lists, rows,
             )
             if extension is None:
                 continue
-            witness = latest = found[z_index] = extension.strategy_indices
+            witness = latest = found[r] = extension.strategy_indices
             if not pending.size:
                 break
         single = [np.array([index]) for index in witness]
         reused = first_witnesses(
-            game, player, parent, pending, bases[pending], y_index, children, single, rows,
-            uset, config.epsilon, 1,
+            game, player, parent, bases[pending], y_index, children, single, rows, uset,
+            config.epsilon, 1,
         )
-        settled = [r for r, hit in enumerate(reused) if hit is not None]
-        for r in settled:
-            found[int(pending[r])] = witness
-        stats.membership_tests += len(settled)
+        settled = [i for i, hit in enumerate(reused) if hit is not None]
+        for i in settled:
+            found[int(pending[i])] = witness
         stats.reused_witnesses += len(settled)
         pending = np.delete(pending, settled)
         witness = None
@@ -500,17 +494,10 @@ def build_tables(
 ) -> CandidateTables:
     """Populate candidate tables bottom-up for every parent-child edge.
 
-    Leaves get the direct best-response table. For an internal player below
-    the LP threshold, one ``first_witnesses`` call per strategy y decides
-    every parent strategy z at once; above it, the player's most recent
-    witness, carried over from earlier strategies y, is tried on every row
-    first, then ``membership_test`` runs for the lowest z row still pending
-    and its witness is reused on every other row it settles
-    (``_lp_route_witnesses``). Candidate lists are computed
-    once per y, and the payoff rows of every (player, neighbour) edge once
-    (``payoff_rows``), either way. Each y's witnesses are index tuples; its
-    mask column is written in one vector write and its witnesses in one
-    ``update``.
+    Leaves get the direct best-response table. An internal player decides
+    its strategies y in ascending order, each under every parent strategy at
+    once (``_decide_strategy``), from payoff rows built once per edge
+    (``payoff_rows``), carrying its latest LP-route witness from y to y.
     """
     stats = stats if stats is not None else SolveStats()
     report = check_normalized(game, config.epsilon)
@@ -519,37 +506,20 @@ def build_tables(
                        report.summary())
 
     size = len(uset)
-    tables = CandidateTables(
-        epsilon=config.epsilon, num_strategies=size, masks={}, extensions={}
-    )
-    threshold = config.effective_lp_threshold(game.num_actions)
-    z_indices = range(size)
+    tables = CandidateTables(epsilon=config.epsilon, num_strategies=size, masks={}, extensions={})
     for parent in rooted.order:
         for q in rooted.children[parent]:
-            children = rooted.children[q]
-            if not children:
+            if not rooted.children[q]:
                 tables.masks[q] = _leaf_mask(game, q, parent, uset, config.epsilon)
                 continue
-            batched = len(children) < threshold
             rows = payoff_rows(game, q, uset)
             latest = None  # the LP route's most recent witness for q
             mask = np.zeros((size, size), dtype=bool)
             for y_index in range(size):
-                candidate_lists = [tables.candidate_set(c, y_index) for c in children]
-                if any(len(candidates) == 0 for candidates in candidate_lists):
-                    continue  # no witness possible for this y under any z
-                if batched:
-                    stats.membership_tests += size
-                    found = first_witnesses(
-                        game, q, parent, z_indices, rows[parent], y_index, children,
-                        candidate_lists, rows, uset, config.epsilon, config.exhaustive_cap,
-                        stats,
-                    )
-                else:
-                    found, latest = _lp_route_witnesses(
-                        game, rooted, q, parent, y_index, tables, uset, config, stats,
-                        candidate_lists, rows, latest,
-                    )
+                found, latest = _decide_strategy(
+                    game, rooted, q, parent, rows[parent], y_index, tables, uset, config, stats,
+                    rows, latest,
+                )
                 mask[:, y_index] = [indices is not None for indices in found]
                 tables.extensions.update(
                     {(q, z_index, y_index): indices for z_index, indices in enumerate(found)
@@ -567,19 +537,25 @@ def process_root(
     config: SolverConfig,
     stats: SolveStats | None = None,
 ) -> tuple[int, Extension]:
-    """Scan root strategies in canonical order and return the first that
-    extends across the root's children, with its witness.
+    """Decide root strategies in canonical order with ``_decide_strategy``
+    over one zero parent row, and return the first that extends across the
+    root's children, with its witness. The root's payoff rows are built at
+    most once, when a scan first needs them.
 
     Raises NoEquilibriumFound when the scan is exhausted, which can only
     happen when the support size or the scan caps are below the defaults.
     """
     stats = stats if stats is not None else SolveStats()
+    root = rooted.root
+    rows = _RowsOnDemand(game, root, uset)
+    bases = parent_payoffs(game, root, None, [None], uset)
     for y_index in range(len(uset)):
-        extension = membership_test(
-            game, rooted, rooted.root, None, None, y_index, tables, uset, config, stats
+        # no earlier y has a witness, so there is none to carry
+        [indices], _ = _decide_strategy(
+            game, rooted, root, None, bases, y_index, tables, uset, config, stats, rows, None
         )
-        if extension is not None:
-            return y_index, extension
+        if indices is not None:
+            return y_index, Extension(tuple(rooted.children[root]), indices)
     raise NoEquilibriumFound(
         f"no strategy on the uniform grid (b={uset.b}, {len(uset)} strategies) extends "
         f"to an equilibrium at epsilon={config.epsilon:g}; success is only guaranteed "
@@ -629,16 +605,10 @@ def solve(
     """
     stats = stats if stats is not None else SolveStats()
     rooted = validate_and_root(game, config.root)
-    b = (
-        config.b_override
-        if config.b_override is not None
-        else support_size(
-            game.num_actions,
-            game.num_players,
-            config.epsilon,
-            halve=config.size_for_half_epsilon,
-        )
-    )
+    b = config.b_override
+    if b is None:
+        b = support_size(game.num_actions, game.num_players, config.epsilon,
+                         halve=config.size_for_half_epsilon)
     uset = enumerate_uniform(game.num_actions, b, cap=config.enumeration_cap)
     stats.support_size = b
     stats.num_strategies = len(uset)

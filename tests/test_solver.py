@@ -64,6 +64,15 @@ class TestConfig:
             with pytest.raises(ValueError, match="lp_tolerance"):
                 SolverConfig(epsilon=0.5, lp_tolerance=tolerance)
         assert SolverConfig(epsilon=0.5, lp_threshold=math.inf).lp_threshold == math.inf
+        # NaN passes every comparison: a NaN threshold turned the LP route
+        # off, a NaN scan cap switched the cap off, and a float support size
+        # raised TypeError from the grid enumeration
+        for name in ("b_override", "max_tries", "exhaustive_cap", "enumeration_cap"):
+            for value in (math.nan, 2.5):
+                with pytest.raises(ValueError, match=name):
+                    SolverConfig(epsilon=0.5, **{name: value})
+        with pytest.raises(ValueError, match="lp_threshold"):
+            SolverConfig(epsilon=0.5, lp_threshold=math.nan)
 
 
 class TestBuildTables:
@@ -367,8 +376,8 @@ class TestFirstWitnesses:
             children = rooted.children[q]
             stats = SolveStats()
             rows = first_witnesses(
-                game, q, parent, z_indices, bases, y_idx, children, lists, edge_rows, uset,
-                epsilon, 10**6, stats,
+                game, q, parent, bases, y_idx, children, lists, edge_rows, uset, epsilon, 10**6,
+                stats,
             )
             assert stats.exhaustive_calls == len(z_indices)
             childless += not children
@@ -431,8 +440,8 @@ class TestFirstWitnesses:
                             bases = edge_rows[parent][[z_idx]]
                         for eps in (high, low):
                             [row] = first_witnesses(
-                                game, q, parent, [z_idx], bases, y_idx, children, lists,
-                                edge_rows, uset, eps, 10**6,
+                                game, q, parent, bases, y_idx, children, lists, edge_rows,
+                                uset, eps, 10**6,
                             )
                             expected = first_tuple_by_brute_force(
                                 game, q, parent, children, z_idx, y_idx, lists, uset, eps
@@ -536,7 +545,7 @@ class TestFirstWitnesses:
         lists = [np.arange(len(uset))] * len(children)
         bases = np.zeros((num_rows, m)).view(Bases)
         found = first_witnesses(
-            game, 0, None, list(range(num_rows)), bases, 0, children, lists,
+            game, 0, None, bases, 0, children, lists,
             {c: edge_rows[c].view(EdgeRows) for c in children}, uset, -1.0, 10**6,
         )
         assert found == [None] * num_rows
@@ -634,6 +643,73 @@ class TestMembershipTest:
         assert len(witnesses) == 1
 
 
+class TestInvariants:
+    """Seeded loops over small random trees (n 5-6, m 2-3, b 1-2) at an
+    epsilon small enough that some games have no grid equilibrium."""
+
+    EPSILON = 0.05
+
+    def games(self):
+        for i in range(24):
+            n, m = 5 + i % 2, 2 + i // 2 % 2
+            b = 1 + i // 4 % 2 if m == 2 else 1
+            yield random_normalized_game(n, m, 0.5, rng_seed=700 + i), b
+
+    def solved(self, game, b, **options):
+        config = SolverConfig(epsilon=self.EPSILON, b_override=b, **options)
+        stats = SolveStats()
+        try:
+            return solve(game, config, stats), stats
+        except NoEquilibriumFound:
+            return None, stats
+
+    def test_success_exactly_when_the_oracle_finds_a_profile(self):
+        # the LP route falls back to the complete scan, so with the root and
+        # every hub on it (threshold 2) the search stays complete
+        outcomes, lp_roots, lp_calls = [], 0, 0
+        for game, b in self.games():
+            uset = enumerate_uniform(game.num_actions, b)
+            expected = set(all_equilibria(game, self.EPSILON, uset))
+            for threshold in (math.inf, 2):
+                for root in (0, game.num_players - 1):
+                    cert, stats = self.solved(game, b, lp_threshold=threshold, root=root)
+                    assert (cert is not None) == bool(expected), (threshold, root)
+                    if cert is not None:
+                        assert tuple(uset.index_of(s) for s in cert.profile) in expected
+                    outcomes.append(cert is not None)
+                    lp_calls += stats.lp_calls
+                    lp_roots += threshold == 2 and len(
+                        validate_and_root(game, root).children[root]) >= 2
+        assert True in outcomes and False in outcomes
+        assert lp_calls > 0 and lp_roots > 0
+
+    def test_relabelling_players_and_permuting_actions_keep_the_outcome(self):
+        rng = np.random.default_rng(5)
+        outcomes = []
+        for game, b in self.games():
+            n, m = game.num_players, game.num_actions
+            players = rng.permutation(n)
+            actions = [rng.permutation(m) for _ in range(n)]
+            edges = []
+            for edge in game.edges:
+                u, v = edge.u, edge.v
+                payoff_u_v, payoff_v_u = np.empty((m, m)), np.empty((m, m))
+                payoff_u_v[np.ix_(actions[u], actions[v])] = edge.payoff_u_v
+                payoff_v_u[np.ix_(actions[v], actions[u])] = edge.payoff_v_u
+                edges.append((int(players[u]), int(players[v]), payoff_u_v, payoff_v_u))
+            relabelled = game_from_matrices(n, m, edges)
+            for threshold in (math.inf, 2):
+                cert, _ = self.solved(game, b, lp_threshold=threshold)
+                for root in (int(players[0]), int(players[n - 1])):
+                    other, _ = self.solved(relabelled, b, lp_threshold=threshold, root=root)
+                    assert (other is None) == (cert is None), (threshold, root)
+                    if other is not None:  # mapped back, an equilibrium of the original
+                        back = [other.profile[players[p]][actions[p]] for p in range(n)]
+                        assert verify_profile(game, back, self.EPSILON).accepted
+                outcomes.append(cert is not None)
+        assert True in outcomes and False in outcomes
+
+
 class TestProcessRoot:
     def test_zero_game_first_strategy(self):
         game = zero_game(3, star_edges(3))
@@ -655,6 +731,33 @@ class TestProcessRoot:
         with pytest.raises(NoEquilibriumFound):
             process_root(game, rooted, uset, tables, config, stats)
         assert all_equilibria(game, 0.4, uset) == []
+
+
+    def test_root_builds_its_payoff_rows_at_most_once(self, monkeypatch):
+        calls = []
+        original = solver_module.parent_payoffs
+
+        def parent_payoffs(game, player, neighbor, indices, uset):
+            calls.append((player, neighbor))
+            return original(game, player, neighbor, indices, uset)
+
+        monkeypatch.setattr(solver_module, "parent_payoffs", parent_payoffs)
+        # matching pennies at b=1 has no equilibrium, so both root strategies
+        # are scanned, from one set of root rows
+        game = matching_pennies_game()
+        rooted, uset, tables, config, stats = tables_for(game, 0.4, 1, lp_threshold=math.inf)
+        calls.clear()
+        with pytest.raises(NoEquilibriumFound):
+            process_root(game, rooted, uset, tables, config, stats)
+        assert stats.exhaustive_calls == 2
+        assert [call for call in calls if call[1] is not None] == [(0, 1)]
+        # an LP-route root whose first LP rounds to a witness runs no scan
+        game = zero_game(5, star_edges(5))
+        rooted, uset, tables, config, stats = tables_for(game, 0.5, 1, lp_threshold=2)
+        calls.clear()
+        y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
+        assert (y_idx, ext.child_ids, stats.lp_calls, stats.fallbacks) == (0, (1, 2, 3, 4), 1, 0)
+        assert [call for call in calls if call[1] is not None] == []
 
 
 class TestBacktrack:
