@@ -14,7 +14,6 @@ from .errors import (
     InvalidEpsilon,
     InvalidGame,
     InvalidPlayerId,
-    MissingExtension,
     MissingNeighborStrategy,
     NoEquilibriumFound,
     NotATree,
@@ -79,7 +78,6 @@ __all__ = [
     "InvalidGame",
     "InvalidPlayerId",
     "LpInstance",
-    "MissingExtension",
     "MissingNeighborStrategy",
     "NoEquilibriumFound",
     "NormalizationReport",

@@ -37,10 +37,6 @@ class NoEquilibriumFound(TreenashError):
     """The search grid contains no extendable strategy at the configured scale."""
 
 
-class MissingExtension(TreenashError):
-    """Internal table corruption: a stored candidate has no recorded extension."""
-
-
 class InternalSoundnessViolation(TreenashError):
     """A solver result failed its own verification; must never happen."""
 

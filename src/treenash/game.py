@@ -129,14 +129,13 @@ class RootedTree:
     """A rooting of the game tree.
 
     ``order`` is a bottom-up processing sequence: every player appears after
-    all of its children. ``descendants[p]`` excludes p itself.
+    all of its children.
     """
 
     root: int
     parent: list[int | None]
     children: list[list[int]]
     order: list[int]
-    descendants: list[set[int]]
 
 
 def rooted_tree_from_edges(
@@ -174,13 +173,7 @@ def rooted_tree_from_edges(
     children: list[list[int]] = [[] for _ in range(n)]
     for p in bfs[1:]:
         children[parent[p]].append(p)  # BFS visits neighbors sorted, so lists are sorted
-    order = list(reversed(bfs))
-    descendants: list[set[int]] = [set() for _ in range(n)]
-    for p in order:
-        for c in children[p]:
-            descendants[p].add(c)
-            descendants[p] |= descendants[c]
-    return RootedTree(root=root, parent=parent, children=children, order=order, descendants=descendants)
+    return RootedTree(root=root, parent=parent, children=children, order=list(reversed(bfs)))
 
 
 def validate_and_root(game: TreePolymatrixGame, root: int | None = None) -> RootedTree:

@@ -80,9 +80,6 @@ class Extension:
     child_ids: tuple[int, ...]
     strategy_indices: tuple[int, ...]
 
-    def as_mapping(self) -> dict[int, int]:
-        return dict(zip(self.child_ids, self.strategy_indices))
-
 
 def build_lp(
     game: TreePolymatrixGame,

@@ -1,10 +1,10 @@
 """Bottom-up dynamic program over candidate tables.
 
 For every parent-child edge and every parent strategy z on the uniform grid,
-the tables record which child strategies y extend into a partial equilibrium
-of the child's subtree, with one witness tuple of grandchild choices per
-stored (z, y). Every player, the root included, decides one strategy y at a
-time against all its parent strategies at once, with one routine; the root's
+the masks record which child strategies y extend into a partial equilibrium
+of the child's subtree; backtracking recovers the witness of each (z, y) it
+visits. Every player, the root included, decides one strategy y at a time
+against all its parent strategies at once, with one routine; the root's
 parent has a single, payoff-free strategy. Candidate sets depend on y alone,
 and z enters only through the payoff row A[player, parent] @ z.
 
@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    InternalSoundnessViolation,
-    MissingExtension,
-    NoEquilibriumFound,
-)
+from .errors import CapExceeded, InternalSoundnessViolation, NoEquilibriumFound
 from .game import (
     BR_TOL,
     VERIFY_TOL,
@@ -43,7 +38,7 @@ from .game import (
     RootedTree,
     TreePolymatrixGame,
     check_normalized,
-    is_epsilon_best_response,  # noqa: F401 -- unused; perfbench's tracer wraps it here by name
+    is_epsilon_best_response,
     regret,
     validate_and_root,
 )
@@ -154,18 +149,19 @@ class SolveStats:
 @dataclass(eq=False)
 class CandidateTables:
     """DP state: per non-root player a boolean table over (parent strategy,
-    own strategy) index pairs, plus witness tuples for internal players.
+    own strategy) index pairs, plus the LP route's tried witnesses.
 
     ``masks[q][z, y]`` says whether strategy y of q extends under parent
-    strategy z; ``extensions[(q, z, y)]`` holds the witness as canonical
-    indices aligned with q's children list. Strategies are referenced by index
-    only.
+    strategy z. ``extensions[(q, y)]`` lists, in order, the witnesses the LP
+    route tried for strategy y of q, as canonical indices aligned with q's
+    children list. Strategies are referenced by index only.
     """
 
+    game: TreePolymatrixGame
     epsilon: float
     num_strategies: int
     masks: dict[int, np.ndarray]
-    extensions: dict[tuple[int, int, int], tuple[int, ...]]
+    extensions: dict[tuple[int, int], list[tuple[int, ...]]]
 
     def candidate_set(self, child: int, parent_strategy_index: int) -> np.ndarray:
         """Ascending candidate indices for ``child`` when its parent plays the
@@ -248,16 +244,15 @@ def first_witnesses(
     rows: Mapping[int, np.ndarray],
     uset: UniformStrategySet,
     epsilon: float,
-    cap: int,
+    cap: int | float,
     stats: SolveStats | None = None,
-) -> list[tuple[int, ...] | None]:
+) -> np.ndarray:
     """For every parent payoff row ``bases[r]`` (``A[player, parent] @ z``),
-    the first tuple of the children's candidate product in canonical index
-    order against which (with z) y is an epsilon-best response, as strategy
-    indices aligned with ``children``, or None. ``children`` must be
-    ascending, as in RootedTree; ``rows[c]`` holds child c's payoff rows by
-    strategy index, as ``payoff_rows`` builds them once per edge.
-    Deterministic.
+    the flat C-order index into the children's candidate product of its first
+    tuple against which (with z) y is an epsilon-best response, or -1.
+    ``children`` must be ascending, as in RootedTree; ``rows[c]`` holds child
+    c's payoff rows by strategy index, as ``payoff_rows`` builds them once per
+    edge. Deterministic.
 
     The product is walked in flat-index blocks that start at one tuple and
     double in size, each evaluated for every row still pending and capped by
@@ -270,7 +265,7 @@ def first_witnesses(
     """
     if stats is not None:
         stats.exhaustive_calls += len(bases)
-    found: list[tuple[int, ...] | None] = [None] * len(bases)
+    found = np.full(len(bases), -1, dtype=np.int64)
     sizes = [len(c) for c in candidate_lists]
     product_size = math.prod(sizes)
     if product_size == 0:
@@ -308,13 +303,7 @@ def first_witnesses(
         # Columns follow the canonical (C-order) tuple order, so a row's first
         # hit is its canonical witness.
         settled = np.flatnonzero(hits.any(axis=1))
-        cols = hits[settled].argmax(axis=1)
-        # one row per child (the reshape keeps the shape with no children)
-        chosen = np.array(
-            [cands[pos[cols]] for cands, pos in zip(candidate_lists, positions)], dtype=np.int64
-        ).reshape(len(sizes), settled.size)
-        for row, indices in zip(pending[settled].tolist(), chosen.T.tolist()):
-            found[row] = tuple(indices)
+        found[pending[settled]] = start + hits[settled].argmax(axis=1)
         pending = np.delete(pending, settled)
         start += count
         block *= 2
@@ -331,7 +320,7 @@ def exhaustive_membership(
     tables: CandidateTables,
     uset: UniformStrategySet,
     epsilon: float,
-    cap: int,
+    cap: int | float,
     stats: SolveStats | None = None,
     candidate_lists: list[np.ndarray] | None = None,
     rows: Mapping[int, np.ndarray] | None = None,
@@ -351,11 +340,17 @@ def exhaustive_membership(
         bases = parent_payoffs(game, player, None, [z_index], uset)
     else:
         bases = rows[parent][[z_index]]
-    [indices] = first_witnesses(
+    [flat] = first_witnesses(
         game, player, parent, bases, y_index, children, candidate_lists, rows, uset, epsilon,
         cap, stats,
-    )
-    return None if indices is None else Extension(tuple(children), indices)
+    ).tolist()
+    if flat < 0:
+        return None
+    indices = []
+    for candidates in reversed(candidate_lists):  # in C order the last child varies fastest
+        flat, position = divmod(flat, len(candidates))
+        indices.insert(0, int(candidates[position]))
+    return Extension(tuple(children), tuple(indices))
 
 
 def membership_test(
@@ -427,31 +422,32 @@ def _decide_strategy(
     stats: SolveStats,
     rows: Mapping[int, np.ndarray],
     latest: tuple[int, ...] | None,
-) -> tuple[list[tuple[int, ...] | None], tuple[int, ...] | None]:
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Decide strategy y of ``player`` under every parent payoff row
-    ``bases[z]`` (``rows[parent]``, or one zero row at the root); return the
-    witness tuple or None per row, and the player's latest LP-route witness.
+    ``bases[z]`` (``rows[parent]``, or one zero row at the root); return one
+    hit per row, and the witnesses the LP route tried, in order.
 
     An empty candidate product decides every row without a count. Below
     ``lp_threshold`` one ``first_witnesses`` call decides every row. On the LP
     route, ``latest`` (from an earlier y) is tried first when it lies in y's
     candidate product, then ``membership_test`` runs for the lowest pending
     row; each witness is tried on every pending row by one ``first_witnesses``
-    call over that one tuple and taken by the rows it settles. A reused tuple
-    lies in the candidate product, so the masks are those of the full scan.
+    call over that one tuple and settles the rows it hits. A tried tuple lies
+    in the candidate product, so the masks are those of the full scan.
     """
     children = rooted.children[player]
     candidate_lists = [tables.candidate_set(c, y_index) for c in children]
-    found: list[tuple[int, ...] | None] = [None] * len(bases)
+    hits = np.zeros(len(bases), dtype=bool)
+    tried: list[tuple[int, ...]] = []
     if any(len(candidates) == 0 for candidates in candidate_lists):
-        return found, latest
+        return hits, tried
     stats.membership_tests += len(bases)
     if len(children) < config.effective_lp_threshold(game.num_actions):
         found = first_witnesses(
             game, player, parent, bases, y_index, children, candidate_lists, rows, uset,
             config.epsilon, config.exhaustive_cap, stats,
         )
-        return found, latest
+        return found >= 0, tried
 
     pending = np.arange(len(bases))
     witness = latest
@@ -468,21 +464,21 @@ def _decide_strategy(
             )
             if extension is None:
                 continue
-            witness = latest = found[r] = extension.strategy_indices
-            if not pending.size:
-                break
+            witness = extension.strategy_indices
+            hits[r] = True
+        tried.append(witness)
+        if not pending.size:
+            break
         single = [np.array([index]) for index in witness]
         reused = first_witnesses(
             game, player, parent, bases[pending], y_index, children, single, rows, uset,
             config.epsilon, 1,
-        )
-        settled = [i for i, hit in enumerate(reused) if hit is not None]
-        for i in settled:
-            found[int(pending[i])] = witness
-        stats.reused_witnesses += len(settled)
-        pending = np.delete(pending, settled)
+        ) >= 0
+        hits[pending[reused]] = True
+        stats.reused_witnesses += int(reused.sum())
+        pending = pending[~reused]
         witness = None
-    return found, latest
+    return hits, tried
 
 
 def build_tables(
@@ -506,7 +502,7 @@ def build_tables(
                        report.summary())
 
     size = len(uset)
-    tables = CandidateTables(epsilon=config.epsilon, num_strategies=size, masks={}, extensions={})
+    tables = CandidateTables(game, config.epsilon, size, masks={}, extensions={})
     for parent in rooted.order:
         for q in rooted.children[parent]:
             if not rooted.children[q]:
@@ -516,17 +512,51 @@ def build_tables(
             latest = None  # the LP route's most recent witness for q
             mask = np.zeros((size, size), dtype=bool)
             for y_index in range(size):
-                found, latest = _decide_strategy(
+                mask[:, y_index], tried = _decide_strategy(
                     game, rooted, q, parent, rows[parent], y_index, tables, uset, config, stats,
                     rows, latest,
                 )
-                mask[:, y_index] = [indices is not None for indices in found]
-                tables.extensions.update(
-                    {(q, z_index, y_index): indices for z_index, indices in enumerate(found)
-                     if indices is not None}
-                )
+                if tried:
+                    tables.extensions[(q, y_index)] = tried
+                    latest = tried[-1]
             tables.masks[q] = mask
     return tables
+
+
+def _recover_witness(
+    rooted: RootedTree,
+    tables: CandidateTables,
+    uset: UniformStrategySet,
+    player: int,
+    z_index: int | None,
+    y_index: int,
+    tried: list[tuple[int, ...]],
+    rows: Mapping[int, np.ndarray] | None = None,
+) -> tuple[int, ...]:
+    """The witness the build chose for the true cell (z, y) of ``player``
+    (z None at the root), given the witnesses its LP route tried for y.
+
+    On the LP route this is the first tried tuple that passes at z: each
+    earlier one was tried on that row and failed. Otherwise the canonical
+    scan is rerun for the one row, without a cap or counts, from the
+    player's ``rows`` when given. Solves no LP.
+    """
+    game, parent = tables.game, rooted.parent[player]
+    y = uset.probs[y_index]
+    for witness in tried:
+        neighbors = {} if parent is None else {parent: uset.probs[z_index]}
+        neighbors.update({c: uset.probs[x] for c, x in zip(rooted.children[player], witness)})
+        if is_epsilon_best_response(game, player, y, neighbors, tables.epsilon):
+            return witness
+    extension = None if tried else exhaustive_membership(
+        game, rooted, player, parent, z_index, y_index, tables, uset, tables.epsilon, math.inf,
+        rows=rows,
+    )
+    if extension is None:
+        raise InternalSoundnessViolation(
+            f"no witness recovered for player {player}, strategy indices ({z_index}, {y_index})"
+        )
+    return extension.strategy_indices
 
 
 def process_root(
@@ -539,8 +569,8 @@ def process_root(
 ) -> tuple[int, Extension]:
     """Decide root strategies in canonical order with ``_decide_strategy``
     over one zero parent row, and return the first that extends across the
-    root's children, with its witness. The root's payoff rows are built at
-    most once, when a scan first needs them.
+    root's children, with its recovered witness. The root's payoff rows are
+    built at most once, when a scan first needs them.
 
     Raises NoEquilibriumFound when the scan is exhausted, which can only
     happen when the support size or the scan caps are below the defaults.
@@ -551,10 +581,11 @@ def process_root(
     bases = parent_payoffs(game, root, None, [None], uset)
     for y_index in range(len(uset)):
         # no earlier y has a witness, so there is none to carry
-        [indices], _ = _decide_strategy(
+        [hit], tried = _decide_strategy(
             game, rooted, root, None, bases, y_index, tables, uset, config, stats, rows, None
         )
-        if indices is not None:
+        if hit:
+            indices = _recover_witness(rooted, tables, uset, root, None, y_index, tried, rows)
             return y_index, Extension(tuple(rooted.children[root]), indices)
     raise NoEquilibriumFound(
         f"no strategy on the uniform grid (b={uset.b}, {len(uset)} strategies) extends "
@@ -570,7 +601,8 @@ def backtrack(
     root_extension: Extension,
     uset: UniformStrategySet,
 ) -> list[np.ndarray]:
-    """Assemble the full profile top-down from the stored witnesses."""
+    """Assemble the full profile top-down, recovering each internal player's
+    witness for the (z, y) cell the profile uses."""
     assignment: list[int | None] = [None] * len(rooted.parent)
     assignment[rooted.root] = root_strategy_index
     stack: list[tuple[int, Extension]] = [(rooted.root, root_extension)]
@@ -580,13 +612,13 @@ def backtrack(
             assignment[child] = strategy_index
             if not rooted.children[child]:
                 continue
-            key = (child, assignment[player], strategy_index)
-            stored = tables.extensions.get(key)
-            if stored is None:
-                raise MissingExtension(f"no extension recorded for {key}")
-            stack.append((child, Extension(tuple(rooted.children[child]), stored)))
+            tried = tables.extensions.get((child, strategy_index), [])
+            indices = _recover_witness(
+                rooted, tables, uset, child, assignment[player], strategy_index, tried
+            )
+            stack.append((child, Extension(tuple(rooted.children[child]), indices)))
     if any(index is None for index in assignment):
-        raise MissingExtension("backtracking left some players unassigned")
+        raise InternalSoundnessViolation("backtracking left some players unassigned")
     return [uset.probs[index].copy() for index in assignment]
 
 

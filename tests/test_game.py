@@ -141,7 +141,6 @@ class TestValidateAndRoot:
         game = zero_game(3, path_edges(3))
         rooted = validate_and_root(game, root=1)
         assert rooted.children[1] == [0, 2]
-        assert rooted.descendants[1] == {0, 2}
         assert rooted.order.index(0) < rooted.order.index(1)
         assert rooted.order.index(2) < rooted.order.index(1)
 

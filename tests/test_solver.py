@@ -1,5 +1,6 @@
 """Tests for the dynamic program: tables, membership, root processing, solve."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -32,7 +33,7 @@ from treenash.solver import (
     process_root,
     solve,
 )
-from treenash.uniform import enumerate_uniform
+from treenash.uniform import enumerate_uniform, support_size
 
 
 def tables_for(game, epsilon, b, **config_kwargs):
@@ -42,6 +43,22 @@ def tables_for(game, epsilon, b, **config_kwargs):
     stats = SolveStats()
     tables = build_tables(game, rooted, uset, config, stats)
     return rooted, uset, tables, config, stats
+
+
+def recovered_witnesses(rooted, uset, tables):
+    """The (q, z, y) -> witness map of every true cell of an internal
+    non-root player, each recovered as backtrack recovers it."""
+    witnesses = {}
+    for q, mask in tables.masks.items():
+        if not rooted.children[q]:
+            continue
+        rows = solver_module.payoff_rows(tables.game, q, uset)
+        for z_idx, y_idx in zip(*map(np.ndarray.tolist, np.nonzero(mask))):
+            tried = tables.extensions.get((q, y_idx), [])
+            witnesses[(q, z_idx, y_idx)] = solver_module._recover_witness(
+                rooted, tables, uset, q, z_idx, y_idx, tried, rows
+            )
+    return witnesses
 
 
 class TestConfig:
@@ -92,16 +109,15 @@ class TestBuildTables:
         game = game_from_matrices(
             3, 2, [(0, 1, eye.copy(), eye.copy()), (1, 2, eye.copy(), eye.copy())]
         )
-        _, uset, tables, _, _ = tables_for(game, 0.1, 1)
+        rooted, uset, tables, _, _ = tables_for(game, 0.1, 1)
         # leaf 2 best-responds to matching strategies only
         assert tables.masks[2].tolist() == [[True, False], [False, True]]
         # middle player: for any z, both y work because the child matches y
         # (y = e_k earns 1 from the child and z contributes symmetrically)
         assert tables.masks[1].all()
-        assert tables.extensions[(1, 0, 0)] == (0,)
-        assert tables.extensions[(1, 0, 1)] == (1,)
-        assert tables.extensions[(1, 1, 0)] == (0,)
-        assert tables.extensions[(1, 1, 1)] == (1,)
+        assert recovered_witnesses(rooted, uset, tables) == {
+            (1, 0, 0): (0,), (1, 0, 1): (1,), (1, 1, 0): (0,), (1, 1, 1): (1,)
+        }
 
     def test_leaf_tables_agree_exactly_with_scalar_check(self):
         rng = np.random.default_rng(4)
@@ -136,7 +152,7 @@ class TestBuildTables:
                 lp_stats.lp_infeasible += stats.lp_infeasible
                 lp_stats.fallbacks += stats.fallbacks
                 lp_stats.reused_witnesses += stats.reused_witnesses
-            for (q, z_idx, y_idx), indices in tables.extensions.items():
+            for (q, z_idx, y_idx), indices in recovered_witnesses(rooted, uset, tables).items():
                 children = rooted.children[q]
                 assert len(indices) == len(children)
                 neighbors = {rooted.parent[q]: uset.probs[z_idx]}
@@ -175,6 +191,30 @@ class TestBuildTables:
                 assert np.array_equal(mask, mixed.masks[q]), (seed, q)
         assert 0 < lp_calls < lp_pairs
 
+    def test_masks_identical_across_routes_at_the_theoretical_grid(self):
+        # a star rooted at leaf 1: hub 0 decides each of its K=255 strategies
+        # against 255 parent strategies over two leaves' candidate lists, a
+        # grid no oracle can enumerate. At this epsilon every mask is full,
+        # so the LP route settles the hub's 65k pairs by witness reuse.
+        b = support_size(2, 4, 0.8)
+        assert b == 254
+        for seed in (1, 2):
+            game = random_normalized_game(4, 2, 0.8, topology=star_edges(4), rng_seed=seed)
+            runs = []
+            for threshold in (math.inf, 2):
+                rooted, uset, tables, config, stats = tables_for(
+                    game, 0.8, b, lp_threshold=threshold, root=1, rng_seed=seed
+                )
+                y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
+                profile = backtrack(rooted, tables, y_idx, ext, uset)
+                assert verify_profile(game, profile, 0.8).accepted, (seed, threshold)
+                runs.append((tables, stats))
+            (exact, _), (mixed, stats) = runs
+            assert stats.lp_calls > 0 and stats.reused_witnesses > 0
+            assert set(exact.masks) == set(mixed.masks)
+            for q, mask in exact.masks.items():
+                assert np.array_equal(mask, mixed.masks[q]), (seed, q)
+
     def test_tables_identical_for_every_scan_block_size(self, monkeypatch):
         # the block size only cuts the canonical scan order into vectorized
         # pieces, so masks and first witnesses cannot depend on it
@@ -186,27 +226,30 @@ class TestBuildTables:
             runs = []
             for limit in (default, 60, 1):
                 monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
-                rooted, _, tables, _, _ = tables_for(game, 0.5, b, lp_threshold=math.inf)
-                runs.append(tables)
-            for tables in runs[1:]:
-                assert set(tables.masks) == set(runs[0].masks)
-                for q, mask in runs[0].masks.items():
+                rooted, uset, tables, _, _ = tables_for(game, 0.5, b, lp_threshold=math.inf)
+                runs.append((tables, recovered_witnesses(rooted, uset, tables)))
+            for tables, witnesses in runs[1:]:
+                assert set(tables.masks) == set(runs[0][0].masks)
+                for q, mask in runs[0][0].masks.items():
                     assert np.array_equal(mask, tables.masks[q]), (seed, q)
-                assert tables.extensions == runs[0].extensions, seed
-            # count scans that the limit of 60 cuts into a prefix loop over
-            # a vectorized suffix, so the mixed case is known to be covered
-            for q in runs[0].masks:
+                assert witnesses == runs[0][1], seed
+            # count scans whose product is larger than the block the limit of
+            # 60 allows with every parent row pending, so that the limit is
+            # known to cut some scans into several capped blocks
+            tables = runs[0][0]
+            for q in tables.masks:
                 children = rooted.children[q]
-                for y_idx in range(runs[0].num_strategies):
-                    sizes = [len(runs[0].candidate_set(c, y_idx)) for c in children]
-                    if children and math.prod(sizes) * m > 60 and sizes[-1] * m <= 60:
+                block = max(1, 60 // ((len(uset) + len(children)) * m + len(children) + 1))
+                for y_idx in range(tables.num_strategies):
+                    sizes = [len(tables.candidate_set(c, y_idx)) for c in children]
+                    if children and math.prod(sizes) > block:
                         split_scans += 1
         assert split_scans > 0
 
-    # sha256 prefixes of the masks, the sorted witness dict and the profile's
-    # grid indices of seeded solves; only discrete outputs are pinned, since
-    # float bits may vary with the BLAS. LP-route witnesses follow the LP
-    # solution HiGHS returns.
+    # sha256 prefixes of the masks, the sorted map of every true internal
+    # cell's recovered witness and the profile's grid indices of seeded
+    # solves; only discrete outputs are pinned, since float bits may vary
+    # with the BLAS. LP-route witnesses follow the LP solution HiGHS returns.
     @pytest.mark.parametrize(
         "n, m, eps, b, seed, topology, options, expected",
         [
@@ -239,7 +282,8 @@ class TestBuildTables:
         for q in sorted(tables.masks):
             masks.update(repr((q, tables.masks[q].shape)).encode())
             masks.update(tables.masks[q].tobytes())
-        witnesses = hashlib.sha256(repr(sorted(tables.extensions.items())).encode())
+        recovered = recovered_witnesses(rooted, uset, tables)
+        witnesses = hashlib.sha256(repr(sorted(recovered.items())).encode())
         indices = hashlib.sha256(repr([uset.index_of(s) for s in profile]).encode())
         found = tuple(h.hexdigest()[:16] for h in (masks, witnesses, indices))
         assert found == expected
@@ -256,7 +300,7 @@ class TestExhaustiveMembership:
         rooted = validate_and_root(game, 0)
         uset = enumerate_uniform(2, 1)
         tables = CandidateTables(
-            epsilon=0.1, num_strategies=2,
+            game=game, epsilon=0.1, num_strategies=2,
             masks={2: np.zeros((2, 2), dtype=bool)}, extensions={},
         )
         assert (
@@ -269,7 +313,7 @@ class TestExhaustiveMembership:
         rooted = validate_and_root(game, 0)
         uset = enumerate_uniform(2, 1)
         tables = CandidateTables(
-            epsilon=0.5, num_strategies=2,
+            game=game, epsilon=0.5, num_strategies=2,
             masks={q: np.ones((2, 2), dtype=bool) for q in (1, 2, 3)}, extensions={},
         )
         ext = exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, 0.5, 100)
@@ -320,22 +364,23 @@ class TestExhaustiveMembership:
         rooted = validate_and_root(game, 0)
         uset = enumerate_uniform(2, 1)
         tables = CandidateTables(
-            epsilon=0.5, num_strategies=2,
+            game=game, epsilon=0.5, num_strategies=2,
             masks={q: np.ones((2, 2), dtype=bool) for q in (1, 2, 3)}, extensions={},
         )
         with pytest.raises(CapExceeded):
             exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, 0.5, 7)
 
 
-def first_tuple_by_brute_force(game, player, parent, children, z_idx, y_idx, candidate_lists, uset,
-                               epsilon):
-    """Reference scan: itertools.product in canonical order, scalar check only."""
-    for chosen in itertools.product(*candidate_lists):
+def first_hit_by_brute_force(game, player, parent, children, z_idx, y_idx, candidate_lists, uset,
+                             epsilon):
+    """Reference scan: itertools.product in canonical order, scalar check
+    only. Returns the first hit's flat index and tuple, or (-1, None)."""
+    for flat, chosen in enumerate(itertools.product(*candidate_lists)):
         neighbors = {} if parent is None else {parent: uset.probs[z_idx]}
         neighbors.update({c: uset.probs[i] for c, i in zip(children, chosen)})
         if is_epsilon_best_response(game, player, uset.probs[y_idx], neighbors, epsilon):
-            return tuple(int(i) for i in chosen)
-    return None
+            return flat, tuple(int(i) for i in chosen)
+    return -1, None
 
 
 class TestFirstWitnesses:
@@ -386,13 +431,14 @@ class TestFirstWitnesses:
                 single = exhaustive_membership(
                     game, rooted, q, parent, z_idx, y_idx, tables, uset, epsilon, 10**6
                 )
-                expected = first_tuple_by_brute_force(
+                flat, expected = first_hit_by_brute_force(
                     game, q, parent, children, z_idx, y_idx, lists, uset, epsilon
                 )
+                assert row == flat
                 if expected is None:
-                    assert row is None and single is None
+                    assert single is None
                 else:
-                    assert row == single.strategy_indices == expected
+                    assert single.strategy_indices == expected
                     assert single.child_ids == tuple(children)
         assert childless > 0 and empty > 0
 
@@ -443,12 +489,12 @@ class TestFirstWitnesses:
                                 game, q, parent, bases, y_idx, children, lists, edge_rows,
                                 uset, eps, 10**6,
                             )
-                            expected = first_tuple_by_brute_force(
+                            flat, _ = first_hit_by_brute_force(
                                 game, q, parent, children, z_idx, y_idx, lists, uset, eps
                             )
-                            assert row == expected, (m, root, q, eps)
+                            assert row == flat, (m, root, q, eps)
                             checked += 1
-                            later += eps == low and expected is not None
+                            later += eps == low and flat >= 0
         assert checked == 2 * 3 * 3 * 5 * 40 and later > 0
 
     def test_counters_keep_their_per_pair_meaning(self, monkeypatch):
@@ -548,7 +594,7 @@ class TestFirstWitnesses:
             game, 0, None, bases, 0, children, lists,
             {c: edge_rows[c].view(EdgeRows) for c in children}, uset, -1.0, 10**6,
         )
-        assert found == [None] * num_rows
+        assert found.tolist() == [-1] * num_rows
         d = len(children)
         blocks = [reads[i:i + d + 1] for i in range(0, len(reads), d + 1)]
         tuples = 0
@@ -589,10 +635,12 @@ class TestMembershipTest:
             game, 0.5, 1, lp_threshold=2, rng_seed=21
         )
         assert stats.lp_calls > 0
-        hub_entries = [key for key in tables.extensions if key[0] == 1]
+        hub_entries = {
+            key: indices for key, indices in recovered_witnesses(rooted, uset, tables).items()
+            if key[0] == 1
+        }
         assert hub_entries
-        for q, z_idx, y_idx in hub_entries:
-            indices = tables.extensions[(q, z_idx, y_idx)]
+        for (q, z_idx, y_idx), indices in hub_entries.items():
             neighbors = {0: uset.probs[z_idx]}
             neighbors.update(
                 {c: uset.probs[i] for c, i in zip(rooted.children[1], indices)}
@@ -619,9 +667,10 @@ class TestMembershipTest:
         assert stats.lp_infeasible > 0
         assert stats.fallbacks > 0
         assert not tables.masks[1].all()
-        # soundness: whatever was stored is a valid witness
-        assert any(key[0] == 1 for key in tables.extensions)
-        for (q, z_idx, y_idx), indices in tables.extensions.items():
+        # soundness: every recovered witness is valid
+        witnesses = recovered_witnesses(rooted, uset, tables)
+        assert any(key[0] == 1 for key in witnesses)
+        for (q, z_idx, y_idx), indices in witnesses.items():
             neighbors = {rooted.parent[q]: uset.probs[z_idx]}
             neighbors.update({c: uset.probs[i] for c, i in zip(rooted.children[q], indices)})
             assert is_epsilon_best_response(game, q, uset.probs[y_idx], neighbors, 0.2)
@@ -637,10 +686,7 @@ class TestMembershipTest:
         assert stats.lp_calls == 1
         assert stats.reused_witnesses == size * size - 1
         assert stats.membership_tests == size * size
-        witnesses = {
-            tables.extensions[(1, z_idx, y_idx)] for z_idx in range(size) for y_idx in range(size)
-        }
-        assert len(witnesses) == 1
+        assert len(set(recovered_witnesses(rooted, uset, tables).values())) == 1
 
 
 class TestInvariants:
@@ -761,6 +807,25 @@ class TestProcessRoot:
 
 
 class TestBacktrack:
+    def test_solves_no_lp(self, monkeypatch):
+        # the lp-n13 digest game: infeasible LPs, fallbacks and reused
+        # witnesses; backtrack recovers each witness from the tried lists
+        game = random_normalized_game(13, 3, 0.1, rng_seed=5)
+        options = dict(lp_threshold=2, root=12, rng_seed=5)
+        expected = solve(game, SolverConfig(epsilon=0.1, b_override=2, **options)).profile
+        rooted, uset, tables, config, stats = tables_for(game, 0.1, 2, **options)
+        y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
+        assert stats.lp_infeasible > 0 and stats.fallbacks > 0 and stats.reused_witnesses > 0
+        counts = dataclasses.asdict(stats)
+
+        def no_lp(*args):
+            raise AssertionError("backtrack solved an LP")
+
+        monkeypatch.setattr(solver_module, "solve_feasibility", no_lp)
+        profile = backtrack(rooted, tables, y_idx, ext, uset)
+        assert all(np.array_equal(a, b) for a, b in zip(profile, expected))
+        assert dataclasses.asdict(stats) == counts
+
     def test_single_edge(self):
         game = identity_edge_game()
         rooted, uset, tables, config, stats = tables_for(game, 0.5, 1)
