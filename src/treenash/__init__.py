@@ -36,6 +36,7 @@ from .game import (
     expected_utility,
     is_epsilon_best_response,
     regret,
+    regrets,
     validate_and_root,
 )
 from .generator import prufer_to_edges, random_normalized_game, random_tree
@@ -116,6 +117,7 @@ __all__ = [
     "random_normalized_game",
     "random_tree",
     "regret",
+    "regrets",
     "round_extension",
     "solve",
     "solve_feasibility",

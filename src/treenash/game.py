@@ -199,12 +199,27 @@ def check_strategy(probs, num_actions: int) -> np.ndarray:
 
 
 def check_profile(game: TreePolymatrixGame, strategies: Sequence) -> list[np.ndarray]:
-    """Validate one strategy per player."""
+    """Validate one strategy per player, all in one array pass; on a bad
+    profile, raise ``check_strategy``'s error for its first bad strategy."""
     if len(strategies) != game.num_players:
         raise ValueError(
             f"profile has {len(strategies)} strategies, expected {game.num_players}"
         )
-    return [check_strategy(s, game.num_actions) for s in strategies]
+    arrays = [np.asarray(s, dtype=np.float64) for s in strategies]
+    try:
+        stacked = np.stack(arrays)
+    except ValueError:  # ragged
+        stacked = None
+    if not (
+        stacked is not None
+        and stacked.shape == (game.num_players, game.num_actions)
+        and np.isfinite(stacked).all()
+        and not (stacked < 0.0).any()
+        and (np.abs(stacked.sum(axis=1) - 1.0) <= SIMPLEX_TOL).all()
+    ):
+        for s in arrays:
+            check_strategy(s, game.num_actions)
+    return arrays
 
 
 def action_payoffs(
@@ -260,6 +275,19 @@ def regret(game: TreePolymatrixGame, p: int, profile: Sequence[np.ndarray]) -> f
     if -1e-12 <= gap < 0.0:
         return 0.0  # floating noise only; larger negatives would be a real bug
     return gap
+
+
+def regrets(game: TreePolymatrixGame, profile: Sequence[np.ndarray]) -> np.ndarray:
+    """Every player's ``regret`` at once, bit for bit: one gemv per payoff
+    slot from one stacked matmul, summed per owner from zeros in ascending
+    neighbour order as ``action_payoffs`` sums them, with the same clamp."""
+    x = np.asarray(profile, dtype=np.float64)
+    terms = np.matmul(game.payoffs, x[game.neighbor_ids][:, :, None])[:, :, 0]
+    v = np.zeros((game.num_players, game.num_actions))
+    np.add.at(v, game.owners, terms)  # slots are sorted by owner, then neighbour
+    gaps = v.max(axis=1) - (x * v).sum(axis=1)
+    gaps[(-1e-12 <= gaps) & (gaps < 0.0)] = 0.0
+    return gaps
 
 
 def is_epsilon_best_response(

@@ -20,6 +20,7 @@ from .game import (
     TreePolymatrixGame,
     check_profile,
     regret,
+    regrets,
 )
 from .uniform import UniformStrategySet
 
@@ -101,8 +102,6 @@ def verify_profile(
     (plus verification tolerance)."""
     _check_epsilon(epsilon)
     strategies = check_profile(game, profile)
-    regrets = np.array([regret(game, p, strategies) for p in range(game.num_players)])
-    accepted = bool(regrets.size == 0 or float(regrets.max()) <= epsilon + VERIFY_TOL)
-    return VerificationResult(
-        accepted=accepted, epsilon=epsilon, regrets=regrets, profile=strategies
-    )
+    gaps = regrets(game, strategies)
+    accepted = bool(gaps.size == 0 or float(gaps.max()) <= epsilon + VERIFY_TOL)
+    return VerificationResult(accepted=accepted, epsilon=epsilon, regrets=gaps, profile=strategies)

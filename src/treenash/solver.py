@@ -39,7 +39,7 @@ from .game import (
     TreePolymatrixGame,
     check_normalized,
     is_epsilon_best_response,
-    regret,
+    regrets,
     validate_and_root,
 )
 from .lp import (
@@ -184,11 +184,12 @@ def parent_payoffs(
 ) -> np.ndarray:
     """One row ``A[player, neighbor] @ x`` per strategy index, the same gemv
     ``action_payoffs`` runs for that neighbour; a single zero row when
-    ``neighbor`` is None (the root, which has no parent)."""
+    ``neighbor`` is None (the root, which has no parent). One stacked matmul
+    against columns runs one gemv per row."""
     if neighbor is None:
         return np.zeros((1, game.num_actions))
-    matrix = game.matrix(player, neighbor)
-    return np.array([matrix @ uset.probs[index] for index in indices])
+    columns = uset.probs[np.asarray(indices, dtype=np.intp)][:, :, None]
+    return np.matmul(game.matrix(player, neighbor), columns)[:, :, 0]
 
 
 def payoff_rows(
@@ -203,32 +204,36 @@ def payoff_rows(
     return {c: parent_payoffs(game, player, c, strategies, uset) for c in game.neighbors(player)}
 
 
-def _leaf_mask(
+def _leaf_masks(
     game: TreePolymatrixGame,
-    leaf: int,
     parent: int,
+    leaves: list[int],
     uset: UniformStrategySet,
     epsilon: float,
 ) -> np.ndarray:
-    """Boolean table [z, y]: is y an epsilon-best response of the leaf to z?
+    """Boolean tables [leaf, z, y]: is y an epsilon-best response of each leaf
+    of ``parent`` to z?
 
-    Entries match is_epsilon_best_response bit-for-bit: same payoff vector,
-    same multiply-sum utility, same comparison. Evaluated in blocks of z rows.
+    A leaf's payoff vector is its one row ``A[leaf, parent] @ z``; one stacked
+    matmul runs that gemv for every (leaf, z). Entries match
+    is_epsilon_best_response bit-for-bit: same payoff vector, same
+    multiply-sum utility, same comparison. Evaluated in blocks of rows.
     """
-    size = len(uset)
-    payoffs = parent_payoffs(game, leaf, parent, range(size), uset)
+    size, m = len(uset), game.num_actions
+    matrices = game.payoffs[game.offsets[leaves]][:, None]
+    payoffs = np.matmul(matrices, uset.probs[None, :, :, None]).reshape(-1, m)
     thresholds = payoffs.max(axis=1) - epsilon - BR_TOL
-    mask = np.empty((size, size), dtype=bool)
-    rows = max(1, _VECTORIZE_ELEMENT_LIMIT // (size * game.num_actions))
-    for start in range(0, size, rows):
+    masks = np.empty((len(payoffs), size), dtype=bool)
+    rows = max(1, _VECTORIZE_ELEMENT_LIMIT // (size * m))
+    for start in range(0, len(payoffs), rows):
         block = slice(start, start + rows)
-        mask[block] = (uset.probs * payoffs[block, None, :]).sum(axis=2) >= thresholds[block, None]
-    return mask
+        masks[block] = (uset.probs * payoffs[block, None, :]).sum(axis=2) >= thresholds[block, None]
+    return masks.reshape(len(leaves), size, size)
 
 
 # One block of a scan holds at most this many values: the float64 payoffs of
 # every pending row for the block's tuples, the gathered child rows and the
-# index arrays, or of a leaf mask's block of z rows against every y. It bounds
+# index arrays, or of a block of leaf mask rows against every y. It bounds
 # memory, not the scan size.
 _VECTORIZE_ELEMENT_LIMIT = 8_000_000
 
@@ -328,21 +333,26 @@ def exhaustive_membership(
     """``first_witnesses`` for the single pair (z, y): the first tuple of the
     children's candidate product, in canonical index order, against which
     (with z) y is an epsilon-best response, or None. ``candidate_lists``, one
-    per child, default to the tables' rows for y, and ``rows`` to
-    ``payoff_rows`` of the player.
+    per child, default to the tables' rows for y. ``rows`` are the player's
+    ``payoff_rows``; without them only the rows the scan reads are built: the
+    parent's z row and each child's candidate rows, scanned by position.
     """
     children = rooted.children[player]
     if candidate_lists is None:
         candidate_lists = [tables.candidate_set(c, y_index) for c in children]
-    if rows is None:
-        rows = payoff_rows(game, player, uset)
-    if parent is None:
-        bases = parent_payoffs(game, player, None, [z_index], uset)
+    scanned = candidate_lists
+    if rows is None or parent is None:
+        bases = parent_payoffs(game, player, parent, [z_index], uset)
     else:
         bases = rows[parent][[z_index]]
+    if rows is None:
+        rows = {
+            c: parent_payoffs(game, player, c, candidates, uset)
+            for c, candidates in zip(children, candidate_lists)
+        }
+        scanned = [np.arange(len(candidates)) for candidates in candidate_lists]
     [flat] = first_witnesses(
-        game, player, parent, bases, y_index, children, candidate_lists, rows, uset, epsilon,
-        cap, stats,
+        game, player, parent, bases, y_index, children, scanned, rows, uset, epsilon, cap, stats,
     ).tolist()
     if flat < 0:
         return None
@@ -490,9 +500,10 @@ def build_tables(
 ) -> CandidateTables:
     """Populate candidate tables bottom-up for every parent-child edge.
 
-    Leaves get the direct best-response table. An internal player decides
-    its strategies y in ascending order, each under every parent strategy at
-    once (``_decide_strategy``), from payoff rows built once per edge
+    Leaves get the direct best-response table, all leaves of one parent in
+    one batch (``_leaf_masks``). An internal player decides its strategies y
+    in ascending order, each under every parent strategy at once
+    (``_decide_strategy``), from payoff rows built once per edge
     (``payoff_rows``), carrying its latest LP-route witness from y to y.
     """
     stats = stats if stats is not None else SolveStats()
@@ -504,9 +515,12 @@ def build_tables(
     size = len(uset)
     tables = CandidateTables(game, config.epsilon, size, masks={}, extensions={})
     for parent in rooted.order:
+        leaves = [q for q in rooted.children[parent] if not rooted.children[q]]
+        if leaves:
+            masks = _leaf_masks(game, parent, leaves, uset, config.epsilon)
+            tables.masks.update(zip(leaves, masks))
         for q in rooted.children[parent]:
             if not rooted.children[q]:
-                tables.masks[q] = _leaf_mask(game, q, parent, uset, config.epsilon)
                 continue
             rows = payoff_rows(game, q, uset)
             latest = None  # the LP route's most recent witness for q
@@ -649,10 +663,10 @@ def solve(
     root_index, root_extension = process_root(game, rooted, uset, tables, config, stats)
     profile = backtrack(rooted, tables, root_index, root_extension, uset)
 
-    regrets = np.array([regret(game, p, profile) for p in range(game.num_players)])
-    if regrets.size and float(regrets.max()) > config.epsilon + VERIFY_TOL:
+    gaps = regrets(game, profile)
+    if gaps.size and float(gaps.max()) > config.epsilon + VERIFY_TOL:
         raise InternalSoundnessViolation(
-            f"assembled profile has max regret {float(regrets.max())!r} > "
+            f"assembled profile has max regret {float(gaps.max())!r} > "
             f"epsilon {config.epsilon!r}"
         )
-    return EquilibriumCertificate(profile=profile, epsilon=config.epsilon, regrets=regrets)
+    return EquilibriumCertificate(profile=profile, epsilon=config.epsilon, regrets=gaps)

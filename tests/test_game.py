@@ -34,9 +34,10 @@ from treenash.game import (
     expected_utility,
     is_epsilon_best_response,
     regret,
+    regrets,
     validate_and_root,
 )
-from treenash.generator import random_normalized_game
+from treenash.generator import random_normalized_game, random_tree
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -283,6 +284,25 @@ class TestRegret:
         for p in range(4):
             assert regret(game, p, profile) == 0.0
 
+    @pytest.mark.parametrize("topology", ["random", "star", "path", "single"])
+    def test_regrets_equal_per_player_regret_bit_for_bit(self, topology):
+        rng = np.random.default_rng(len(topology))
+        for trial in range(12):
+            n = 1 if topology == "single" else int(rng.integers(2, 40))
+            m = int(rng.integers(1, 10)) if trial else 9
+            edges = {
+                "random": random_tree(n, int(rng.integers(1000))),
+                "star": star_edges(n),
+                "path": path_edges(n),
+                "single": [],
+            }[topology]
+            game = random_normalized_game(n, m, 0.5, topology=edges, rng_seed=trial)
+            raw = rng.random((n, m)) ** 3
+            pure = list(np.eye(m)[rng.integers(m, size=n)])
+            for profile in ([row / row.sum() for row in raw], pure):
+                expected = np.array([regret(game, p, profile) for p in range(n)])
+                assert np.array_equal(regrets(game, profile), expected)
+
 
 class TestBestResponse:
     def test_zero_payoffs_always_accepts(self):
@@ -429,6 +449,36 @@ class TestStrategyValidation:
         game = identity_edge_game()
         with pytest.raises(ValueError):
             check_profile(game, [E1])
+
+    def test_check_profile_returns_each_checked_strategy(self):
+        game = zero_game(3, path_edges(3))
+        profile = [E1, [0.25, 0.75], (0.5, 0.5)]
+        out = check_profile(game, profile)
+        assert len(out) == 3 and out[0] is E1
+        for got, strategy in zip(out, profile):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, check_strategy(strategy, 2))
+
+    @pytest.mark.parametrize("bad", [
+        [1.0, 0.0, 0.0], [[0.5, 0.5]], [math.nan, 1.0], [math.inf, 0.0], [-0.1, 1.1],
+        [0.5, 0.4], [0.5, 0.5 + 2e-9],
+    ])
+    def test_check_profile_raises_the_first_bad_strategy_error(self, bad):
+        game = zero_game(4, path_edges(4))
+        with pytest.raises(ValueError) as expected:
+            check_strategy(bad, 2)
+        # the first bad strategy decides the message, whatever follows it
+        for position in range(4):
+            later = [[1.0], [0.7, 0.7], [-1.0, 2.0]][position % 3]
+            profile = [E1] * position + [bad] + [later] * (3 - position)
+            with pytest.raises(ValueError) as raised:
+                check_profile(game, profile)
+            assert str(raised.value) == str(expected.value)
+
+    def test_check_profile_accepts_sums_within_tolerance(self):
+        game = zero_game(2, [(0, 1)])
+        near = [0.5, 0.5 + 0.9e-9]
+        assert np.array_equal(check_profile(game, [near, E2])[0], near)
 
 
 class TestCertificate:

@@ -17,7 +17,7 @@ from helpers import (
     zero_game,
 )
 from treenash.errors import CapExceeded, NoEquilibriumFound, SetTooLarge
-from treenash.game import is_epsilon_best_response, validate_and_root
+from treenash.game import action_payoffs, is_epsilon_best_response, mixed_payoff, validate_and_root
 from treenash.generator import random_normalized_game
 from treenash.oracle import all_equilibria, verify_profile
 from treenash import solver as solver_module
@@ -135,6 +135,64 @@ class TestBuildTables:
                             {parent: uset.probs[z_idx]}, 0.5,
                         )
                         assert bool(tables.masks[q][z_idx, y_idx]) == expected
+
+    @pytest.mark.parametrize("m, b", [(2, 4), (3, 3), (5, 2)])
+    def test_parent_payoffs_equal_per_row_gemv(self, m, b):
+        # one stacked matmul against columns gives each row the bits of
+        # that row's own gemv, which is what action_payoffs runs
+        game = random_normalized_game(12, m, 0.5, rng_seed=m)
+        uset = enumerate_uniform(m, b)
+        for p in range(12):
+            for c in game.neighbors(p):
+                matrix = game.matrix(p, c)
+                for indices in (range(len(uset)), [len(uset) - 1, 0], np.array([2, 2, 1])):
+                    rows = solver_module.parent_payoffs(game, p, c, indices, uset)
+                    expected = np.array([matrix @ uset.probs[i] for i in indices])
+                    assert rows.shape == (len(indices), m)
+                    assert np.array_equal(rows, expected)
+
+    @pytest.mark.parametrize("m, b", [(2, 4), (3, 3), (5, 2)])
+    @pytest.mark.parametrize("topology", ["star-70", "path-5"])
+    def test_leaf_masks_agree_exactly_with_scalar_check(self, topology, m, b, monkeypatch):
+        # a star's 69 leaves (more than 64) share one batch; at a limit of
+        # 60 values, m=2 and K=5 a block holds 6 (leaf, z) rows, so blocks
+        # split inside a leaf and across leaves; at 1 every row is its own
+        # block. The second epsilon puts one cell on the acceptance boundary:
+        # it is that cell's scalar gap less BR_TOL.
+        kind, n = topology.split("-")
+        n = int(n)
+        edges = star_edges(n) if kind == "star" else path_edges(n)
+        uset = enumerate_uniform(m, b)
+        size = len(uset)
+        default = solver_module._VECTORIZE_ELEMENT_LIMIT
+        densities = []
+        for seed in range(2):
+            game = random_normalized_game(n, m, 0.5, topology=edges, rng_seed=seed)
+            rooted = validate_and_root(game, 0)
+            parent = 0 if kind == "star" else n - 2
+            leaves = [q for q in rooted.children[parent] if not rooted.children[q]]
+            assert len(leaves) == (n - 1 if kind == "star" else 1)
+            v = action_payoffs(game, leaves[-1], {parent: uset.probs[seed + 1]})
+            epsilon = float(v.max()) - mixed_payoff(uset.probs[0], v) - solver_module.BR_TOL
+            for eps in (0.05, epsilon):
+                expected = np.array([
+                    [
+                        [
+                            is_epsilon_best_response(
+                                game, q, uset.probs[y_idx], {parent: uset.probs[z_idx]}, eps
+                            )
+                            for y_idx in range(size)
+                        ]
+                        for z_idx in range(size)
+                    ]
+                    for q in leaves
+                ])
+                densities.append(expected.mean())
+                for limit in (default, 60, 1):
+                    monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
+                    masks = solver_module._leaf_masks(game, parent, leaves, uset, eps)
+                    assert np.array_equal(masks, expected), (seed, eps, limit)
+        assert 0.0 < min(densities) < 1.0
 
     def test_stored_extensions_reference_candidates_and_best_responses(self):
         # the exhaustive route, then the LP route with infeasible LPs,
@@ -531,16 +589,23 @@ class TestFirstWitnesses:
 
     def test_payoff_rows_built_once_per_edge(self, monkeypatch):
         # every scan, LP-route reuse check and exhaustive fallback indexes the
-        # rows built once per (player, neighbour) edge, whatever K is
+        # rows built once per (player, neighbour) edge, whatever K is; a
+        # leaf's one edge is built in its parent's batched leaf-mask call
         game = random_normalized_game(10, 3, 0.1, rng_seed=3)
         calls = []
         original = solver_module.parent_payoffs
+        original_leaf_masks = solver_module._leaf_masks
 
         def parent_payoffs(game, player, neighbor, indices, uset):
             calls.append((player, neighbor))
             return original(game, player, neighbor, indices, uset)
 
+        def leaf_masks(game, parent, leaves, uset, epsilon):
+            calls.extend((leaf, parent) for leaf in leaves)
+            return original_leaf_masks(game, parent, leaves, uset, epsilon)
+
         monkeypatch.setattr(solver_module, "parent_payoffs", parent_payoffs)
+        monkeypatch.setattr(solver_module, "_leaf_masks", leaf_masks)
         fallbacks = reused = 0
         for threshold in (math.inf, 2):
             for b in (1, 2, 3):
