@@ -11,12 +11,16 @@ and z enters only through the payoff row A[player, parent] @ z.
 Below the LP threshold, one exhaustive scan decides every parent strategy of
 a y: it walks the candidate product in canonical order, in blocks that double
 in size, and each row leaves at its first hit, computed with
-``action_payoffs``' own arithmetic from payoff rows built once per edge.
-Players with many children take the LP route (LP, randomized rounding,
-exhaustive fallback) for the lowest pending row only; each witness it finds,
-and the player's witness carried from the previous y, is tried on every
-pending row by the same scan over that one tuple. Every returned profile is
-re-verified, so randomness can only affect running time, never correctness.
+``action_payoffs``' own arithmetic. Players with many children take the LP
+route (LP, randomized rounding, exhaustive fallback) for the lowest pending
+row only; each witness it finds, and the player's witness carried from the
+previous y, is tried on every pending row by the same scan over that one
+tuple. Every returned profile is re-verified, so randomness can only affect
+running time, never correctness.
+
+Every payoff row A[player, neighbour] @ x of a solve comes from one table,
+built by one stacked matmul in ``build_tables``; leaf masks, scans, the root
+and backtrack all read it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import logging
 import math
 import numbers
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +107,9 @@ class SolverConfig:
         validate_epsilon(self.epsilon)
         # NaN passes every comparison, and a float count would reach range()
         # or switch a scan cap off
-        counts = dict(max_tries=1, exhaustive_cap=1, enumeration_cap=1, thread_count=1, rng_seed=0)
+        counts = dict(
+            max_tries=1, exhaustive_cap=1, enumeration_cap=1, thread_count=1, rng_seed=0, root=0
+        )
         if self.b_override is not None:
             counts["b_override"] = 1
         for name, least in counts.items():
@@ -149,12 +155,15 @@ class SolveStats:
 @dataclass(eq=False)
 class CandidateTables:
     """DP state: per non-root player a boolean table over (parent strategy,
-    own strategy) index pairs, plus the LP route's tried witnesses.
+    own strategy) index pairs, the LP route's tried witnesses, and the
+    solve's payoff rows.
 
     ``masks[q][z, y]`` says whether strategy y of q extends under parent
     strategy z. ``extensions[(q, y)]`` lists, in order, the witnesses the LP
     route tried for strategy y of q, as canonical indices aligned with q's
-    children list. Strategies are referenced by index only.
+    children list. ``rows`` is the ``payoff_table``: every scan, leaf mask
+    and recovery reads its payoff rows there. Strategies are referenced by
+    index only.
     """
 
     game: TreePolymatrixGame
@@ -162,11 +171,26 @@ class CandidateTables:
     num_strategies: int
     masks: dict[int, np.ndarray]
     extensions: dict[tuple[int, int], list[tuple[int, ...]]]
+    rows: np.ndarray
 
     def candidate_set(self, child: int, parent_strategy_index: int) -> np.ndarray:
         """Ascending candidate indices for ``child`` when its parent plays the
         strategy with the given index."""
         return np.flatnonzero(self.masks[child][parent_strategy_index])
+
+    def rows_of(self, player: int, parent: int | None) -> tuple[list[np.ndarray], np.ndarray]:
+        """``player``'s payoff rows under ``parent``: one array per child,
+        ascending, with the rows ``A[player, child] @ x`` of every grid
+        strategy x; and the parent rows ``A[player, parent] @ z`` of every z,
+        or one zero row at the root. All but the zero row are views of
+        ``rows``, whose slots ``offsets[player]:offsets[player + 1]`` hold the
+        player's neighbours in ascending order."""
+        offsets = self.game.offsets
+        own = list(self.rows[offsets[player]:offsets[player + 1]])
+        if parent is None:
+            return own, np.zeros((1, self.game.num_actions))
+        base = own.pop(bisect_left(self.game.neighbors(player), parent))
+        return own, base
 
 
 def _derived_seed(config: SolverConfig, player: int, z_index: int | None, y_index: int):
@@ -175,60 +199,31 @@ def _derived_seed(config: SolverConfig, player: int, z_index: int | None, y_inde
     return np.random.SeedSequence([config.rng_seed, player, z_code, y_index])
 
 
-def parent_payoffs(
-    game: TreePolymatrixGame,
-    player: int,
-    neighbor: int | None,
-    indices,
-    uset: UniformStrategySet,
-) -> np.ndarray:
-    """One row ``A[player, neighbor] @ x`` per strategy index, the same gemv
-    ``action_payoffs`` runs for that neighbour; a single zero row when
-    ``neighbor`` is None (the root, which has no parent). One stacked matmul
-    against columns runs one gemv per row."""
-    if neighbor is None:
-        return np.zeros((1, game.num_actions))
-    columns = uset.probs[np.asarray(indices, dtype=np.intp)][:, :, None]
-    return np.matmul(game.matrix(player, neighbor), columns)[:, :, 0]
+def payoff_table(game: TreePolymatrixGame, uset: UniformStrategySet) -> np.ndarray:
+    """Every payoff row of a solve, shape (2|E|, K, m): ``table[s, x]`` is
+    ``A[owners[s], neighbor_ids[s]] @ x`` for payoff slot s and grid strategy
+    index x. One stacked matmul against columns runs one gemv per row, the
+    gemv ``action_payoffs`` runs for that neighbour."""
+    return np.matmul(game.payoffs[:, None], uset.probs[None, :, :, None])[..., 0]
 
 
-def payoff_rows(
-    game: TreePolymatrixGame,
-    player: int,
-    uset: UniformStrategySet,
-) -> dict[int, np.ndarray]:
-    """Per neighbour c of ``player``, the rows ``A[player, c] @ x`` of every
-    grid strategy x, indexed by strategy index: one ``parent_payoffs`` call
-    per edge, so an indexed row has the bits of that call's gemv."""
-    strategies = range(len(uset))
-    return {c: parent_payoffs(game, player, c, strategies, uset) for c in game.neighbors(player)}
-
-
-def _leaf_masks(
-    game: TreePolymatrixGame,
-    parent: int,
-    leaves: list[int],
-    uset: UniformStrategySet,
-    epsilon: float,
-) -> np.ndarray:
+def _leaf_masks(payoffs: np.ndarray, uset: UniformStrategySet, epsilon: float) -> np.ndarray:
     """Boolean tables [leaf, z, y]: is y an epsilon-best response of each leaf
-    of ``parent`` to z?
+    to parent strategy z? ``payoffs[leaf, z]`` is the leaf's one payoff row
+    ``A[leaf, parent] @ z``, read from the payoff table.
 
-    A leaf's payoff vector is its one row ``A[leaf, parent] @ z``; one stacked
-    matmul runs that gemv for every (leaf, z). Entries match
-    is_epsilon_best_response bit-for-bit: same payoff vector, same
-    multiply-sum utility, same comparison. Evaluated in blocks of rows.
+    Entries match is_epsilon_best_response bit-for-bit: same payoff vector,
+    same multiply-sum utility, same comparison. Evaluated in blocks of rows.
     """
-    size, m = len(uset), game.num_actions
-    matrices = game.payoffs[game.offsets[leaves]][:, None]
-    payoffs = np.matmul(matrices, uset.probs[None, :, :, None]).reshape(-1, m)
+    leaves, size, m = payoffs.shape
+    payoffs = payoffs.reshape(-1, m)
     thresholds = payoffs.max(axis=1) - epsilon - BR_TOL
     masks = np.empty((len(payoffs), size), dtype=bool)
     rows = max(1, _VECTORIZE_ELEMENT_LIMIT // (size * m))
     for start in range(0, len(payoffs), rows):
         block = slice(start, start + rows)
         masks[block] = (uset.probs * payoffs[block, None, :]).sum(axis=2) >= thresholds[block, None]
-    return masks.reshape(len(leaves), size, size)
+    return masks.reshape(leaves, size, size)
 
 
 # One block of a scan holds at most this many values: the float64 payoffs of
@@ -246,7 +241,7 @@ def first_witnesses(
     y_index: int,
     children: list[int],
     candidate_lists: list[np.ndarray],
-    rows: Mapping[int, np.ndarray],
+    rows: Sequence[np.ndarray],
     uset: UniformStrategySet,
     epsilon: float,
     cap: int | float,
@@ -255,9 +250,10 @@ def first_witnesses(
     """For every parent payoff row ``bases[r]`` (``A[player, parent] @ z``),
     the flat C-order index into the children's candidate product of its first
     tuple against which (with z) y is an epsilon-best response, or -1.
-    ``children`` must be ascending, as in RootedTree; ``rows[c]`` holds child
-    c's payoff rows by strategy index, as ``payoff_rows`` builds them once per
-    edge. Deterministic.
+    ``children`` must be ascending, as in RootedTree; ``rows[i]`` holds the
+    payoff rows ``A[player, children[i]] @ x`` by strategy index x, as
+    ``CandidateTables.rows_of`` reads them from the payoff table.
+    Deterministic.
 
     The product is walked in flat-index blocks that start at one tuple and
     double in size, each evaluated for every row still pending and capped by
@@ -283,7 +279,7 @@ def first_witnesses(
 
     m = game.num_actions
     y = uset.probs[y_index]
-    gathered = [rows[c][candidates] for c, candidates in zip(children, candidate_lists)]
+    gathered = [child_rows[candidates] for child_rows, candidates in zip(rows, candidate_lists)]
     parent_at = 0 if parent is None else bisect_left(children, parent)
     # Each child's position in a flat C-order index, by mixed-radix arithmetic
     # (np.unravel_index stops at 64 dimensions, one per child)
@@ -328,31 +324,22 @@ def exhaustive_membership(
     cap: int | float,
     stats: SolveStats | None = None,
     candidate_lists: list[np.ndarray] | None = None,
-    rows: Mapping[int, np.ndarray] | None = None,
 ) -> Extension | None:
     """``first_witnesses`` for the single pair (z, y): the first tuple of the
     children's candidate product, in canonical index order, against which
     (with z) y is an epsilon-best response, or None. ``candidate_lists``, one
-    per child, default to the tables' rows for y. ``rows`` are the player's
-    ``payoff_rows``; without them only the rows the scan reads are built: the
-    parent's z row and each child's candidate rows, scanned by position.
+    per child, default to the masks' candidate sets for y. The payoff rows are
+    read from ``tables.rows``.
     """
     children = rooted.children[player]
     if candidate_lists is None:
         candidate_lists = [tables.candidate_set(c, y_index) for c in children]
-    scanned = candidate_lists
-    if rows is None or parent is None:
-        bases = parent_payoffs(game, player, parent, [z_index], uset)
-    else:
-        bases = rows[parent][[z_index]]
-    if rows is None:
-        rows = {
-            c: parent_payoffs(game, player, c, candidates, uset)
-            for c, candidates in zip(children, candidate_lists)
-        }
-        scanned = [np.arange(len(candidates)) for candidates in candidate_lists]
+    rows, bases = tables.rows_of(player, parent)
+    if parent is not None:
+        bases = bases[[z_index]]
     [flat] = first_witnesses(
-        game, player, parent, bases, y_index, children, scanned, rows, uset, epsilon, cap, stats,
+        game, player, parent, bases, y_index, children, candidate_lists, rows, uset, epsilon,
+        cap, stats,
     ).tolist()
     if flat < 0:
         return None
@@ -375,13 +362,12 @@ def membership_test(
     config: SolverConfig,
     stats: SolveStats,
     candidate_lists: list[np.ndarray],
-    rows: Mapping[int, np.ndarray],
 ) -> Extension | None:
     """The LP route for one pair (z, y), given the children's non-empty
-    ``candidate_lists`` and the player's ``payoff_rows``: solve the LP and
-    round its solution; when the LP is infeasible or rounding gives up, fall
-    back to the exhaustive scan. So the result is never weaker than the
-    direct search, and any witness is an epsilon-best-response extension.
+    ``candidate_lists``: solve the LP and round its solution; when the LP is
+    infeasible or rounding gives up, fall back to the exhaustive scan. So the
+    result is never weaker than the direct search, and any witness is an
+    epsilon-best-response extension.
     """
     children = rooted.children[player]
     z = uset.probs[z_index] if z_index is not None else None
@@ -402,21 +388,8 @@ def membership_test(
     stats.fallbacks += 1
     return exhaustive_membership(
         game, rooted, player, parent, z_index, y_index, tables, uset,
-        config.epsilon, config.exhaustive_cap, stats, candidate_lists, rows,
+        config.epsilon, config.exhaustive_cap, stats, candidate_lists,
     )
-
-
-class _RowsOnDemand(dict):
-    """``payoff_rows`` of one player, built on the first lookup."""
-
-    def __init__(self, game: TreePolymatrixGame, player: int, uset: UniformStrategySet):
-        super().__init__()
-        self._source = (game, player, uset)
-
-    def __missing__(self, neighbor: int) -> np.ndarray:
-        rows = payoff_rows(*self._source)
-        self.update(rows)
-        return rows[neighbor]
 
 
 def _decide_strategy(
@@ -430,12 +403,13 @@ def _decide_strategy(
     uset: UniformStrategySet,
     config: SolverConfig,
     stats: SolveStats,
-    rows: Mapping[int, np.ndarray],
+    rows: list[np.ndarray],
     latest: tuple[int, ...] | None,
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Decide strategy y of ``player`` under every parent payoff row
-    ``bases[z]`` (``rows[parent]``, or one zero row at the root); return one
-    hit per row, and the witnesses the LP route tried, in order.
+    ``bases[z]``, given the children's payoff ``rows`` (both as
+    ``CandidateTables.rows_of`` returns them); return one hit per row, and
+    the witnesses the LP route tried, in order.
 
     An empty candidate product decides every row without a count. Below
     ``lp_threshold`` one ``first_witnesses`` call decides every row. On the LP
@@ -470,7 +444,7 @@ def _decide_strategy(
             r, pending = int(pending[0]), pending[1:]
             extension = membership_test(
                 game, rooted, player, parent, None if parent is None else r, y_index, tables,
-                uset, config, stats, candidate_lists, rows,
+                uset, config, stats, candidate_lists,
             )
             if extension is None:
                 continue
@@ -500,11 +474,11 @@ def build_tables(
 ) -> CandidateTables:
     """Populate candidate tables bottom-up for every parent-child edge.
 
+    First builds the solve's ``payoff_table``, which every later step reads.
     Leaves get the direct best-response table, all leaves of one parent in
     one batch (``_leaf_masks``). An internal player decides its strategies y
     in ascending order, each under every parent strategy at once
-    (``_decide_strategy``), from payoff rows built once per edge
-    (``payoff_rows``), carrying its latest LP-route witness from y to y.
+    (``_decide_strategy``), carrying its latest LP-route witness from y to y.
     """
     stats = stats if stats is not None else SolveStats()
     report = check_normalized(game, config.epsilon)
@@ -513,22 +487,25 @@ def build_tables(
                        report.summary())
 
     size = len(uset)
-    tables = CandidateTables(game, config.epsilon, size, masks={}, extensions={})
+    tables = CandidateTables(
+        game, config.epsilon, size, masks={}, extensions={}, rows=payoff_table(game, uset)
+    )
     for parent in rooted.order:
         leaves = [q for q in rooted.children[parent] if not rooted.children[q]]
         if leaves:
-            masks = _leaf_masks(game, parent, leaves, uset, config.epsilon)
+            # a leaf's only payoff slot, offsets[leaf], pays it against its parent
+            masks = _leaf_masks(tables.rows[game.offsets[leaves]], uset, config.epsilon)
             tables.masks.update(zip(leaves, masks))
         for q in rooted.children[parent]:
             if not rooted.children[q]:
                 continue
-            rows = payoff_rows(game, q, uset)
+            rows, bases = tables.rows_of(q, parent)
             latest = None  # the LP route's most recent witness for q
             mask = np.zeros((size, size), dtype=bool)
             for y_index in range(size):
                 mask[:, y_index], tried = _decide_strategy(
-                    game, rooted, q, parent, rows[parent], y_index, tables, uset, config, stats,
-                    rows, latest,
+                    game, rooted, q, parent, bases, y_index, tables, uset, config, stats, rows,
+                    latest,
                 )
                 if tried:
                     tables.extensions[(q, y_index)] = tried
@@ -545,15 +522,13 @@ def _recover_witness(
     z_index: int | None,
     y_index: int,
     tried: list[tuple[int, ...]],
-    rows: Mapping[int, np.ndarray] | None = None,
 ) -> tuple[int, ...]:
     """The witness the build chose for the true cell (z, y) of ``player``
     (z None at the root), given the witnesses its LP route tried for y.
 
     On the LP route this is the first tried tuple that passes at z: each
     earlier one was tried on that row and failed. Otherwise the canonical
-    scan is rerun for the one row, without a cap or counts, from the
-    player's ``rows`` when given. Solves no LP.
+    scan is rerun for the one row, without a cap or counts. Solves no LP.
     """
     game, parent = tables.game, rooted.parent[player]
     y = uset.probs[y_index]
@@ -564,7 +539,6 @@ def _recover_witness(
             return witness
     extension = None if tried else exhaustive_membership(
         game, rooted, player, parent, z_index, y_index, tables, uset, tables.epsilon, math.inf,
-        rows=rows,
     )
     if extension is None:
         raise InternalSoundnessViolation(
@@ -584,22 +558,21 @@ def process_root(
     """Decide root strategies in canonical order with ``_decide_strategy``
     over one zero parent row, and return the first that extends across the
     root's children, with its recovered witness. The root's payoff rows are
-    built at most once, when a scan first needs them.
+    read from the tables' payoff table.
 
     Raises NoEquilibriumFound when the scan is exhausted, which can only
     happen when the support size or the scan caps are below the defaults.
     """
     stats = stats if stats is not None else SolveStats()
     root = rooted.root
-    rows = _RowsOnDemand(game, root, uset)
-    bases = parent_payoffs(game, root, None, [None], uset)
+    rows, bases = tables.rows_of(root, None)
     for y_index in range(len(uset)):
         # no earlier y has a witness, so there is none to carry
         [hit], tried = _decide_strategy(
             game, rooted, root, None, bases, y_index, tables, uset, config, stats, rows, None
         )
         if hit:
-            indices = _recover_witness(rooted, tables, uset, root, None, y_index, tried, rows)
+            indices = _recover_witness(rooted, tables, uset, root, None, y_index, tried)
             return y_index, Extension(tuple(rooted.children[root]), indices)
     raise NoEquilibriumFound(
         f"no strategy on the uniform grid (b={uset.b}, {len(uset)} strategies) extends "

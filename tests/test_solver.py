@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from helpers import (
     star_edges,
     zero_game,
 )
-from treenash.errors import CapExceeded, NoEquilibriumFound, SetTooLarge
+from treenash.errors import CapExceeded, InvalidPlayerId, NoEquilibriumFound, SetTooLarge
 from treenash.game import action_payoffs, is_epsilon_best_response, mixed_payoff, validate_and_root
 from treenash.generator import random_normalized_game
 from treenash.oracle import all_equilibria, verify_profile
@@ -52,11 +53,10 @@ def recovered_witnesses(rooted, uset, tables):
     for q, mask in tables.masks.items():
         if not rooted.children[q]:
             continue
-        rows = solver_module.payoff_rows(tables.game, q, uset)
         for z_idx, y_idx in zip(*map(np.ndarray.tolist, np.nonzero(mask))):
             tried = tables.extensions.get((q, y_idx), [])
             witnesses[(q, z_idx, y_idx)] = solver_module._recover_witness(
-                rooted, tables, uset, q, z_idx, y_idx, tried, rows
+                rooted, tables, uset, q, z_idx, y_idx, tried
             )
     return witnesses
 
@@ -90,6 +90,13 @@ class TestConfig:
                     SolverConfig(epsilon=0.5, **{name: value})
         with pytest.raises(ValueError, match="lp_threshold"):
             SolverConfig(epsilon=0.5, lp_threshold=math.nan)
+        # a float root reached list indexing in the rooting as a bare TypeError
+        for value in (math.nan, 1.5, -1):
+            with pytest.raises(ValueError, match="root"):
+                SolverConfig(epsilon=0.5, root=value)
+        # a root past the last player is refused when the tree is rooted
+        with pytest.raises(InvalidPlayerId):
+            solve(identity_edge_game(), SolverConfig(epsilon=0.5, b_override=1, root=2))
 
 
 class TestBuildTables:
@@ -137,19 +144,23 @@ class TestBuildTables:
                         assert bool(tables.masks[q][z_idx, y_idx]) == expected
 
     @pytest.mark.parametrize("m, b", [(2, 4), (3, 3), (5, 2)])
-    def test_parent_payoffs_equal_per_row_gemv(self, m, b):
+    @pytest.mark.parametrize("topology", ["random-12", "star-70"])
+    def test_payoff_table_equals_per_row_gemv(self, topology, m, b):
         # one stacked matmul against columns gives each row the bits of
-        # that row's own gemv, which is what action_payoffs runs
-        game = random_normalized_game(12, m, 0.5, rng_seed=m)
+        # that row's own gemv, which is what action_payoffs runs; the star's
+        # hub has 69 neighbour slots, more than 64
+        kind, n = topology.split("-")
+        n = int(n)
+        edges = star_edges(n) if kind == "star" else None
+        game = random_normalized_game(n, m, 0.5, topology=edges, rng_seed=m)
         uset = enumerate_uniform(m, b)
-        for p in range(12):
-            for c in game.neighbors(p):
+        table = solver_module.payoff_table(game, uset)
+        assert table.shape == (2 * (n - 1), len(uset), m)
+        for p in range(n):
+            for slot, c in enumerate(game.neighbors(p), start=game.offsets[p]):
                 matrix = game.matrix(p, c)
-                for indices in (range(len(uset)), [len(uset) - 1, 0], np.array([2, 2, 1])):
-                    rows = solver_module.parent_payoffs(game, p, c, indices, uset)
-                    expected = np.array([matrix @ uset.probs[i] for i in indices])
-                    assert rows.shape == (len(indices), m)
-                    assert np.array_equal(rows, expected)
+                expected = np.array([matrix @ uset.probs[i] for i in range(len(uset))])
+                assert np.array_equal(table[slot], expected), (p, c)
 
     @pytest.mark.parametrize("m, b", [(2, 4), (3, 3), (5, 2)])
     @pytest.mark.parametrize("topology", ["star-70", "path-5"])
@@ -168,6 +179,7 @@ class TestBuildTables:
         densities = []
         for seed in range(2):
             game = random_normalized_game(n, m, 0.5, topology=edges, rng_seed=seed)
+            table = solver_module.payoff_table(game, uset)
             rooted = validate_and_root(game, 0)
             parent = 0 if kind == "star" else n - 2
             leaves = [q for q in rooted.children[parent] if not rooted.children[q]]
@@ -190,7 +202,7 @@ class TestBuildTables:
                 densities.append(expected.mean())
                 for limit in (default, 60, 1):
                     monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
-                    masks = solver_module._leaf_masks(game, parent, leaves, uset, eps)
+                    masks = solver_module._leaf_masks(table[game.offsets[leaves]], uset, eps)
                     assert np.array_equal(masks, expected), (seed, eps, limit)
         assert 0.0 < min(densities) < 1.0
 
@@ -360,6 +372,7 @@ class TestExhaustiveMembership:
         tables = CandidateTables(
             game=game, epsilon=0.1, num_strategies=2,
             masks={2: np.zeros((2, 2), dtype=bool)}, extensions={},
+            rows=solver_module.payoff_table(game, uset),
         )
         assert (
             exhaustive_membership(game, rooted, 1, 0, 0, 0, tables, uset, 0.1, 100)
@@ -373,6 +386,7 @@ class TestExhaustiveMembership:
         tables = CandidateTables(
             game=game, epsilon=0.5, num_strategies=2,
             masks={q: np.ones((2, 2), dtype=bool) for q in (1, 2, 3)}, extensions={},
+            rows=solver_module.payoff_table(game, uset),
         )
         ext = exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, 0.5, 100)
         assert ext.child_ids == (1, 2, 3)
@@ -424,6 +438,7 @@ class TestExhaustiveMembership:
         tables = CandidateTables(
             game=game, epsilon=0.5, num_strategies=2,
             masks={q: np.ones((2, 2), dtype=bool) for q in (1, 2, 3)}, extensions={},
+            rows=solver_module.payoff_table(game, uset),
         )
         with pytest.raises(CapExceeded):
             exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, 0.5, 7)
@@ -470,12 +485,8 @@ class TestFirstWitnesses:
         childless = empty = 0
         for game, rooted, tables, uset, epsilon, q, parent, y_idx, lists in self.scans(range(12)):
             z_indices = [None] if parent is None else range(len(uset))
-            # the per-edge rows build_tables passes
-            edge_rows = solver_module.payoff_rows(game, q, uset)
-            if parent is None:
-                bases = solver_module.parent_payoffs(game, q, None, z_indices, uset)
-            else:
-                bases = edge_rows[parent]
+            # the rows build_tables passes, read from the payoff table
+            edge_rows, bases = tables.rows_of(q, parent)
             children = rooted.children[q]
             stats = SolveStats()
             rows = first_witnesses(
@@ -515,12 +526,16 @@ class TestFirstWitnesses:
             game = random_normalized_game(5, m, 0.5, topology=edges, rng_seed=m)
             uset = enumerate_uniform(m, 3)
             size = len(uset)
+            tables = CandidateTables(
+                game, 0.5, size, masks={}, extensions={},
+                rows=solver_module.payoff_table(game, uset),
+            )
             for root in (0, 3, 4):
                 rooted = validate_and_root(game, root)
                 for q in range(5):
                     parent, children = rooted.parent[q], rooted.children[q]
-                    # the per-edge rows build_tables passes
-                    edge_rows = solver_module.payoff_rows(game, q, uset)
+                    # the rows build_tables passes, read from the payoff table
+                    edge_rows, parent_rows = tables.rows_of(q, parent)
                     for _ in range(40):
                         z_idx = None if parent is None else int(rng.integers(size))
                         y_idx = int(rng.integers(size))
@@ -538,10 +553,7 @@ class TestFirstWitnesses:
                         while (mid := (low + high) / 2) not in (low, high):
                             low, high = (low, mid) if accepts(mid) else (mid, high)
                         assert accepts(high) and not accepts(low)
-                        if parent is None:
-                            bases = solver_module.parent_payoffs(game, q, None, [z_idx], uset)
-                        else:
-                            bases = edge_rows[parent][[z_idx]]
+                        bases = parent_rows if parent is None else parent_rows[[z_idx]]
                         for eps in (high, low):
                             [row] = first_witnesses(
                                 game, q, parent, bases, y_idx, children, lists, edge_rows,
@@ -587,36 +599,40 @@ class TestFirstWitnesses:
             assert len(counted) == len(uset) * sum(len(rooted.children[q]) for q in internal)
         assert stats.lp_calls > 0 and batched > 0
 
-    def test_payoff_rows_built_once_per_edge(self, monkeypatch):
-        # every scan, LP-route reuse check and exhaustive fallback indexes the
-        # rows built once per (player, neighbour) edge, whatever K is; a
-        # leaf's one edge is built in its parent's batched leaf-mask call
+    def test_payoff_table_built_once_per_solve(self, monkeypatch):
+        # build_tables builds the one payoff table of a solve, whatever K is;
+        # leaf masks, scans, LP-route reuse checks, fallbacks, the root and
+        # every backtrack recovery read it, and none of them runs a matmul
         game = random_normalized_game(10, 3, 0.1, rng_seed=3)
-        calls = []
-        original = solver_module.parent_payoffs
-        original_leaf_masks = solver_module._leaf_masks
+        tables_built, matmuls = [], []
+        original = solver_module.payoff_table
+        original_matmul = np.matmul
 
-        def parent_payoffs(game, player, neighbor, indices, uset):
-            calls.append((player, neighbor))
-            return original(game, player, neighbor, indices, uset)
+        def payoff_table(game, uset):
+            tables_built.append(len(uset))
+            return original(game, uset)
 
-        def leaf_masks(game, parent, leaves, uset, epsilon):
-            calls.extend((leaf, parent) for leaf in leaves)
-            return original_leaf_masks(game, parent, leaves, uset, epsilon)
+        def matmul(*args, **kwargs):
+            matmuls.append(sys._getframe(1).f_globals.get("__name__"))
+            return original_matmul(*args, **kwargs)
 
-        monkeypatch.setattr(solver_module, "parent_payoffs", parent_payoffs)
-        monkeypatch.setattr(solver_module, "_leaf_masks", leaf_masks)
+        monkeypatch.setattr(solver_module, "payoff_table", payoff_table)
         fallbacks = reused = 0
         for threshold in (math.inf, 2):
             for b in (1, 2, 3):
-                calls.clear()
-                rooted, _, _, _, stats = tables_for(
+                tables_built.clear()
+                rooted, uset, tables, config, stats = tables_for(
                     game, 0.1, b, lp_threshold=threshold, rng_seed=b
                 )
-                edges = [
-                    (q, c) for q in range(10) if q != rooted.root for c in game.neighbors(q)
-                ]
-                assert sorted(calls) == sorted(edges), (threshold, b)
+                assert tables_built == [len(uset)], (threshold, b)
+                matmuls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(np, "matmul", matmul)
+                    recovered_witnesses(rooted, uset, tables)
+                    y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
+                    backtrack(rooted, tables, y_idx, ext, uset)
+                assert tables_built == [len(uset)], (threshold, b)
+                assert not [name for name in matmuls if name.startswith("treenash")]
                 fallbacks += stats.fallbacks
                 reused += stats.reused_witnesses
         assert fallbacks > 0 and reused > 0
@@ -651,13 +667,15 @@ class TestFirstWitnesses:
         n, m = 9, 3
         game = random_normalized_game(n, m, 0.5, topology=star_edges(n), rng_seed=5)
         uset = enumerate_uniform(m, 1)
-        edge_rows = solver_module.payoff_rows(game, 0, uset)
+        table = solver_module.payoff_table(game, uset)
         children = list(range(1, n))
         lists = [np.arange(len(uset))] * len(children)
         bases = np.zeros((num_rows, m)).view(Bases)
+        # the hub's slots hold its neighbours, the children, in ascending order
+        edge_rows = table[game.offsets[0]:game.offsets[1]]
         found = first_witnesses(
             game, 0, None, bases, 0, children, lists,
-            {c: edge_rows[c].view(EdgeRows) for c in children}, uset, -1.0, 10**6,
+            [rows.view(EdgeRows) for rows in edge_rows], uset, -1.0, 10**6,
         )
         assert found.tolist() == [-1] * num_rows
         d = len(children)
@@ -842,33 +860,6 @@ class TestProcessRoot:
         with pytest.raises(NoEquilibriumFound):
             process_root(game, rooted, uset, tables, config, stats)
         assert all_equilibria(game, 0.4, uset) == []
-
-
-    def test_root_builds_its_payoff_rows_at_most_once(self, monkeypatch):
-        calls = []
-        original = solver_module.parent_payoffs
-
-        def parent_payoffs(game, player, neighbor, indices, uset):
-            calls.append((player, neighbor))
-            return original(game, player, neighbor, indices, uset)
-
-        monkeypatch.setattr(solver_module, "parent_payoffs", parent_payoffs)
-        # matching pennies at b=1 has no equilibrium, so both root strategies
-        # are scanned, from one set of root rows
-        game = matching_pennies_game()
-        rooted, uset, tables, config, stats = tables_for(game, 0.4, 1, lp_threshold=math.inf)
-        calls.clear()
-        with pytest.raises(NoEquilibriumFound):
-            process_root(game, rooted, uset, tables, config, stats)
-        assert stats.exhaustive_calls == 2
-        assert [call for call in calls if call[1] is not None] == [(0, 1)]
-        # an LP-route root whose first LP rounds to a witness runs no scan
-        game = zero_game(5, star_edges(5))
-        rooted, uset, tables, config, stats = tables_for(game, 0.5, 1, lp_threshold=2)
-        calls.clear()
-        y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
-        assert (y_idx, ext.child_ids, stats.lp_calls, stats.fallbacks) == (0, (1, 2, 3, 4), 1, 0)
-        assert [call for call in calls if call[1] is not None] == []
 
 
 class TestBacktrack:
