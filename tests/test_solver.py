@@ -599,10 +599,11 @@ class TestFirstWitnesses:
             assert len(counted) == len(uset) * sum(len(rooted.children[q]) for q in internal)
         assert stats.lp_calls > 0 and batched > 0
 
-    def test_payoff_table_built_once_per_solve(self, monkeypatch):
-        # build_tables builds the one payoff table of a solve, whatever K is;
-        # leaf masks, scans, LP-route reuse checks, fallbacks, the root and
-        # every backtrack recovery read it, and none of them runs a matmul
+    def test_payoff_rows_built_once_per_edge(self, monkeypatch):
+        # every (player, neighbour) edge's rows are built once, in the one
+        # payoff table build_tables builds per solve, whatever K is; leaf
+        # masks, scans, LP-route reuse checks, fallbacks, the root and every
+        # backtrack recovery read it, and none of them runs a matmul
         game = random_normalized_game(10, 3, 0.1, rng_seed=3)
         tables_built, matmuls = [], []
         original = solver_module.payoff_table
@@ -613,26 +614,27 @@ class TestFirstWitnesses:
             return original(game, uset)
 
         def matmul(*args, **kwargs):
-            matmuls.append(sys._getframe(1).f_globals.get("__name__"))
+            caller = sys._getframe(1)
+            matmuls.append((caller.f_globals.get("__name__"), caller.f_code.co_name))
             return original_matmul(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, "payoff_table", payoff_table)
+        monkeypatch.setattr(np, "matmul", matmul)
         fallbacks = reused = 0
         for threshold in (math.inf, 2):
             for b in (1, 2, 3):
                 tables_built.clear()
+                matmuls.clear()
                 rooted, uset, tables, config, stats = tables_for(
                     game, 0.1, b, lp_threshold=threshold, rng_seed=b
                 )
+                assert tables.rows.shape == (2 * (10 - 1), len(uset), 3)
+                recovered_witnesses(rooted, uset, tables)
+                y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
+                backtrack(rooted, tables, y_idx, ext, uset)
                 assert tables_built == [len(uset)], (threshold, b)
-                matmuls.clear()
-                with monkeypatch.context() as patch:
-                    patch.setattr(np, "matmul", matmul)
-                    recovered_witnesses(rooted, uset, tables)
-                    y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
-                    backtrack(rooted, tables, y_idx, ext, uset)
-                assert tables_built == [len(uset)], (threshold, b)
-                assert not [name for name in matmuls if name.startswith("treenash")]
+                ours = [call for call in matmuls if call[0].startswith("treenash")]
+                assert ours == [("treenash.solver", "payoff_table")], (threshold, b)
                 fallbacks += stats.fallbacks
                 reused += stats.reused_witnesses
         assert fallbacks > 0 and reused > 0
@@ -860,6 +862,44 @@ class TestProcessRoot:
         with pytest.raises(NoEquilibriumFound):
             process_root(game, rooted, uset, tables, config, stats)
         assert all_equilibria(game, 0.4, uset) == []
+
+    def test_root_builds_its_payoff_rows_at_most_once(self, monkeypatch):
+        # the root reads its rows from the one payoff table of the solve:
+        # process_root builds no rows of its own and runs no matmul
+        tables_built, matmuls = [], []
+        original = solver_module.payoff_table
+        original_matmul = np.matmul
+
+        def payoff_table(game, uset):
+            tables_built.append(len(uset))
+            return original(game, uset)
+
+        def matmul(*args, **kwargs):
+            matmuls.append(sys._getframe(1).f_globals.get("__name__"))
+            return original_matmul(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "payoff_table", payoff_table)
+        # matching pennies at b=1 has no equilibrium, so both root strategies
+        # are scanned, from the one set of root rows
+        game = matching_pennies_game()
+        rooted, uset, tables, config, stats = tables_for(game, 0.4, 1, lp_threshold=math.inf)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", matmul)
+            with pytest.raises(NoEquilibriumFound):
+                process_root(game, rooted, uset, tables, config, stats)
+        assert stats.exhaustive_calls == 2
+        assert tables_built == [len(uset)]
+        assert not [name for name in matmuls if name.startswith("treenash")]
+        # an LP-route root whose first LP rounds to a witness runs no scan
+        game = zero_game(5, star_edges(5))
+        tables_built.clear()
+        rooted, uset, tables, config, stats = tables_for(game, 0.5, 1, lp_threshold=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", matmul)
+            y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
+        assert (y_idx, ext.child_ids, stats.lp_calls, stats.fallbacks) == (0, (1, 2, 3, 4), 1, 0)
+        assert tables_built == [len(uset)]
+        assert not [name for name in matmuls if name.startswith("treenash")]
 
 
 class TestBacktrack:
