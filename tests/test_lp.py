@@ -1,10 +1,16 @@
 """Tests for the feasibility program and the Las Vegas rounding step."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
+from scipy.sparse import issparse
 
-from helpers import game_from_matrices, zero_game
+import treenash.lp as lp_module
+from helpers import game_from_matrices, star_edges, zero_game
 from treenash.game import is_epsilon_best_response, validate_and_root
+from treenash.generator import random_normalized_game
 from treenash.lp import (
     Extension,
     FractionalExtension,
@@ -233,6 +239,215 @@ class TestSolveFeasibility:
             assert np.array_equal(a, b)
         for a, b in zip(first.sigmas, second.sigmas):
             assert np.array_equal(a, b)
+
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-7, 0.0])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tolerance):
+        # a NaN would accept any backend solution (residual > nan is False)
+        game, rooted = root_with_children([np.eye(2)])
+        uset = enumerate_uniform(2, 1)
+        inst = instance_for(game, rooted, {1: [0, 1]}, E1, 0.5, uset)
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_feasibility(inst, tolerance)
+
+
+def path_with_leaf(matrix):
+    """Path 0-1 rooted at 0; the leaf 1 earns ``matrix`` against its parent."""
+    game = game_from_matrices(2, 2, [(0, 1, np.zeros((2, 2)), np.asarray(matrix, dtype=float))])
+    return game, validate_and_root(game, 0)
+
+
+class TestChildlessProgram:
+    """A leaf's program has no variables: it is decided without the backend."""
+
+    def test_feasible_exactly_when_y_is_a_half_epsilon_best_response(self):
+        game, rooted = path_with_leaf(np.eye(2))
+        uset = enumerate_uniform(2, 2)
+        epsilon = 0.6  # regrets here are 0, 0.5 or 1: 0.5 is an eps- but not an eps/2-best response
+        outcomes = set()
+        for z in uset.probs:
+            for y in uset.probs:
+                inst = build_lp(game, rooted, 1, 0, z, y, {}, uset, epsilon)
+                assert inst.num_variables == 0
+                frac = solve_feasibility(inst)
+                expected = is_epsilon_best_response(game, 1, y, {0: z}, epsilon / 2.0)
+                assert (frac is not None) == expected
+                if frac is not None:
+                    assert frac.child_ids == () and frac.alphas == () and frac.sigmas == ()
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_rounding_returns_the_empty_extension_exactly_when_y_is_an_epsilon_best_response(
+        self,
+    ):
+        game, rooted = path_with_leaf(np.eye(2))
+        uset = enumerate_uniform(2, 2)
+        epsilon = 0.6
+        empty = FractionalExtension((), (), (), (), ())
+        outcomes = set()
+        for z in uset.probs:
+            for y in uset.probs:
+                ext = round_extension(game, rooted, 1, z, y, empty, epsilon, 5, 4)
+                expected = is_epsilon_best_response(game, 1, y, {0: z}, epsilon)
+                assert ext == (Extension((), ()) if expected else None)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+
+@pytest.fixture(params=["dense", "sparse"])
+def simplex_form(request, monkeypatch):
+    """Force the dense or the sparse simplex rows, whatever the program's size."""
+    limit = math.inf if request.param == "dense" else 0
+    monkeypatch.setattr(lp_module, "_SPARSE_SIMPLEX_MIN_SIZE", limit)
+    return request.param
+
+
+def fake_backend(monkeypatch, status=0, x=None):
+    """Make the backend return a chosen result; return the list of its calls."""
+    calls = []
+
+    def linprog(c, **kwargs):
+        calls.append(kwargs)
+        return OptimizeResult(status=status, x=None if x is None else np.array(x), message="chosen")
+
+    monkeypatch.setattr(lp_module, "linprog", linprog)
+    return calls
+
+
+class TestPostSolve:
+    """The checks after the backend, on both forms of the simplex rows."""
+
+    @staticmethod
+    def instance():
+        # zero payoffs: every best-response row reads 0 <= eps/2
+        game = zero_game(3, [(0, 1), (0, 2)])
+        rooted = validate_and_root(game, 0)
+        uset = enumerate_uniform(2, 2)
+        return instance_for(game, rooted, {1: [0, 1, 2], 2: [0, 2]}, UNIFORM, 0.4, uset)
+
+    def test_forms_reach_the_backend_as_forced(self, simplex_form, monkeypatch):
+        calls = fake_backend(monkeypatch, x=[0.2, 0.3, 0.5, 1.0, 0.0])
+        inst = self.instance()
+        assert (inst.a_eq is None) == (simplex_form == "sparse")
+        assert solve_feasibility(inst) is not None
+        assert issparse(calls[0]["A_eq"]) == (simplex_form == "sparse")
+        assert isinstance(calls[0]["A_ub"], np.ndarray)
+
+    def test_tiny_negatives_are_clamped_and_blocks_renormalised(self, simplex_form, monkeypatch):
+        x = np.array([-1e-12, 0.4, 0.6 + 1e-9, 1.0 + 2e-9, -3e-13])
+        fake_backend(monkeypatch, x=x)
+        frac = solve_feasibility(self.instance())
+        assert frac is not None
+        for alpha, block in zip(frac.alphas, (x[0:3], x[3:5])):
+            clamped = np.clip(block, 0.0, None)
+            assert np.array_equal(alpha, clamped / clamped.sum())
+        assert frac.alphas[0][0] == 0.0 and frac.alphas[1].tolist() == [1.0, 0.0]
+        for alpha, probs, sigma in zip(frac.alphas, frac.candidate_probs, frac.sigmas):
+            assert np.array_equal(sigma, alpha @ probs)
+
+    def test_long_blocks_match_the_per_block_loop(self, simplex_form, monkeypatch):
+        # block totals are summed in another order than a per-block .sum() once
+        # a block has 8 or more weights, so the loop agrees within a few ulps
+        game = zero_game(3, [(0, 1), (0, 2)])
+        rooted = validate_and_root(game, 0)
+        uset = enumerate_uniform(2, 39)
+        inst = instance_for(game, rooted, {1: range(40), 2: range(3, 28)}, UNIFORM, 0.4, uset)
+        x = np.random.default_rng(2).random(inst.num_variables) - 0.01
+        fake_backend(monkeypatch, x=x)
+        frac = solve_feasibility(inst)
+        assert frac is not None
+        for alpha, sl in zip(frac.alphas, inst.alpha_slices):
+            block = np.clip(x[sl], 0.0, None)
+            np.testing.assert_allclose(alpha, block / block.sum(), rtol=8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("block", [[0.0, 0.0], [-1e-12, 0.0]])
+    def test_a_block_summing_to_at_most_zero_is_infeasible(
+        self, simplex_form, monkeypatch, caplog, block
+    ):
+        fake_backend(monkeypatch, x=[0.2, 0.3, 0.5, *block])
+        with caplog.at_level("WARNING", logger="treenash.lp"):
+            assert solve_feasibility(self.instance()) is None
+        assert "degenerate mixture block" in caplog.text
+
+    @pytest.mark.parametrize("status", [1, 3, 4])
+    def test_a_backend_failure_is_infeasible_with_a_warning(
+        self, simplex_form, monkeypatch, caplog, status
+    ):
+        fake_backend(monkeypatch, status=status)
+        with caplog.at_level("WARNING", logger="treenash.lp"):
+            assert solve_feasibility(self.instance()) is None
+        assert "numerical failure" in caplog.text
+
+    def test_status_two_is_infeasible_without_a_warning(self, simplex_form, monkeypatch, caplog):
+        fake_backend(monkeypatch, status=2)
+        with caplog.at_level("WARNING", logger="treenash.lp"):
+            assert solve_feasibility(self.instance()) is None
+        assert caplog.text == ""
+
+    def test_max_residual_reports_an_unnormalised_block(self, simplex_form):
+        inst = self.instance()
+        frac = FractionalExtension(
+            child_ids=inst.child_ids,
+            candidate_indices=inst.candidate_indices,
+            candidate_probs=inst.candidate_probs,
+            alphas=(np.array([0.2, 0.3, 0.5]), np.array([0.25, 0.25])),
+            sigmas=(UNIFORM, UNIFORM),
+        )
+        assert max_residual(inst, frac) == 0.5
+        frac.alphas = (np.array([0.2, 0.3, 0.5]), np.array([1.0, 0.0]))
+        assert max_residual(inst, frac) == 0.0
+
+
+class TestWideProgram:
+    """A 300-leaf star root program, above the size where the rows go sparse."""
+
+    @staticmethod
+    def instance():
+        m, d = 3, 300
+        game = random_normalized_game(d + 1, m, 0.5, topology=star_edges(d + 1), rng_seed=4)
+        rooted = validate_and_root(game, 0)
+        uset = enumerate_uniform(m, 3)
+        rng = np.random.default_rng(4)
+        cand = {
+            c: np.sort(rng.choice(len(uset), size=int(rng.integers(5, 10)), replace=False))
+            for c in range(1, d + 1)
+        }
+        # y best-responds to the candidates' average mixtures, so the program is feasible
+        v = sum(game.matrix(0, c) @ uset.probs[cand[c]].mean(axis=0) for c in cand)
+        y = np.eye(m)[int(np.argmax(v))]
+        return lambda: instance_for(game, rooted, cand, y, 0.5, uset)
+
+    def test_dense_and_sparse_forms_return_the_same_alphas(self, monkeypatch):
+        build = self.instance()
+        sparse = build()
+        assert sparse.a_eq is None  # d * n is far above the default size
+        monkeypatch.setattr(lp_module, "_SPARSE_SIMPLEX_MIN_SIZE", math.inf)
+        dense = build()
+        assert dense.a_eq is not None
+        first, second = solve_feasibility(sparse), solve_feasibility(dense)
+        assert first is not None and second is not None
+        assert len(first.alphas) == 300
+        for a, b in zip(first.alphas, second.alphas):
+            assert np.array_equal(a, b)
+
+    def test_sparse_simplex_rows_cover_each_childs_block(self, monkeypatch):
+        inst = self.instance()()
+        calls = []
+        real = lp_module.linprog
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lp_module, "linprog", recording)
+        assert solve_feasibility(inst) is not None
+        a_eq = calls[0]["A_eq"]
+        assert issparse(a_eq) and a_eq.shape == (300, inst.num_variables)
+        assert a_eq.nnz == inst.num_variables
+        rows = a_eq.toarray()
+        assert set(np.unique(rows)) == {0.0, 1.0}
+        for i, sl in enumerate(inst.alpha_slices):
+            assert np.array_equal(np.flatnonzero(rows[i]), np.arange(sl.start, sl.stop))
 
 
 class TestRoundExtension:
