@@ -296,7 +296,8 @@ def round_extension(
     tuple makes y an epsilon-best response (checked directly), or give up.
 
     Sampling is reproducible from ``rng_seed``; the generator is owned by this
-    call and never shared. Returns None after ``max_tries`` failures, which
+    call and never shared. Returns None after ``max_tries`` failures (one for
+    a program without children, whose empty tuple is the only draw), which
     signals the caller to fall back to exhaustive search.
     """
     parent = rooted.parent[player]
@@ -308,7 +309,8 @@ def round_extension(
     fixed = {parent: np.asarray(z, dtype=np.float64)} if parent is not None else {}
     if stats is not None:
         stats.rounding_calls += 1
-    for _ in range(max_tries):
+    # a childless program draws nothing, so its one check is deterministic
+    for _ in range(max_tries if d else 1):
         draws = rng.random(d)
         positions = [
             min(int(np.searchsorted(cums[i], draws[i], side="right")), len(cums[i]) - 1)

@@ -3,20 +3,21 @@
 For every parent-child edge and every parent strategy z on the uniform grid,
 the masks record which child strategies y extend into a partial equilibrium
 of the child's subtree; backtracking recovers the witness of each (z, y) it
-visits. Every player, the root included, decides one strategy y at a time
-against all its parent strategies at once, with one routine; the root's
-parent has a single, payoff-free strategy. Candidate sets depend on y alone,
-and z enters only through the payoff row A[player, parent] @ z.
+visits. Every player, the root included, decides its strategies y in
+ascending groups, each y against all its parent strategies at once, with one
+routine; the root's parent has a single, payoff-free strategy, and the root
+takes one y at a time to stop at its first hit. Candidate sets depend on y
+alone, and z enters only through the payoff row A[player, parent] @ z.
 
-Below the LP threshold, one exhaustive scan decides every parent strategy of
-a y: it walks the candidate product in canonical order, in blocks that double
-in size, and each row leaves at its first hit, computed with
-``action_payoffs``' own arithmetic. Players with many children take the LP
-route (LP, randomized rounding, exhaustive fallback) for the lowest pending
-row only; each witness it finds, and the player's witness carried from the
-previous y, is tried on every pending row by the same scan over that one
-tuple. Every returned profile is re-verified, so randomness can only affect
-running time, never correctness.
+Below the LP threshold, one exhaustive scan decides every (z, y) pair of a
+group: it walks each y's candidate product in canonical order, all in the
+same blocks that double in size, and each pair leaves at its first hit,
+computed with ``action_payoffs``' own arithmetic. Players with many children
+take the LP route (LP, randomized rounding, exhaustive fallback) one y at a
+time, for the lowest pending row only; each witness it finds, and the
+player's witness carried from the previous y, is tried on every pending row
+by the same scan over that one tuple. Every returned profile is re-verified,
+so randomness can only affect running time, never correctness.
 
 Every payoff row A[player, neighbour] @ x of a solve comes from one table,
 built by one stacked matmul in ``build_tables``; leaf masks, scans, the root
@@ -178,6 +179,21 @@ class CandidateTables:
         strategy with the given index."""
         return np.flatnonzero(self.masks[child][parent_strategy_index])
 
+    def candidate_rows(
+        self, children: Sequence[int], parent_strategy_indices: np.ndarray
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """``candidate_set`` of every child for every given parent strategy
+        at once: per child an array with one row per strategy, whose first
+        ``sizes[child position, row]`` entries are that set (the rest of the
+        row holds other indices), and ``sizes``."""
+        rows = [self.masks[c].take(parent_strategy_indices, axis=0) for c in children]
+        masks = np.array(rows, dtype=bool)
+        masks = masks.reshape(len(children), len(parent_strategy_indices), self.num_strategies)
+        sizes = masks.sum(axis=2)
+        # a stable sort puts each row's candidates first, in ascending order
+        order = np.argsort(~masks, axis=2, kind="stable")
+        return [lists[:, :width] for lists, width in zip(order, sizes.max(axis=1).tolist())], sizes
+
     def rows_of(self, player: int, parent: int | None) -> tuple[list[np.ndarray], np.ndarray]:
         """``player``'s payoff rows under ``parent``: one array per child,
         ascending, with the rows ``A[player, child] @ x`` of every grid
@@ -227,10 +243,20 @@ def _leaf_masks(payoffs: np.ndarray, uset: UniformStrategySet, epsilon: float) -
 
 
 # One block of a scan holds at most this many values: the float64 payoffs of
-# every pending row for the block's tuples, the gathered child rows and the
-# index arrays, or of a block of leaf mask rows against every y. It bounds
+# every pending (z, y) pair for the block's tuples, the gathered child rows and
+# the index arrays, or of a block of leaf mask rows against every y. It bounds
 # memory, not the scan size.
 _VECTORIZE_ELEMENT_LIMIT = 8_000_000
+
+# build_tables decides a player's strategies y in groups whose first scan
+# block (one tuple for each (z, y) pair) holds at most about this many values,
+# counted as in first_witnesses' block sizing. Measured on a 2-vCPU host with
+# one solve per process: at the theoretical-grid path n=3, m=2, eps=0.8
+# (K=241) ru_maxrss rose 2.0 MB with groups of one y and of up to 2^16
+# values, 3.4 MB at 2^17 and 9.4 MB with all 241 y's in one group; a path n=4
+# at K=711 rose 12.1 MB at 2^16 and 77 MB in one group. Of 2^14 to 2^17, 2^16
+# solved the first fastest (7.5 ms, against 25 ms with one y per group).
+_GROUP_ELEMENT_LIMIT = 2**16
 
 
 def first_witnesses(
@@ -238,77 +264,100 @@ def first_witnesses(
     player: int,
     parent: int | None,
     bases: np.ndarray,
-    y_index: int,
+    y_indices: Sequence[int],
     children: list[int],
-    candidate_lists: list[np.ndarray],
+    candidates: list[np.ndarray],
+    sizes: np.ndarray,
     rows: Sequence[np.ndarray],
     uset: UniformStrategySet,
     epsilon: float,
     cap: int | float,
     stats: SolveStats | None = None,
 ) -> np.ndarray:
-    """For every parent payoff row ``bases[r]`` (``A[player, parent] @ z``),
-    the flat C-order index into the children's candidate product of its first
-    tuple against which (with z) y is an epsilon-best response, or -1.
-    ``children`` must be ascending, as in RootedTree; ``rows[i]`` holds the
-    payoff rows ``A[player, children[i]] @ x`` by strategy index x, as
+    """For every parent payoff row ``bases[r]`` (``A[player, parent] @ z``)
+    and every strategy ``y_indices[g]``, the flat C-order index into y's
+    candidate product of its first tuple against which (with z) y is an
+    epsilon-best response, or -1: an array of shape (rows, strategies).
+    Child i's candidates for ``y_indices[g]`` are the first ``sizes[i, g]``
+    entries of ``candidates[i][g]``, in scan order; the rest of that row is
+    ignored. ``CandidateTables.candidate_rows`` builds both. ``children``
+    must be ascending, as in RootedTree; ``rows[i]`` holds the payoff rows
+    ``A[player, children[i]] @ x`` by strategy index x, as
     ``CandidateTables.rows_of`` reads them from the payoff table.
     Deterministic.
 
-    The product is walked in flat-index blocks that start at one tuple and
-    double in size, each evaluated for every row still pending and capped by
-    ``_VECTORIZE_ELEMENT_LIMIT`` values. A row leaves at its first hit; a
-    player without children scans the single empty tuple. Each column sums
-    ``action_payoffs``' gemv terms in its order (ascending neighbour id, the
-    parent's base at its sorted place), so a hit is exactly an
-    ``is_epsilon_best_response`` acceptance. Raises CapExceeded if the
-    product set is larger than ``cap``.
+    Every y's product is walked in the same flat-index blocks, which start
+    at one tuple and double in size, end where the shortest product still
+    pending does, and are capped by ``_VECTORIZE_ELEMENT_LIMIT`` values.
+    Each block is evaluated for every (z, y) pair still pending, and a pair
+    leaves at its first hit; a player without children scans the single
+    empty tuple. Each column sums ``action_payoffs``' gemv terms in its order
+    (ascending neighbour id, the parent's base at its sorted place), so a
+    hit is exactly an ``is_epsilon_best_response`` acceptance. Raises
+    CapExceeded, naming the lowest such y, if a product set is larger than
+    ``cap``.
     """
+    num_rows, group = len(bases), len(y_indices)
     if stats is not None:
-        stats.exhaustive_calls += len(bases)
-    found = np.full(len(bases), -1, dtype=np.int64)
-    sizes = [len(c) for c in candidate_lists]
-    product_size = math.prod(sizes)
-    if product_size == 0:
-        return found
-    if product_size > cap:
+        stats.exhaustive_calls += num_rows * group
+    # float64 products are exact up to 2^53, far beyond any scan that ends
+    products = sizes.prod(axis=0, dtype=np.float64)
+    if products.max(initial=0) > cap:
+        g = int(np.argmax(products > cap))
         raise CapExceeded(
-            f"player {player}, strategy index {y_index}: candidate product of size "
-            f"{product_size} exceeds the exhaustive cap of {cap}"
+            f"player {player}, strategy index {y_indices[g]}: candidate product of size "
+            f"{math.prod(sizes[:, g].tolist())} exceeds the exhaustive cap of {cap}"
         )
 
     m = game.num_actions
-    y = uset.probs[y_index]
-    gathered = [child_rows[candidates] for child_rows, candidates in zip(rows, candidate_lists)]
+    # (take gathers rows far faster than indexing with a 2-D index array)
+    ys = uset.probs.take(y_indices, axis=0)
+    gathered = [child_rows.take(lists, axis=0) for child_rows, lists in zip(rows, candidates)]
     parent_at = 0 if parent is None else bisect_left(children, parent)
-    # Each child's position in a flat C-order index, by mixed-radix arithmetic
-    # (np.unravel_index stops at 64 dimensions, one per child)
-    radices = np.array(sizes, dtype=np.int64)[:, None]
-    strides = product_size // np.cumprod(radices)[:, None]
-    pending = np.arange(len(bases))
+    found = np.full(group * num_rows, -1, dtype=np.int64)
+    pending = np.arange(group * num_rows)  # y-major: pair g * num_rows + r
+    ends = sorted({int(size) for size in products.tolist()})  # where pairs run out of tuples
     start, block = 0, 1
-    while pending.size and start < product_size:
-        # per tuple: m payoffs per pending row, m per gathered child row, one
-        # position per child and the flat index
-        fits = _VECTORIZE_ELEMENT_LIMIT // ((pending.size + len(sizes)) * m + len(sizes) + 1)
-        count = min(block, product_size - start, max(1, fits))
-        positions = np.arange(start, start + count) // strides % radices
-        terms = [child_rows[pos] for child_rows, pos in zip(gathered, positions)]
-        terms.insert(parent_at, bases[pending][:, None, :])
+    while pending.size:
+        if start == ends[0]:
+            # the shortest products still pending are walked
+            ends.pop(0)
+            pending = pending[products[pending // num_rows] > start]
+            continue
+        pair_y, pair_r = np.divmod(pending, num_rows)
+        runs = np.bincount(pair_y)
+        active = np.flatnonzero(runs)  # the strategies with pending pairs
+        # per tuple and pending pair: m payoffs and a hit, and per child a
+        # gathered row of m and a position; and the flat index
+        fits = _VECTORIZE_ELEMENT_LIMIT // (pending.size * (len(sizes) + 1) * (m + 1) + 1)
+        count = min(block, ends[0] - start, max(1, fits))
+        # Each child's position in a flat C-order index, by mixed-radix
+        # arithmetic from the last child, which varies fastest, per active
+        # strategy (np.unravel_index stops at 64 dimensions, one per child)
+        terms, rest = [], np.arange(start, start + count)
+        for child_rows, radix in zip(gathered[::-1], sizes[::-1]):
+            rest, position = np.divmod(rest, radix[active, None])
+            terms.insert(0, child_rows[active[:, None], position])
+        if len(active) > 1:
+            # pairs are y-major: repeat each strategy's terms for its pairs
+            terms = [np.repeat(term, runs[active], axis=0) for term in terms]
+        terms.insert(parent_at, bases.take(pair_r, axis=0)[:, None, :])
         totals = terms[0]
         for term in terms[1:]:
             totals = totals + term
-        totals = totals.reshape(-1, m)
-        hits = (totals * y).sum(axis=1) >= totals.max(axis=1) - epsilon - BR_TOL
-        hits = hits.reshape(pending.size, count)
-        # Columns follow the canonical (C-order) tuple order, so a row's first
-        # hit is its canonical witness.
-        settled = np.flatnonzero(hits.any(axis=1))
-        found[pending[settled]] = start + hits[settled].argmax(axis=1)
-        pending = np.delete(pending, settled)
+        best = totals[..., 0]
+        for action in range(1, m):
+            best = np.maximum(best, totals[..., action])
+        utilities = (totals * ys.take(pair_y, axis=0)[:, None, :]).sum(axis=-1)
+        hits = utilities >= best - epsilon - BR_TOL
+        # Columns follow the canonical (C-order) tuple order, so a pair's
+        # first hit is its canonical witness.
+        settled = hits.any(axis=1)
+        found[pending] = np.where(settled, start + hits.argmax(axis=1), -1)
+        pending = pending[~settled]
         start += count
         block *= 2
-    return found
+    return found.reshape(group, num_rows).T
 
 
 def exhaustive_membership(
@@ -337,9 +386,10 @@ def exhaustive_membership(
     rows, bases = tables.rows_of(player, parent)
     if parent is not None:
         bases = bases[[z_index]]
-    [flat] = first_witnesses(
-        game, player, parent, bases, y_index, children, candidate_lists, rows, uset, epsilon,
-        cap, stats,
+    sizes = np.array([[len(c)] for c in candidate_lists], dtype=np.int64).reshape(-1, 1)
+    [[flat]] = first_witnesses(
+        game, player, parent, bases, [y_index], children, [c[None] for c in candidate_lists],
+        sizes, rows, uset, epsilon, cap, stats,
     ).tolist()
     if flat < 0:
         return None
@@ -398,70 +448,81 @@ def _decide_strategy(
     player: int,
     parent: int | None,
     bases: np.ndarray,
-    y_index: int,
+    y_indices: np.ndarray,
     tables: CandidateTables,
     uset: UniformStrategySet,
     config: SolverConfig,
     stats: SolveStats,
     rows: list[np.ndarray],
     latest: tuple[int, ...] | None,
-) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Decide strategy y of ``player`` under every parent payoff row
-    ``bases[z]``, given the children's payoff ``rows`` (both as
-    ``CandidateTables.rows_of`` returns them); return one hit per row, and
-    the witnesses the LP route tried, in order.
+) -> tuple[np.ndarray, list[list[tuple[int, ...]]]]:
+    """Decide the ascending strategies ``y_indices`` of ``player`` under
+    every parent payoff row ``bases[z]``, given the children's payoff
+    ``rows`` (both as ``CandidateTables.rows_of`` returns them); return the
+    hits, one row per z and one column per y, and per y the witnesses the LP
+    route tried, in order.
 
-    An empty candidate product decides every row without a count. Below
-    ``lp_threshold`` one ``first_witnesses`` call decides every row. On the LP
-    route, ``latest`` (from an earlier y) is tried first when it lies in y's
-    candidate product, then ``membership_test`` runs for the lowest pending
-    row; each witness is tried on every pending row by one ``first_witnesses``
-    call over that one tuple and settles the rows it hits. A tried tuple lies
-    in the candidate product, so the masks are those of the full scan.
+    A y with an empty candidate product is decided without a count. Below
+    ``lp_threshold`` one ``first_witnesses`` call decides every (z, y) pair
+    of the group. On the LP route the y's are decided in order: the latest
+    witness (``latest`` from before the group, then each y's) is tried first
+    when it lies in y's candidate product, then ``membership_test`` runs for
+    the lowest pending row; each witness is tried on every pending row by one
+    ``first_witnesses`` call over that one tuple and settles the rows it
+    hits. A tried tuple lies in the candidate product, so the masks are those
+    of the full scan.
     """
     children = rooted.children[player]
-    candidate_lists = [tables.candidate_set(c, y_index) for c in children]
-    hits = np.zeros(len(bases), dtype=bool)
-    tried: list[tuple[int, ...]] = []
-    if any(len(candidates) == 0 for candidates in candidate_lists):
-        return hits, tried
-    stats.membership_tests += len(bases)
+    candidates, sizes = tables.candidate_rows(children, y_indices)
+    hits = np.zeros((len(bases), len(y_indices)), dtype=bool)
+    tried: list[list[tuple[int, ...]]] = [[] for _ in y_indices]
+    decided = sizes.all(axis=0)
+    stats.membership_tests += len(bases) * int(decided.sum())
     if len(children) < config.effective_lp_threshold(game.num_actions):
-        found = first_witnesses(
-            game, player, parent, bases, y_index, children, candidate_lists, rows, uset,
-            config.epsilon, config.exhaustive_cap, stats,
-        )
-        return found >= 0, tried
-
-    pending = np.arange(len(bases))
-    witness = latest
-    if witness is not None and not all(
-        tables.masks[c][y_index, index] for c, index in zip(children, witness)
-    ):
-        witness = None
-    while pending.size:
-        if witness is None:
-            r, pending = int(pending[0]), pending[1:]
-            extension = membership_test(
-                game, rooted, player, parent, None if parent is None else r, y_index, tables,
-                uset, config, stats, candidate_lists,
+        if decided.any():
+            found = first_witnesses(
+                game, player, parent, bases, y_indices[decided], children,
+                [lists[decided] for lists in candidates], sizes[:, decided], rows, uset,
+                config.epsilon, config.exhaustive_cap, stats,
             )
-            if extension is None:
-                continue
-            witness = extension.strategy_indices
-            hits[r] = True
-        tried.append(witness)
-        if not pending.size:
-            break
-        single = [np.array([index]) for index in witness]
-        reused = first_witnesses(
-            game, player, parent, bases[pending], y_index, children, single, rows, uset,
-            config.epsilon, 1,
-        ) >= 0
-        hits[pending[reused]] = True
-        stats.reused_witnesses += int(reused.sum())
-        pending = pending[~reused]
-        witness = None
+            hits[:, decided] = found >= 0
+        return hits, tried
+
+    for g in np.flatnonzero(decided).tolist():
+        y_index = int(y_indices[g])
+        candidate_lists = [
+            lists[g, :size] for lists, size in zip(candidates, sizes[:, g].tolist())
+        ]
+        pending = np.arange(len(bases))
+        witness = latest
+        if witness is not None and not all(
+            tables.masks[c][y_index, index] for c, index in zip(children, witness)
+        ):
+            witness = None
+        while pending.size:
+            if witness is None:
+                r, pending = int(pending[0]), pending[1:]
+                extension = membership_test(
+                    game, rooted, player, parent, None if parent is None else r, y_index,
+                    tables, uset, config, stats, candidate_lists,
+                )
+                if extension is None:
+                    continue
+                witness = extension.strategy_indices
+                hits[r, g] = True
+            tried[g].append(witness)
+            latest = witness
+            if not pending.size:
+                break
+            single = np.array(witness).reshape(-1, 1, 1)
+            reused = first_witnesses(
+                game, player, parent, bases[pending], [y_index], children, list(single),
+                np.ones((len(children), 1), dtype=np.int64), rows, uset, config.epsilon, 1,
+            )[:, 0] >= 0
+            hits[pending[reused], g] = True
+            stats.reused_witnesses += int(reused.sum())
+            pending = pending[~reused]
+            witness = None
     return hits, tried
 
 
@@ -477,8 +538,10 @@ def build_tables(
     First builds the solve's ``payoff_table``, which every later step reads.
     Leaves get the direct best-response table, all leaves of one parent in
     one batch (``_leaf_masks``). An internal player decides its strategies y
-    in ascending order, each under every parent strategy at once
+    in ascending groups, each y under every parent strategy at once
     (``_decide_strategy``), carrying its latest LP-route witness from y to y.
+    A group holds as many y's as keep its first scan block within
+    ``_GROUP_ELEMENT_LIMIT`` values.
     """
     stats = stats if stats is not None else SolveStats()
     report = check_normalized(game, config.epsilon)
@@ -500,16 +563,22 @@ def build_tables(
             if not rooted.children[q]:
                 continue
             rows, bases = tables.rows_of(q, parent)
+            # the first scan block of a group holds (children + 1) * (m + 1)
+            # values per (z, y) pair (see first_witnesses)
+            pair_values = size * (len(rows) + 1) * (game.num_actions + 1)
+            group = max(1, _GROUP_ELEMENT_LIMIT // pair_values)
             latest = None  # the LP route's most recent witness for q
             mask = np.zeros((size, size), dtype=bool)
-            for y_index in range(size):
-                mask[:, y_index], tried = _decide_strategy(
-                    game, rooted, q, parent, bases, y_index, tables, uset, config, stats, rows,
+            for start in range(0, size, group):
+                y_indices = np.arange(start, min(start + group, size))
+                mask[:, y_indices], tried = _decide_strategy(
+                    game, rooted, q, parent, bases, y_indices, tables, uset, config, stats, rows,
                     latest,
                 )
-                if tried:
-                    tables.extensions[(q, y_index)] = tried
-                    latest = tried[-1]
+                for y_index, witnesses in zip(y_indices.tolist(), tried):
+                    if witnesses:
+                        tables.extensions[(q, y_index)] = witnesses
+                        latest = witnesses[-1]
             tables.masks[q] = mask
     return tables
 
@@ -567,9 +636,11 @@ def process_root(
     root = rooted.root
     rows, bases = tables.rows_of(root, None)
     for y_index in range(len(uset)):
-        # no earlier y has a witness, so there is none to carry
-        [hit], tried = _decide_strategy(
-            game, rooted, root, None, bases, y_index, tables, uset, config, stats, rows, None
+        # one y at a time, to stop at the first hit; no earlier y has a
+        # witness, so there is none to carry
+        [[hit]], [tried] = _decide_strategy(
+            game, rooted, root, None, bases, np.array([y_index]), tables, uset, config, stats,
+            rows, None,
         )
         if hit:
             indices = _recover_witness(rooted, tables, uset, root, None, y_index, tried)

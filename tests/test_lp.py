@@ -293,6 +293,23 @@ class TestChildlessProgram:
                 outcomes.add(expected)
         assert outcomes == {True, False}
 
+    def test_rounding_decides_with_one_sample(self):
+        # the empty tuple is the only draw, so a rejected y is not drawn again
+        game, rooted = path_with_leaf(np.eye(2))
+        uset = enumerate_uniform(2, 2)
+        z = uset.probs[0]
+        empty = FractionalExtension((), (), (), (), ())
+        outcomes = set()
+        for y in uset.probs:
+            stats = SolveStats()
+            ext = round_extension(game, rooted, 1, z, y, empty, 0.6, 5, 4, stats)
+            expected = is_epsilon_best_response(game, 1, y, {0: z}, 0.6)
+            assert ext == (Extension((), ()) if expected else None)
+            assert (stats.rounding_calls, stats.rounding_samples) == (1, 1)
+            assert stats.rounding_accepts == int(expected)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
 
 @pytest.fixture(params=["dense", "sparse"])
 def simplex_form(request, monkeypatch):

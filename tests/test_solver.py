@@ -304,17 +304,86 @@ class TestBuildTables:
                     assert np.array_equal(mask, tables.masks[q]), (seed, q)
                 assert witnesses == runs[0][1], seed
             # count scans whose product is larger than the block the limit of
-            # 60 allows with every parent row pending, so that the limit is
-            # known to cut some scans into several capped blocks
+            # 60 allows with every parent row of one y pending, so that the
+            # limit is known to cut some scans into several capped blocks
             tables = runs[0][0]
             for q in tables.masks:
                 children = rooted.children[q]
-                block = max(1, 60 // ((len(uset) + len(children)) * m + len(children) + 1))
+                block = max(1, 60 // (len(uset) * (len(children) + 1) * (m + 1) + 1))
                 for y_idx in range(tables.num_strategies):
                     sizes = [len(tables.candidate_set(c, y_idx)) for c in children]
                     if children and math.prod(sizes) > block:
                         split_scans += 1
         assert split_scans > 0
+
+    def test_tables_identical_for_every_group_size(self, monkeypatch):
+        # a group only decides several strategies y in one scan; each (z, y)
+        # pair keeps its own candidate product and canonical first hit, and
+        # the LP route walks a group's y's in order. So masks, witnesses,
+        # profiles and counters cannot depend on the group size. A limit of 1
+        # gives one y per group; 2 and 3 times the values one y of the player
+        # with the most children needs give that player 2 and 3 y's a group.
+        default = solver_module._GROUP_ELEMENT_LIMIT
+        cases = [
+            (8 + seed, 2 + seed % 2, 0.5, 1 + seed % 3, None, dict(lp_threshold=math.inf))
+            for seed in range(4)
+        ] + [
+            (6, 2, 0.5, 6, path_edges(6), dict(lp_threshold=math.inf, root=2)),
+            (5, 3, 0.5, 3, path_edges(5), dict(lp_threshold=math.inf)),
+            (12, 3, 0.1, 2, None, dict(lp_threshold=2, rng_seed=1)),
+            (11, 4, 0.1, 2, None, dict(lp_threshold=2, rng_seed=2)),
+            (14, 3, 0.5, 2, None, dict(lp_threshold=3, rng_seed=3)),
+        ]
+        groups = set()
+        original = solver_module.first_witnesses
+
+        def spy(game, player, parent, bases, y_indices, children, *args):
+            groups.add((len(y_indices), len(children)))
+            return original(game, player, parent, bases, y_indices, children, *args)
+
+        monkeypatch.setattr(solver_module, "first_witnesses", spy)
+        lp_stats = SolveStats()
+        for seed, (n, m, eps, b, topology, options) in enumerate(cases):
+            game = random_normalized_game(n, m, eps, topology=topology, rng_seed=seed)
+            rooted = validate_and_root(game, options.get("root", 0))
+            size = len(enumerate_uniform(m, b))
+            widest = max(len(children) for children in rooted.children)
+            pair_values = size * (widest + 1) * (m + 1)
+            runs = []
+            for limit in (1, 2 * pair_values, 3 * pair_values, default):
+                monkeypatch.setattr(solver_module, "_GROUP_ELEMENT_LIMIT", limit)
+                rooted, uset, tables, config, stats = tables_for(game, eps, b, **options)
+                y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
+                profile = backtrack(rooted, tables, y_idx, ext, uset)
+                runs.append((
+                    {q: mask.tobytes() for q, mask in tables.masks.items()},
+                    recovered_witnesses(rooted, uset, tables),
+                    [uset.index_of(strategy) for strategy in profile],
+                    stats,
+                ))
+            for run in runs[1:]:
+                assert run == runs[0], (seed, n, m, b)
+            if options["lp_threshold"] != math.inf:
+                lp_stats.fallbacks += stats.fallbacks
+                lp_stats.reused_witnesses += stats.reused_witnesses
+        assert lp_stats.fallbacks > 0 and lp_stats.reused_witnesses > 0
+        # one-y, two-y and three-y groups, and groups over several children
+        assert {1, 2, 3} <= {size for size, _ in groups}
+        assert any(size > 1 and children > 1 for size, children in groups)
+
+    def test_cap_exceeded_names_the_same_strategy_for_every_group_size(self, monkeypatch):
+        # player 3's strategy 0 fits the cap and strategy 1 does not; both lie
+        # in one group at the default size
+        game = random_normalized_game(13, 3, 0.5, rng_seed=3)
+        config = SolverConfig(epsilon=0.5, b_override=2, lp_threshold=math.inf, exhaustive_cap=4)
+        for limit in (1, solver_module._GROUP_ELEMENT_LIMIT):
+            monkeypatch.setattr(solver_module, "_GROUP_ELEMENT_LIMIT", limit)
+            with pytest.raises(CapExceeded) as raised:
+                solve(game, config)
+            assert str(raised.value) == (
+                "player 3, strategy index 1: candidate product of size 6 exceeds the "
+                "exhaustive cap of 4"
+            )
 
     # sha256 prefixes of the masks, the sorted map of every true internal
     # cell's recovered witness and the profile's grid indices of seeded
@@ -456,6 +525,12 @@ def first_hit_by_brute_force(game, player, parent, children, z_idx, y_idx, candi
     return -1, None
 
 
+def one_strategy(lists):
+    """``first_witnesses``' candidates and sizes for one strategy y whose
+    children's candidate lists are ``lists``."""
+    return [c[None] for c in lists], np.array([len(c) for c in lists]).reshape(-1, 1)
+
+
 class TestFirstWitnesses:
     LIMITS = [solver_module._VECTORIZE_ELEMENT_LIMIT, 60, 1]
 
@@ -490,9 +565,9 @@ class TestFirstWitnesses:
             children = rooted.children[q]
             stats = SolveStats()
             rows = first_witnesses(
-                game, q, parent, bases, y_idx, children, lists, edge_rows, uset, epsilon, 10**6,
-                stats,
-            )
+                game, q, parent, bases, [y_idx], children, *one_strategy(lists), edge_rows, uset,
+                epsilon, 10**6, stats,
+            )[:, 0]
             assert stats.exhaustive_calls == len(z_indices)
             childless += not children
             empty += any(len(c) == 0 for c in lists)
@@ -510,6 +585,57 @@ class TestFirstWitnesses:
                     assert single.strategy_indices == expected
                     assert single.child_ids == tuple(children)
         assert childless > 0 and empty > 0
+
+    @pytest.mark.parametrize("limit", LIMITS, ids=["default", "60", "1"])
+    def test_a_group_matches_its_strategies_one_by_one(self, limit, monkeypatch):
+        # every strategy of a player in one call, empty products and products
+        # of different sizes included, against one call per strategy
+        monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
+        mixed = 0
+        for seed in range(12):
+            n, m, b = 4 + seed % 5, 2 + seed % 2, 1 + seed % 2
+            epsilon = (0.5, 0.05)[seed % 2]
+            game = random_normalized_game(n, m, 0.5, rng_seed=seed)
+            rooted, uset, tables, _, _ = tables_for(game, epsilon, b, lp_threshold=math.inf)
+            y_indices = np.arange(len(uset))
+            for q in range(n):
+                parent, children = rooted.parent[q], rooted.children[q]
+                edge_rows, bases = tables.rows_of(q, parent)
+                candidates, sizes = tables.candidate_rows(children, y_indices)
+                stats = SolveStats()
+                found = first_witnesses(
+                    game, q, parent, bases, y_indices, children, candidates, sizes, edge_rows,
+                    uset, epsilon, 10**6, stats,
+                )
+                assert found.shape == (len(bases), len(uset))
+                assert stats.exhaustive_calls == found.size
+                for y_idx in y_indices:
+                    lists = [tables.candidate_set(c, y_idx) for c in children]
+                    single = first_witnesses(
+                        game, q, parent, bases, [y_idx], children, *one_strategy(lists),
+                        edge_rows, uset, epsilon, 10**6,
+                    )
+                    assert np.array_equal(found[:, [y_idx]], single), (seed, q, y_idx)
+                products = set(sizes.prod(axis=0).tolist())
+                mixed += 0 in products and len(products) > 2
+        assert mixed > 0
+
+    def test_cap_exceeded_names_the_lowest_strategy_over_the_cap(self):
+        # products 4, 9 and 8 against a cap of 7: strategies 1 and 2 are over
+        game = zero_game(3, star_edges(3))
+        uset = enumerate_uniform(2, 2)
+        table = solver_module.payoff_table(game, uset)
+        lists = [np.tile(np.arange(3), (3, 1))] * 2
+        sizes = np.array([[2, 3, 2], [2, 3, 4]])
+        with pytest.raises(CapExceeded) as raised:
+            first_witnesses(
+                game, 0, None, np.zeros((1, 2)), [0, 1, 2], [1, 2], lists, sizes,
+                list(table[game.offsets[0]:game.offsets[1]]), uset, 0.5, 7,
+            )
+        assert str(raised.value) == (
+            "player 0, strategy index 1: candidate product of size 9 exceeds the "
+            "exhaustive cap of 7"
+        )
 
     def test_hit_exactly_when_the_scalar_check_accepts_at_its_boundary(self):
         # The scan has no scalar confirm, so its payoff sums must round like
@@ -555,9 +681,9 @@ class TestFirstWitnesses:
                         assert accepts(high) and not accepts(low)
                         bases = parent_rows if parent is None else parent_rows[[z_idx]]
                         for eps in (high, low):
-                            [row] = first_witnesses(
-                                game, q, parent, bases, y_idx, children, lists, edge_rows,
-                                uset, eps, 10**6,
+                            [[row]] = first_witnesses(
+                                game, q, parent, bases, [y_idx], children,
+                                *one_strategy(lists), edge_rows, uset, eps, 10**6,
                             )
                             flat, _ = first_hit_by_brute_force(
                                 game, q, parent, children, z_idx, y_idx, lists, uset, eps
@@ -570,13 +696,19 @@ class TestFirstWitnesses:
     def test_counters_keep_their_per_pair_meaning(self, monkeypatch):
         game = random_normalized_game(10, 2, 0.5, rng_seed=3)
         counted = []
-        original = CandidateTables.candidate_set
+        original_set = CandidateTables.candidate_set
+        original_rows = CandidateTables.candidate_rows
 
         def candidate_set(self, child, parent_strategy_index):
-            counted.append(child)
-            return original(self, child, parent_strategy_index)
+            counted.append((child, parent_strategy_index))
+            return original_set(self, child, parent_strategy_index)
+
+        def candidate_rows(self, children, parent_strategy_indices):
+            counted.extend(itertools.product(children, parent_strategy_indices.tolist()))
+            return original_rows(self, children, parent_strategy_indices)
 
         monkeypatch.setattr(CandidateTables, "candidate_set", candidate_set)
+        monkeypatch.setattr(CandidateTables, "candidate_rows", candidate_rows)
         for threshold in (math.inf, 2):
             counted.clear()
             rooted, uset, tables, _, stats = tables_for(game, 0.5, 2, lp_threshold=threshold)
@@ -596,7 +728,12 @@ class TestFirstWitnesses:
             assert stats.lp_calls + stats.reused_witnesses == pairs(lp_players)
             assert stats.exhaustive_calls == batched + stats.fallbacks
             # one candidate list per child and strategy y, on either route
-            assert len(counted) == len(uset) * sum(len(rooted.children[q]) for q in internal)
+            assert sorted(counted) == sorted(
+                (c, y_idx)
+                for q in internal
+                for c in rooted.children[q]
+                for y_idx in range(len(uset))
+            )
         assert stats.lp_calls > 0 and batched > 0
 
     def test_payoff_rows_built_once_per_edge(self, monkeypatch):
@@ -639,13 +776,16 @@ class TestFirstWitnesses:
                 reused += stats.reused_witnesses
         assert fallbacks > 0 and reused > 0
 
-    @pytest.mark.parametrize("num_rows", [1, 3], ids=["one-row", "every-row"])
-    def test_blocks_hold_at_most_the_limit_of_values(self, num_rows, monkeypatch):
-        # A block holds, per tuple, m payoffs per pending row, one gathered
-        # (tuple, m) row per child, one position per child and the flat
-        # index. The reads of the gathered child rows and of the pending
-        # bases are recorded, so every block's real shapes are counted. A
-        # negative epsilon hits nothing, so the whole product is walked.
+    @pytest.mark.parametrize(
+        "num_rows, strategies", [(1, 1), (3, 3)], ids=["one-row", "every-row"]
+    )
+    def test_blocks_hold_at_most_the_limit_of_values(self, num_rows, strategies, monkeypatch):
+        # A block holds, per tuple and pending (z, y) pair, m payoffs and a
+        # hit, and at most one gathered row of m and one position per child;
+        # and the flat index. The reads of the gathered child rows and of the pending bases
+        # are recorded, so every block's real shapes are counted. A negative
+        # epsilon hits nothing, so every product is walked, and the
+        # strategies' products differ, so some pairs run out before others.
         limit = 2000
         monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
         reads = []
@@ -657,12 +797,12 @@ class TestFirstWitnesses:
                 return out
 
         class EdgeRows(np.ndarray):
-            def __getitem__(self, key):
-                return np.asarray(self).__getitem__(key).view(BlockRows)
+            def take(self, *args, **kwargs):
+                return np.asarray(self).take(*args, **kwargs).view(BlockRows)
 
         class Bases(np.ndarray):
-            def __getitem__(self, key):
-                out = np.asarray(self).__getitem__(key)
+            def take(self, *args, **kwargs):
+                out = np.asarray(self).take(*args, **kwargs)
                 reads.append(("bases", out.shape))
                 return out
 
@@ -671,27 +811,34 @@ class TestFirstWitnesses:
         uset = enumerate_uniform(m, 1)
         table = solver_module.payoff_table(game, uset)
         children = list(range(1, n))
-        lists = [np.arange(len(uset))] * len(children)
+        d = len(children)
+        lists = [np.tile(np.arange(len(uset)), (strategies, 1))] * d
+        sizes = np.full((d, strategies), len(uset))
+        sizes[-1] -= np.arange(strategies)  # the last child loses a candidate per strategy
         bases = np.zeros((num_rows, m)).view(Bases)
         # the hub's slots hold its neighbours, the children, in ascending order
         edge_rows = table[game.offsets[0]:game.offsets[1]]
         found = first_witnesses(
-            game, 0, None, bases, 0, children, lists,
+            game, 0, None, bases, list(range(strategies)), children, lists, sizes,
             [rows.view(EdgeRows) for rows in edge_rows], uset, -1.0, 10**6,
         )
-        assert found.tolist() == [-1] * num_rows
-        d = len(children)
+        assert found.shape == (num_rows, strategies) and (found == -1).all()
         blocks = [reads[i:i + d + 1] for i in range(0, len(reads), d + 1)]
-        tuples = 0
+        walked = 0
         for block in blocks:
             assert [kind for kind, _ in block] == ["child"] * d + ["bases"]
-            count, pending = block[0][1][0], block[-1][1][0]
-            assert all(shape == (count, m) for _, shape in block[:d])
-            tuples += count
-            values = pending * count * m + d * count * m + (d + 1) * count
+            # child rows are gathered once per strategy with pending pairs
+            active, count = block[0][1][:2]
+            pending = block[-1][1][0]
+            assert all(shape == (active, count, m) for _, shape in block[:d])
+            assert 1 <= active <= min(pending, strategies)
+            assert block[-1][1] == (pending, m)
+            walked += pending * count
+            values = pending * count * (m + 1) + d * pending * count * (m + 1) + count
             assert count == 1 or values <= limit, (count, pending)
-        assert tuples == len(uset) ** d
-        assert max(block[0][1][0] for block in blocks) > 1
+        # every pair walks its whole product, and no tuple past it
+        assert walked == num_rows * sizes.prod(axis=0).sum()
+        assert max(block[0][1][1] for block in blocks) > 1
 
     def test_cap_exceeded_on_a_batched_player(self, monkeypatch):
         # hub 1 under root 0 with three leaves: a product of 8 tuples per y
