@@ -10,6 +10,10 @@ substituted into the rows, so the weights are the only variables, and the
 objective is zero: the backend decides feasibility directly. Wide programs
 pass their simplex rows to the backend in sparse form. Every solution is then
 re-checked against the instance arrays within the tolerance.
+
+The work around the backend runs in array passes over all children at once,
+each with the bits of the per-child formula it replaces, so the programs, the
+draws and the witnesses are those of a loop over the children.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from itertools import accumulate
+from operator import getitem
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -98,6 +104,28 @@ class Extension:
     strategy_indices: tuple[int, ...]
 
 
+def _payoff_slots(game: TreePolymatrixGame, player: int, neighbors) -> np.ndarray:
+    """The slots of ``game.payoffs`` that hold ``A[player, q]``, one per given
+    neighbour q, in the given order; KeyError if one is not a neighbour."""
+    lo = game.offsets[player]
+    own = game.neighbor_ids[lo:game.offsets[player + 1]]
+    neighbors = np.asarray(neighbors, dtype=own.dtype)
+    at = own.searchsorted(neighbors)
+    if len(at) and (not len(own) or (own.take(at, mode="clip") != neighbors).any()):
+        raise KeyError((player, tuple(neighbors)))
+    return lo + at
+
+
+def _padded_rows(rows: Sequence[np.ndarray], fill) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D ``rows`` as the rows of one 2-D array, in order, each padded
+    with ``fill`` to the longest; and the rows' lengths."""
+    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    flat = np.concatenate(rows) if len(rows) else np.empty(0)
+    padded = np.full((len(rows), sizes.max(initial=0)), fill, dtype=flat.dtype)
+    padded[np.arange(padded.shape[1]) < sizes[:, None]] = flat
+    return padded, sizes
+
+
 def build_lp(
     game: TreePolymatrixGame,
     rooted: RootedTree,
@@ -113,7 +141,10 @@ def build_lp(
 
     ``candidate_sets`` maps each child to the canonical indices of its
     candidates; when the player is the root, ``parent`` and ``z`` are omitted
-    and the parent terms vanish.
+    and the parent terms vanish. Child c's block of best-response rows is
+    ``(A[player, c] - y @ A[player, c]) @ X_c^T`` bit for bit, taken from one
+    stacked product over all children and grid strategies; the candidates'
+    strategies (``candidate_probs``) are views of one gathered array.
     """
     children = rooted.children[player]
     if set(candidate_sets) != set(children):
@@ -128,37 +159,52 @@ def build_lp(
         base = game.matrix(player, parent) @ np.asarray(z, dtype=np.float64)
 
     cand_idx = tuple(np.asarray(candidate_sets[c], dtype=np.int64) for c in children)
-    cand_probs = tuple(uset.probs[idx] for idx in cand_idx)
+    sizes = [len(idx) for idx in cand_idx]
+    bounds = list(accumulate(sizes, initial=0))
+    alpha_slices = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *cand_idx])
+    probs = uset.probs[flat]  # every child's candidates, in child order
     common = dict(
         player=player,
         parent=parent,
         child_ids=tuple(children),
         candidate_indices=cand_idx,
-        candidate_probs=cand_probs,
+        candidate_probs=tuple(probs[sl] for sl in alpha_slices),
         strategy=y,
         base_payoffs=base,
         epsilon=epsilon,
     )
-    empty = tuple(c for c, idx in zip(children, cand_idx) if len(idx) == 0)
+    empty = tuple(c for c, size in zip(children, sizes) if size == 0)
     if empty:
         return LpInstance(**common, empty_children=empty)
 
-    offsets = np.cumsum([0] + [len(idx) for idx in cand_idx])
-    alpha_slices = tuple(slice(int(lo), int(hi)) for lo, hi in zip(offsets[:-1], offsets[1:]))
-    num_vars = int(offsets[-1])
-
+    num_vars = bounds[-1]
+    owners = np.repeat(np.arange(len(children)), sizes)  # each variable's child
     a_eq = None
     if len(children) * num_vars <= _SPARSE_SIMPLEX_MIN_SIZE:
+        # each child's mixture weights sum to one
         a_eq = np.zeros((len(children), num_vars))
-        for i, sl in enumerate(alpha_slices):  # each child's mixture weights sum to one
-            a_eq[i, sl] = 1.0
+        a_eq[owners, np.arange(num_vars)] = 1.0
 
     # Best-response rows, rearranged to <= form with sigma_c = X_c^T alpha_c:
     #   sum_c (e_j - y)^T A[player,c] X_c^T alpha_c <= (y - e_j)^T base + epsilon/2
-    a_ub = np.empty((m, num_vars))
-    for i, c in enumerate(children):
-        a_c = game.matrix(player, c)
-        a_ub[:, alpha_slices[i]] = (a_c - y @ a_c) @ cand_probs[i].T
+    # One stacked product over the children's payoff slots gives every child's
+    # (A_c - y @ A_c) @ x for every grid strategy x, with the bits of the
+    # per-child product (A_c - y @ A_c) @ X_c^T, and each child's candidate
+    # columns are gathered from it. Its d * m * K float64 values take fewer
+    # bytes than the d * K * K mask cells the candidate sets come from once
+    # K > 8m.
+    mats = game.payoffs[_payoff_slots(game, player, children)]
+    diffs = mats - (y @ mats)[:, None, :]
+    # Kept row-major: ``_residual`` reads it with a gemv, which sums the rows
+    # of a column-major array in another order.
+    a_ub = np.ascontiguousarray((diffs @ uset.probs.T).transpose(1, 0, 2)[:, owners, flat])
+    # numpy multiplies by a single column with gemv, which rounds differently
+    # from gemm: a one-candidate child's column is its own stacked gemv
+    single = [i for i, size in enumerate(sizes) if size == 1]
+    if single:
+        columns = [bounds[i] for i in single]
+        a_ub[:, columns] = (diffs[single] @ probs[columns, :, None])[..., 0].T
     b_ub = mixed_payoff(y, base) - base + epsilon / 2.0
 
     return LpInstance(
@@ -296,29 +342,34 @@ def round_extension(
     tuple makes y an epsilon-best response (checked directly), or give up.
 
     Sampling is reproducible from ``rng_seed``; the generator is owned by this
-    call and never shared. Returns None after ``max_tries`` failures (one for
-    a program without children, whose empty tuple is the only draw), which
-    signals the caller to fall back to exhaustive search.
+    call and never shared. Each sample draws ``rng.random(d)``, one number
+    per child, and takes in each child the candidate at which the running sum
+    of its weights first exceeds its draw, or its last candidate when the
+    draw reaches the total: the clamped ``searchsorted(cumsum, draw,
+    side="right")``, found for all children by one count over padded rows.
+    Returns None after ``max_tries`` failures (one for a program without
+    children, whose empty tuple is the only draw), which signals the caller
+    to fall back to exhaustive search.
     """
     parent = rooted.parent[player]
     if parent is not None and z is None:
         raise ValueError(f"player {player} has a parent; z is required")
     rng = np.random.default_rng(rng_seed)
     d = len(frac.child_ids)
-    cums = [np.cumsum(a) for a in frac.alphas]
+    # a padded entry repeats its row's total: a draw counts it only when it
+    # counts the last candidate too, and the clamp takes that candidate
+    weights, sizes = _padded_rows(frac.alphas, 0.0)
+    cums, last = np.cumsum(weights, axis=1), sizes - 1
     fixed = {parent: np.asarray(z, dtype=np.float64)} if parent is not None else {}
     if stats is not None:
         stats.rounding_calls += 1
     # a childless program draws nothing, so its one check is deterministic
     for _ in range(max_tries if d else 1):
         draws = rng.random(d)
-        positions = [
-            min(int(np.searchsorted(cums[i], draws[i], side="right")), len(cums[i]) - 1)
-            for i in range(d)
-        ]
+        positions = np.minimum((cums <= draws[:, None]).sum(axis=1), last).tolist()
+        chosen = map(getitem, frac.candidate_probs, positions)
         neighbor_strategies = dict(fixed)
-        for i, c in enumerate(frac.child_ids):
-            neighbor_strategies[c] = frac.candidate_probs[i][positions[i]]
+        neighbor_strategies.update(zip(frac.child_ids, chosen))
         if stats is not None:
             stats.rounding_samples += 1
         if is_epsilon_best_response(game, player, y, neighbor_strategies, epsilon):
@@ -326,9 +377,7 @@ def round_extension(
                 stats.rounding_accepts += 1
             return Extension(
                 child_ids=frac.child_ids,
-                strategy_indices=tuple(
-                    int(frac.candidate_indices[i][positions[i]]) for i in range(d)
-                ),
+                strategy_indices=tuple(map(int, map(getitem, frac.candidate_indices, positions))),
             )
     return None
 
@@ -344,16 +393,28 @@ def check_concentration_event(
     of its fractional expectation.
 
     Diagnostic only: the accept/reject path uses the direct best-response
-    check, which this event implies.
+    check, which this event implies. Both sides are computed for all children
+    in one pass, with the bits of a per-child loop that adds each child's
+    ``A[player, c] @ x`` to zeros in child order.
     """
     m = game.num_actions
-    sampled_payoffs = np.zeros(m)
-    expected_payoffs = np.zeros(m)
-    for i, c in enumerate(sampled.child_ids):
-        matrix = game.matrix(player, c)
-        hits = np.flatnonzero(frac.candidate_indices[i] == sampled.strategy_indices[i])
-        if len(hits) == 0:
-            raise ValueError(f"sampled strategy for child {c} is not a candidate")
-        sampled_payoffs += matrix @ frac.candidate_probs[i][int(hits[0])]
-        expected_payoffs += matrix @ frac.sigmas[i]
+    # each sampled index's first place among its child's candidates
+    sampled_at = np.reshape(sampled.strategy_indices, (-1, 1))
+    candidates, sizes = _padded_rows(frac.candidate_indices, -1)
+    hits = candidates == sampled_at
+    found = hits.any(axis=1)
+    if not found.all():
+        child = sampled.child_ids[int(np.argmin(found))]
+        raise ValueError(f"sampled strategy for child {child} is not a candidate")
+    probs = np.concatenate([np.empty((0, m)), *frac.candidate_probs])
+    mats = game.payoffs[_payoff_slots(game, player, sampled.child_ids)]
+    sampled_payoffs = _summed_payoffs(mats, probs[np.cumsum(sizes) - sizes + hits.argmax(axis=1)])
+    expected_payoffs = _summed_payoffs(mats, np.reshape(frac.sigmas, (-1, m)))
     return bool(np.all(np.abs(sampled_payoffs - expected_payoffs) <= epsilon / 4.0 + 1e-12))
+
+
+def _summed_payoffs(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``sum_c mats[c] @ vectors[c]``: one gemv per child, added to zeros in
+    child order, as ``action_payoffs`` adds its terms."""
+    terms = (mats @ vectors[:, :, None])[:, :, 0]
+    return np.cumsum(np.concatenate([np.zeros((1, vectors.shape[1])), terms]), axis=0)[-1]

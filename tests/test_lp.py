@@ -132,6 +132,48 @@ class TestBuildLp:
         assert inst.b_ub[0] == pytest.approx(0.2)  # j = 0: 0 + eps/2
         assert inst.b_ub[1] == pytest.approx(1.2)  # j = 1: 1 + eps/2
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_best_response_rows_equal_the_per_child_products(self, m, simplex_form):
+        # The stacked product and its gathered columns must hold, bit for
+        # bit, the per-child (A_c - y @ A_c) @ X_c^T: a one-candidate child's
+        # column included, which numpy multiplies by gemv, not gemm. Player 1
+        # is the root when rooted at 1, and has parent 0 when rooted at 0;
+        # b = 3 gives three-term sums, whose order shows in the bits.
+        edges = [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6)]
+        game = random_normalized_game(7, m, 0.5, topology=edges, rng_seed=m)
+        uset = enumerate_uniform(m, 3)
+        size = len(uset)
+        rng = np.random.default_rng(m)
+        for root in (0, 1):
+            rooted = validate_and_root(game, root)
+            parent = rooted.parent[1]
+            children = rooted.children[1]
+            for pattern in ("one", "full", "mixed"):
+                for _ in range(5):
+                    sizes = {"one": [1] * len(children), "full": [size] * len(children)}.get(
+                        pattern, [int(k) for k in rng.integers(1, size + 1, len(children))]
+                    )
+                    cand = {
+                        c: np.sort(rng.choice(size, k, replace=False))
+                        for c, k in zip(children, sizes)
+                    }
+                    y = uset.probs[int(rng.integers(size))]
+                    z = None if parent is None else uset.probs[int(rng.integers(size))]
+                    inst = build_lp(game, rooted, 1, parent, z, y, cand, uset, 0.5)
+                    expected = np.hstack([
+                        (game.matrix(1, c) - y @ game.matrix(1, c)) @ uset.probs[cand[c]].T
+                        for c in children
+                    ])
+                    assert np.array_equal(inst.a_ub, expected), (root, pattern)
+                    # _residual reads it with a gemv, whose sums follow the layout
+                    assert inst.a_ub.flags.c_contiguous
+                    assert (inst.a_eq is None) == (simplex_form == "sparse")
+                    for c, idx, probs in zip(
+                        children, inst.candidate_indices, inst.candidate_probs
+                    ):
+                        assert np.array_equal(idx, cand[c])
+                        assert np.array_equal(probs, uset.probs[cand[c]])
+
 
 class TestSolveFeasibility:
     def test_point_mass_forced_feasible_and_infeasible(self):
@@ -575,6 +617,80 @@ class TestRoundExtension:
             round_extension(game, rooted, 1, None, E1, frac, 0.5, 0, 4)
 
 
+class FixedDraws(np.random.Generator):
+    """A generator whose ``random`` returns the given draws, so that a test
+    chooses the numbers ``round_extension`` draws (it takes a generator as
+    its own seed)."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def random(self, size=None):
+        assert size == len(self.draws)
+        return self.draws.copy()
+
+
+class TestRoundingPositions:
+    def test_positions_equal_the_per_child_clamped_searchsorted(self):
+        # Every tuple is accepted in a zero game, so the first sample's
+        # positions show in the returned indices. The weights include zeros
+        # and blocks of different lengths, one of them summing to less than
+        # one; the draws hit cumulative values exactly, zero, the totals and
+        # values above them, and random points.
+        alphas = (
+            np.array([0.0, 0.5, 0.0, 0.5]),
+            np.array([1.0]),
+            np.array([0.25, 0.25, 0.5, 0.0]),
+            np.array([0.0, 0.0, 1.0]),
+            np.array([0.3, 0.3, 0.3]),
+            np.array([0.1, 0.0, 0.2, 0.0, 0.3, 0.4, 0.0]),
+        )
+        d = len(alphas)
+        game = zero_game(d + 1, star_edges(d + 1))
+        rooted = validate_and_root(game, 0)
+        uset = enumerate_uniform(2, 6)
+        candidates = tuple(np.arange(len(a)) * 2 % len(uset) for a in alphas)
+        frac = FractionalExtension(
+            child_ids=tuple(range(1, d + 1)),
+            candidate_indices=candidates,
+            candidate_probs=tuple(uset.probs[idx] for idx in candidates),
+            alphas=alphas,
+            sigmas=tuple(a @ uset.probs[idx] for a, idx in zip(alphas, candidates)),
+        )
+        cums = [np.cumsum(a) for a in alphas]
+        rng = np.random.default_rng(5)
+        draw_sets = [np.zeros(d), np.array([c[-1] for c in cums]), np.full(d, 1.0)]
+        draw_sets += [np.array([np.nextafter(c[-1], 2.0) for c in cums]), np.full(d, 1.5)]
+        draw_sets += [np.array([c[j % len(c)] for c in cums]) for j in range(7)]
+        draw_sets += [rng.random(d) for _ in range(50)]
+        for draws in draw_sets:
+            expected = tuple(
+                int(idx[min(int(np.searchsorted(c, u, side="right")), len(c) - 1)])
+                for idx, c, u in zip(candidates, cums, draws)
+            )
+            stats = SolveStats()
+            ext = round_extension(
+                game, rooted, 0, None, UNIFORM, frac, 0.5, FixedDraws(draws), 4, stats
+            )
+            assert ext == Extension(frac.child_ids, expected), draws
+            assert stats.rounding_samples == 1
+
+
+def concentration_by_loop(game, player, sampled, frac, epsilon):
+    """The per-child definition: each child's sampled and expected payoff
+    vectors, added to zeros in child order."""
+    m = game.num_actions
+    sampled_payoffs, expected_payoffs = np.zeros(m), np.zeros(m)
+    for i, c in enumerate(sampled.child_ids):
+        matrix = game.matrix(player, c)
+        hit = int(np.flatnonzero(frac.candidate_indices[i] == sampled.strategy_indices[i])[0])
+        sampled_payoffs += matrix @ frac.candidate_probs[i][hit]
+        expected_payoffs += matrix @ frac.sigmas[i]
+    deviation = np.abs(sampled_payoffs - expected_payoffs)
+    return bool(np.all(deviation <= epsilon / 4.0 + 1e-12)), float(deviation.max())
+
+
 class TestConcentrationEvent:
     def test_point_masses_have_zero_deviation(self):
         game, rooted = root_with_children([np.eye(2), np.eye(2)])
@@ -668,6 +784,39 @@ class TestConcentrationEvent:
                         c: uset.probs[i] for c, i in zip(ext.child_ids, indices)
                     }
                     assert is_epsilon_best_response(game, 0, y, neighbors, epsilon)
+
+    def test_matches_the_per_child_loop(self):
+        # Random stars of 2-40 children with m = 2-5, candidate lists that
+        # repeat an index (the first place counts) and b = 3, so that sums of
+        # three or more terms round by their order. Beside a random epsilon,
+        # epsilon is set on the boundary of the loop's own deviation, and one
+        # float to either side of it.
+        rng = np.random.default_rng(23)
+        outcomes = set()
+        for trial in range(60):
+            d, m = int(rng.integers(2, 41)), int(rng.integers(2, 6))
+            uset = enumerate_uniform(m, 3)
+            size = len(uset)
+            game, rooted = root_with_children([rng.random((m, m)) for _ in range(d)], m=m)
+            cand = tuple(rng.integers(size, size=int(rng.integers(1, 6))) for _ in range(d))
+            alphas = tuple(rng.dirichlet(np.ones(len(idx))) for idx in cand)
+            frac = FractionalExtension(
+                child_ids=tuple(range(1, d + 1)),
+                candidate_indices=cand,
+                candidate_probs=tuple(uset.probs[idx] for idx in cand),
+                alphas=alphas,
+                sigmas=tuple(a @ uset.probs[idx] for a, idx in zip(alphas, cand)),
+            )
+            ext = Extension(frac.child_ids, tuple(int(rng.choice(idx)) for idx in cand))
+            _, deviation = concentration_by_loop(game, 0, ext, frac, 0.0)
+            boundary = 4.0 * (deviation - 1e-12)
+            epsilons = [float(rng.uniform(0.0, 2.0)), boundary]
+            epsilons += [np.nextafter(boundary, -1.0), np.nextafter(boundary, 9.0)]
+            for epsilon in epsilons:
+                expected, _ = concentration_by_loop(game, 0, ext, frac, epsilon)
+                assert check_concentration_event(game, 0, ext, frac, epsilon) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
     def test_rejects_non_candidate_sample(self):
         game, rooted = root_with_children([np.eye(2)])

@@ -162,14 +162,23 @@ class TestBuildTables:
                 expected = np.array([matrix @ uset.probs[i] for i in range(len(uset))])
                 assert np.array_equal(table[slot], expected), (p, c)
 
-    @pytest.mark.parametrize("m, b", [(2, 4), (3, 3), (5, 2)])
-    @pytest.mark.parametrize("topology", ["star-70", "path-5"])
+    @pytest.mark.parametrize(
+        "topology, m, b",
+        [
+            *[(topology, m, b) for topology in ("star-70", "path-5")
+              for m, b in ((2, 4), (3, 3), (5, 2))],
+            ("path-5", 8, 3),
+            ("path-5", 9, 3),
+        ],
+    )
     def test_leaf_masks_agree_exactly_with_scalar_check(self, topology, m, b, monkeypatch):
         # a star's 69 leaves (more than 64) share one batch; at a limit of
         # 60 values, m=2 and K=5 a block holds 6 (leaf, z) rows, so blocks
         # split inside a leaf and across leaves; at 1 every row is its own
         # block. The second epsilon puts one cell on the acceptance boundary:
-        # it is that cell's scalar gap less BR_TOL.
+        # it is that cell's scalar gap less BR_TOL. At m = 8 and 9 numpy sums
+        # a utility pairwise, and b = 3 gives strategies with three or more
+        # weights, whose sums show the order in their bits.
         kind, n = topology.split("-")
         n = int(n)
         edges = star_edges(n) if kind == "star" else path_edges(n)
@@ -531,6 +540,29 @@ def one_strategy(lists):
     return [c[None] for c in lists], np.array([len(c) for c in lists]).reshape(-1, 1)
 
 
+class TestUtilities:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_equal_to_the_multiply_sum_bit_for_bit(self, m, monkeypatch):
+        # both call shapes, a scan block's (pairs, tuples, m) against one
+        # strategy per pair and leaf mask rows against every strategy, small
+        # and large; the summands span six orders of magnitude, so their
+        # order shows in the bits
+        rng = np.random.default_rng(m)
+        strategies = rng.dirichlet(np.ones(m), size=50)
+        shapes = [((3, 2, m), (3, 1, m)), ((40, 30, m), (40, 1, m)),
+                  ((2, 1, m), (50, m)), ((60, 1, m), (50, m))]
+        for limit in (0, solver_module._CHAIN_MIN_UTILITIES, 10**9):
+            monkeypatch.setattr(solver_module, "_CHAIN_MIN_UTILITIES", limit)
+            for value_shape, strategy_shape in shapes:
+                values = rng.random(value_shape) * 10.0 ** rng.integers(-3, 3, value_shape)
+                ys = strategies[rng.integers(50, size=strategy_shape[:-1])]
+                utilities = solver_module._utilities(values, ys)
+                assert np.array_equal(utilities, (values * ys).sum(axis=-1)), limit
+                flat_values, flat_ys = np.broadcast_arrays(values, ys)
+                for index in itertools.islice(np.ndindex(utilities.shape), 0, None, 7):
+                    assert utilities[index] == mixed_payoff(flat_ys[index], flat_values[index])
+
+
 class TestFirstWitnesses:
     LIMITS = [solver_module._VECTORIZE_ELEMENT_LIMIT, 60, 1]
 
@@ -637,7 +669,11 @@ class TestFirstWitnesses:
             "exhaustive cap of 7"
         )
 
-    def test_hit_exactly_when_the_scalar_check_accepts_at_its_boundary(self):
+    @staticmethod
+    def boundary_hits(actions):
+        """Compare scans with the scalar check at the boundary of its
+        acceptance for games with each number of actions; return the scans
+        compared and those whose hit lies past the first tuple."""
         # The scan has no scalar confirm, so its payoff sums must round like
         # action_payoffs'. Rooted at 0, 3 and 4, player 2's parent id falls
         # below, between and above its children's ids. Epsilon is set to the
@@ -648,7 +684,7 @@ class TestFirstWitnesses:
         edges = [(3, 2), (2, 1), (2, 4), (2, 0)]
         rng = np.random.default_rng(11)
         checked = later = 0
-        for m in (2, 3, 4):
+        for m in actions:
             game = random_normalized_game(5, m, 0.5, topology=edges, rng_seed=m)
             uset = enumerate_uniform(m, 3)
             size = len(uset)
@@ -691,7 +727,20 @@ class TestFirstWitnesses:
                             assert row == flat, (m, root, q, eps)
                             checked += 1
                             later += eps == low and flat >= 0
+        return checked, later
+
+    def test_hit_exactly_when_the_scalar_check_accepts_at_its_boundary(self):
+        checked, later = self.boundary_hits((2, 3, 4))
         assert checked == 2 * 3 * 3 * 5 * 40 and later > 0
+
+    @pytest.mark.parametrize("actions", [(2, 3, 4), (8,), (9,)], ids=["m2-4", "m8", "m9"])
+    def test_hit_exactly_at_the_boundary_with_every_block_chained(self, actions, monkeypatch):
+        # The same scans with the utility chained by action column in every
+        # block where m allows it (at 8 or more actions numpy sums pairwise,
+        # and the kernel keeps that sum)
+        monkeypatch.setattr(solver_module, "_CHAIN_MIN_UTILITIES", 0)
+        checked, later = self.boundary_hits(actions)
+        assert checked == 2 * len(actions) * 3 * 5 * 40 and later > 0
 
     def test_counters_keep_their_per_pair_meaning(self, monkeypatch):
         game = random_normalized_game(10, 2, 0.5, rng_seed=3)
@@ -1068,6 +1117,49 @@ class TestBacktrack:
         profile = backtrack(rooted, tables, y_idx, ext, uset)
         assert all(np.array_equal(a, b) for a, b in zip(profile, expected))
         assert dataclasses.asdict(stats) == counts
+
+    def test_exhaustive_recovery_scans_only_when_the_first_tuple_fails(self, monkeypatch):
+        # An exhaustive-route cell's recovered witness is the scan's first
+        # hit; the scan runs only for cells whose first tuple, each child's
+        # lowest candidate, fails the scalar check. At the small epsilon some
+        # first tuples fail.
+        scans = []
+        original = solver_module.first_witnesses
+
+        def counting(*args, **kwargs):
+            scans.append(args[1])
+            return original(*args, **kwargs)
+
+        checked = failed = 0
+        for seed, epsilon in ((1, 0.5), (2, 0.05), (3, 0.05)):
+            game = random_normalized_game(9, 3, 0.5, rng_seed=seed)
+            rooted, uset, tables, _, _ = tables_for(game, epsilon, 2, lp_threshold=math.inf)
+            for q, mask in tables.masks.items():
+                children = rooted.children[q]
+                if not children:
+                    continue
+                for z_idx, y_idx in zip(*map(np.ndarray.tolist, np.nonzero(mask))):
+                    expected = exhaustive_membership(
+                        game, rooted, q, rooted.parent[q], z_idx, y_idx, tables, uset,
+                        epsilon, math.inf,
+                    ).strategy_indices
+                    first = tuple(int(tables.candidate_set(c, y_idx)[0]) for c in children)
+                    neighbors = {rooted.parent[q]: uset.probs[z_idx]}
+                    neighbors.update({c: uset.probs[x] for c, x in zip(children, first)})
+                    passes = is_epsilon_best_response(
+                        game, q, uset.probs[y_idx], neighbors, epsilon
+                    )
+                    monkeypatch.setattr(solver_module, "first_witnesses", counting)
+                    scans.clear()
+                    recovered = solver_module._recover_witness(
+                        rooted, tables, uset, q, z_idx, y_idx, []
+                    )
+                    monkeypatch.setattr(solver_module, "first_witnesses", original)
+                    assert recovered == expected
+                    assert len(scans) == (0 if passes else 1)
+                    checked += 1
+                    failed += not passes
+        assert checked > failed > 0
 
     def test_single_edge(self):
         game = identity_edge_game()
