@@ -406,9 +406,11 @@ def check_concentration_event(
     if not found.all():
         child = sampled.child_ids[int(np.argmin(found))]
         raise ValueError(f"sampled strategy for child {child} is not a candidate")
+    # without children hits is (0, 0), and argmax has no column to scan
+    first = hits.argmax(axis=1) if hits.shape[1] else sizes
     probs = np.concatenate([np.empty((0, m)), *frac.candidate_probs])
     mats = game.payoffs[_payoff_slots(game, player, sampled.child_ids)]
-    sampled_payoffs = _summed_payoffs(mats, probs[np.cumsum(sizes) - sizes + hits.argmax(axis=1)])
+    sampled_payoffs = _summed_payoffs(mats, probs[np.cumsum(sizes) - sizes + first])
     expected_payoffs = _summed_payoffs(mats, np.reshape(frac.sigmas, (-1, m)))
     return bool(np.all(np.abs(sampled_payoffs - expected_payoffs) <= epsilon / 4.0 + 1e-12))
 

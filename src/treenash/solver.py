@@ -269,8 +269,16 @@ def _utilities(values: np.ndarray, strategies: np.ndarray) -> np.ndarray:
 # _utilities chains the action columns once a call has this many utilities
 # per action. The chain makes 2m - 1 numpy calls where the sum makes two, and
 # a sum over a length-m last axis costs several times as much per utility.
-# Timed on a 2-vCPU host in blocks of 16 tuples, the chain was the faster
-# from 32 (m = 2), 64 (m = 3) and 96 (m = 5) utilities per action.
+# The sum path serves the LP route's one-tuple scans: the benchmark's
+# lp-random tree (n=32, m=3, b=4, lp_threshold=2) makes 132 of a solve's 155
+# calls with fewer than 16 utilities per action, and the rest with fewer than
+# 256. Measured on a 2-vCPU host, in process, over that workload's games at
+# three seeds in 8 alternating 15 s runs, chaining every call (a limit of 0)
+# took 69.66 ms per pass, slower in 7 of 8 runs than the 68.81 ms with this
+# limit and the 68.78 ms with no chain at all. The theory-path and star-wide
+# workloads make all but one call with more than 256 utilities per action,
+# and neither moved by more than 0.2% between limits 0 and 64 (306 to 1850
+# alternating passes each).
 _CHAIN_MIN_UTILITIES = 64
 
 # One block of a scan holds at most this many values: the float64 payoffs of

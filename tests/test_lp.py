@@ -818,6 +818,16 @@ class TestConcentrationEvent:
                 outcomes.add(expected)
         assert outcomes == {True, False}
 
+    def test_childless_extension_matches_the_per_child_loop(self):
+        # solve_feasibility's extension of a player without children, and
+        # round_extension's empty sample: zeros against zeros on both sides
+        game = zero_game(3, [(0, 1), (0, 2)])
+        frac = FractionalExtension((), (), (), (), ())
+        ext = Extension((), ())
+        for epsilon in (0.0, 0.5, -4e-12, -4.0):
+            expected, _ = concentration_by_loop(game, 1, ext, frac, epsilon)
+            assert check_concentration_event(game, 1, ext, frac, epsilon) == expected
+
     def test_rejects_non_candidate_sample(self):
         game, rooted = root_with_children([np.eye(2)])
         uset = enumerate_uniform(2, 1)
