@@ -12,16 +12,18 @@ alone, and z enters only through the payoff row A[player, parent] @ z.
 Below the LP threshold, one exhaustive scan decides every (z, y) pair of a
 group: it walks each y's candidate product in canonical order, all in the
 same blocks that double in size, and each pair leaves at its first hit,
-computed with ``action_payoffs``' own arithmetic. Players with many children
-take the LP route (LP, randomized rounding, exhaustive fallback) one y at a
-time, for the lowest pending row only; each witness it finds, and the
-player's witness carried from the previous y, is tried on every pending row
-by the same scan over that one tuple. Every returned profile is re-verified,
-so randomness can only affect running time, never correctness.
+computed with ``action_payoffs``' own arithmetic; the leaves of one parent,
+stacked, are one childless player whose scan has only the empty tuple.
+Players with many children take the LP route (LP, randomized rounding,
+exhaustive fallback) one y at a time, for the lowest pending row only; each
+witness it finds, and the player's witness carried from the previous y, is
+tried on every pending row by the same scan over that one tuple. Every
+returned profile is re-verified, so randomness can only affect running time,
+never correctness.
 
 Every payoff row A[player, neighbour] @ x of a solve comes from one table,
-built by one stacked matmul in ``build_tables``; leaf masks, scans, the root
-and backtrack all read it.
+built by one stacked matmul in ``build_tables``; leaf tables, scans, the
+root and backtrack all read it.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ class SolverConfig:
             counts["b_override"] = 1
         for name, least in counts.items():
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
+            # bool is an Integral: True would pass as 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}")
         if self.lp_threshold is not None and not self.lp_threshold >= 2:
             raise ValueError("lp_threshold must be >= 2")
@@ -162,7 +165,7 @@ class CandidateTables:
     ``masks[q][z, y]`` says whether strategy y of q extends under parent
     strategy z. ``extensions[(q, y)]`` lists, in order, the witnesses the LP
     route tried for strategy y of q, as canonical indices aligned with q's
-    children list. ``rows`` is the ``payoff_table``: every scan, leaf mask
+    children list. ``rows`` is the ``payoff_table``: every scan, leaf table
     and recovery reads its payoff rows there. Strategies are referenced by
     index only.
     """
@@ -223,27 +226,6 @@ def payoff_table(game: TreePolymatrixGame, uset: UniformStrategySet) -> np.ndarr
     return np.matmul(game.payoffs[:, None], uset.probs[None, :, :, None])[..., 0]
 
 
-def _leaf_masks(payoffs: np.ndarray, uset: UniformStrategySet, epsilon: float) -> np.ndarray:
-    """Boolean tables [leaf, z, y]: is y an epsilon-best response of each leaf
-    to parent strategy z? ``payoffs[leaf, z]`` is the leaf's one payoff row
-    ``A[leaf, parent] @ z``, read from the payoff table.
-
-    Entries match is_epsilon_best_response bit-for-bit: same payoff vector,
-    same multiply-sum utility (``_utilities``), same comparison. Evaluated in
-    blocks of rows.
-    """
-    leaves, size, m = payoffs.shape
-    payoffs = payoffs.reshape(-1, m)
-    thresholds = payoffs.max(axis=1) - epsilon - BR_TOL
-    masks = np.empty((len(payoffs), size), dtype=bool)
-    rows = max(1, _VECTORIZE_ELEMENT_LIMIT // (size * m))
-    for start in range(0, len(payoffs), rows):
-        block = slice(start, start + rows)
-        utilities = _utilities(payoffs[block, None, :], uset.probs)
-        masks[block] = utilities >= thresholds[block, None]
-    return masks.reshape(leaves, size, size)
-
-
 def _utilities(values: np.ndarray, strategies: np.ndarray) -> np.ndarray:
     """``(values * strategies).sum(axis=-1)`` with the same bits, the
     utility ``mixed_payoff`` computes, for broadcast arrays of payoffs and
@@ -266,35 +248,55 @@ def _utilities(values: np.ndarray, strategies: np.ndarray) -> np.ndarray:
     return total
 
 
+def _hits(terms: list[np.ndarray], ys: np.ndarray, epsilon: float) -> np.ndarray:
+    """Whether each of ``ys`` is an ``is_epsilon_best_response`` to the sum
+    of ``terms``, added in list order as ``action_payoffs`` adds its terms."""
+    totals = sum(terms[1:], terms[0])
+    best = totals[..., 0]
+    for action in range(1, totals.shape[-1]):
+        best = np.maximum(best, totals[..., action])
+    return _utilities(totals, ys) >= best - epsilon - BR_TOL
+
+
 # _utilities chains the action columns once a call has this many utilities
 # per action. The chain makes 2m - 1 numpy calls where the sum makes two, and
 # a sum over a length-m last axis costs several times as much per utility.
-# The sum path serves the LP route's one-tuple scans: the benchmark's
-# lp-random tree (n=32, m=3, b=4, lp_threshold=2) makes 132 of a solve's 155
-# calls with fewer than 16 utilities per action, and the rest with fewer than
-# 256. Measured on a 2-vCPU host, in process, over that workload's games at
-# three seeds in 8 alternating 15 s runs, chaining every call (a limit of 0)
-# took 69.66 ms per pass, slower in 7 of 8 runs than the 68.81 ms with this
-# limit and the 68.78 ms with no chain at all. The theory-path and star-wide
-# workloads make all but one call with more than 256 utilities per action,
-# and neither moved by more than 0.2% between limits 0 and 64 (306 to 1850
-# alternating passes each).
+# The sum path serves the LP route's one-tuple reuse checks, each now only a
+# first tuple's broadcast: the benchmark's lp-random tree (n=32, m=3, b=4,
+# lp_threshold=2) at perfbench seed 1 makes 127 of a solve's 152 calls with
+# fewer than 16 utilities per action (120 of its kernel calls are those
+# checks), and all but one of the rest with fewer than 256; the counts are
+# the same with leaf tables built apart from the kernel. Measured on a 2-vCPU
+# host, in process, over that workload's games at three seeds in 8
+# alternating 15 s runs, before leaves joined the kernel, chaining every call
+# (a limit of 0) took 69.66 ms per pass, slower in 7 of 8 runs than the 68.81
+# ms with this limit and the 68.78 ms with no chain at all. The theory-path
+# and star-wide workloads make all but one call with at least 256 utilities
+# per action (9 of 10 and 2 of 2 at seed 1), and neither moved by more than
+# 0.2% between limits 0 and 64 (306 to 1850 alternating passes each).
 _CHAIN_MIN_UTILITIES = 64
 
-# One block of a scan holds at most this many values: the float64 payoffs of
-# every pending (z, y) pair for the block's tuples, the gathered child rows and
-# the index arrays, or of a block of leaf mask rows against every y. It bounds
-# memory, not the scan size.
+# One block of a scan after its first tuple holds at most this many values:
+# the float64 payoffs of every pending (z, y) pair for the block's tuples, the
+# gathered child rows and the index arrays. The first tuple's broadcast, and
+# with it every leaf table, is bounded by the y groups (_GROUP_ELEMENT_LIMIT)
+# instead. It bounds memory, not the scan size.
 _VECTORIZE_ELEMENT_LIMIT = 8_000_000
 
-# build_tables decides a player's strategies y in groups whose first scan
-# block (one tuple for each (z, y) pair) holds at most about this many values,
-# counted as in first_witnesses' block sizing. Measured on a 2-vCPU host with
-# one solve per process: at the theoretical-grid path n=3, m=2, eps=0.8
-# (K=241) ru_maxrss rose 2.0 MB with groups of one y and of up to 2^16
-# values, 3.4 MB at 2^17 and 9.4 MB with all 241 y's in one group; a path n=4
-# at K=711 rose 12.1 MB at 2^16 and 77 MB in one group. Of 2^14 to 2^17, 2^16
-# solved the first fastest (7.5 ms, against 25 ms with one y per group).
+# build_tables decides a player's strategies y, and the stacked leaves of one
+# parent, in groups that keep one tuple for every (z, y) pair within about
+# this many values, counted as in first_witnesses' block sizing ((children +
+# 1) * (m + 1) per pair); the first tuple's broadcast holds fewer. Measured on
+# a 2-vCPU host with one solve per process: at the theoretical-grid path n=3,
+# m=2, eps=0.8 (K=241), ru_maxrss rose 1.6 MB with one y per group, 1.7 MB at
+# 2^14 values, 1.9 MB at 2^16, 3.0 MB at 2^17 and 6.3 MB with all 241 y's in
+# one group; a path n=4 at K=711 rose 3.4 MB at 2^16 and 43 MB in one group.
+# In process the first solved in 16 ms with one y per group, 2.9 ms at 2^14,
+# 2.5 ms at 2^15, 3.2 ms at 2^16 and 3.7 ms at 2^17 and in one group. In 10
+# alternating 35 s perfbench pairs (seeds 8101-8110), 2^15 against 2^16 read
+# theory-path solve_s 2.66 against 3.31 ms (lower in 10 of 10), but lp-random
+# 27.3 against 26.5 ms (higher in 9 of 10) and star-wide 103 against 105 ms
+# (higher in 8 of 10 pairs), so the limit stays at 2^16.
 _GROUP_ELEMENT_LIMIT = 2**16
 
 
@@ -325,12 +327,13 @@ def first_witnesses(
     ``CandidateTables.rows_of`` reads them from the payoff table.
     Deterministic.
 
-    Every y's product is walked in the same flat-index blocks, which start
-    at one tuple and double in size, end where the shortest product still
-    pending does, and are capped by ``_VECTORIZE_ELEMENT_LIMIT`` values.
-    Each block is evaluated for every (z, y) pair still pending, and a pair
-    leaves at its first hit; a player without children scans the single
-    empty tuple. Each column sums ``action_payoffs``' gemv terms in its order
+    The first tuple, each child's lowest candidate, is one broadcast of each
+    y's tuple against every row; a childless player, such as a parent's
+    stacked leaves, ends there. The pairs left walk their products in shared
+    flat-index blocks from tuple 1, which double in size, end where the
+    shortest product still pending does, and are capped by
+    ``_VECTORIZE_ELEMENT_LIMIT`` values; a pair leaves at its first hit.
+    Each column sums ``action_payoffs``' gemv terms in its order
     (ascending neighbour id, the parent's base at its sorted place), so a
     hit is exactly an ``is_epsilon_best_response`` acceptance. Raises
     CapExceeded, naming the lowest such y, if a product set is larger than
@@ -351,12 +354,20 @@ def first_witnesses(
     m = game.num_actions
     # (take gathers rows far faster than indexing with a 2-D index array)
     ys = uset.probs.take(y_indices, axis=0)
-    gathered = [child_rows.take(lists, axis=0) for child_rows, lists in zip(rows, candidates)]
     parent_at = 0 if parent is None else bisect_left(children, parent)
-    found = np.full(group * num_rows, -1, dtype=np.int64)
-    pending = np.arange(group * num_rows)  # y-major: pair g * num_rows + r
-    ends = sorted({int(size) for size in products.tolist()})  # where pairs run out of tuples
-    start, block = 0, 1
+    found = np.full((group, num_rows), -1, dtype=np.int64)
+    gathered = [child_rows.take(lists, axis=0) for child_rows, lists in zip(rows, candidates)]
+    live = np.flatnonzero(products)  # the strategies with a non-empty product
+    if live.size:
+        # Every pair is pending at the first tuple, each child's lowest
+        # candidate: one broadcast of each y's tuple against every parent row
+        terms = [child_rows[live, :1] for child_rows in gathered]
+        terms.insert(parent_at, bases[None])
+        found[live] = np.where(_hits(terms, ys[live, None], epsilon), 0, -1)
+    # y-major pairs g * num_rows + r that go on past the first tuple
+    pending = np.flatnonzero((found < 0) & (products[:, None] > 1))
+    ends = sorted({int(size) for size in products.tolist() if size > 1})
+    start, block = 1, 2
     while pending.size:
         if start == ends[0]:
             # the shortest products still pending are walked
@@ -372,31 +383,23 @@ def first_witnesses(
         count = min(block, ends[0] - start, max(1, fits))
         # Each child's position in a flat C-order index, by mixed-radix
         # arithmetic from the last child, which varies fastest, per active
-        # strategy (np.unravel_index stops at 64 dimensions, one per child)
+        # strategy (np.unravel_index stops at 64 dimensions, one per child);
+        # pairs are y-major, so each strategy's terms repeat for its pairs
         terms, rest = [], np.arange(start, start + count)
         for child_rows, radix in zip(gathered[::-1], sizes[::-1]):
             rest, position = np.divmod(rest, radix[active, None])
-            terms.insert(0, child_rows[active[:, None], position])
-        if len(active) > 1:
-            # pairs are y-major: repeat each strategy's terms for its pairs
-            terms = [np.repeat(term, runs[active], axis=0) for term in terms]
+            term = child_rows[active[:, None], position]
+            terms.insert(0, np.repeat(term, runs[active], axis=0))
         terms.insert(parent_at, bases.take(pair_r, axis=0)[:, None, :])
-        totals = terms[0]
-        for term in terms[1:]:
-            totals = totals + term
-        best = totals[..., 0]
-        for action in range(1, m):
-            best = np.maximum(best, totals[..., action])
-        utilities = _utilities(totals, ys.take(pair_y, axis=0)[:, None, :])
-        hits = utilities >= best - epsilon - BR_TOL
+        hits = _hits(terms, ys.take(pair_y, axis=0)[:, None, :], epsilon)
         # Columns follow the canonical (C-order) tuple order, so a pair's
         # first hit is its canonical witness.
         settled = hits.any(axis=1)
-        found[pending] = np.where(settled, start + hits.argmax(axis=1), -1)
+        found.flat[pending] = np.where(settled, start + hits.argmax(axis=1), -1)
         pending = pending[~settled]
         start += count
         block *= 2
-    return found.reshape(group, num_rows).T
+    return found.T
 
 
 def exhaustive_membership(
@@ -565,6 +568,13 @@ def _decide_strategy(
     return hits, tried
 
 
+def _y_groups(num_rows: int, num_children: int, m: int, size: int) -> list[np.ndarray]:
+    """Ascending groups of the strategy indices, sized by the
+    ``_GROUP_ELEMENT_LIMIT`` rule over ``num_rows`` parent rows."""
+    group = max(1, _GROUP_ELEMENT_LIMIT // (num_rows * (num_children + 1) * (m + 1)))
+    return [np.arange(start, min(start + group, size)) for start in range(0, size, group)]
+
+
 def build_tables(
     game: TreePolymatrixGame,
     rooted: RootedTree,
@@ -575,12 +585,11 @@ def build_tables(
     """Populate candidate tables bottom-up for every parent-child edge.
 
     First builds the solve's ``payoff_table``, which every later step reads.
-    Leaves get the direct best-response table, all leaves of one parent in
-    one batch (``_leaf_masks``). An internal player decides its strategies y
-    in ascending groups, each y under every parent strategy at once
+    The leaves of one parent, their payoff rows stacked, are decided as one
+    childless player by ``first_witnesses``, without counts. An internal
+    player decides its strategies y under every parent strategy at once
     (``_decide_strategy``), carrying its latest LP-route witness from y to y.
-    A group holds as many y's as keep its first scan block within
-    ``_GROUP_ELEMENT_LIMIT`` values.
+    Both take their y's in the ascending groups of ``_y_groups``.
     """
     stats = stats if stats is not None else SolveStats()
     report = check_normalized(game, config.epsilon)
@@ -588,28 +597,31 @@ def build_tables(
         logger.warning("game is not normalized for the requested epsilon; proceeding\n%s",
                        report.summary())
 
-    size = len(uset)
+    size, m = len(uset), game.num_actions
     tables = CandidateTables(
         game, config.epsilon, size, masks={}, extensions={}, rows=payoff_table(game, uset)
     )
     for parent in rooted.order:
         leaves = [q for q in rooted.children[parent] if not rooted.children[q]]
         if leaves:
-            # a leaf's only payoff slot, offsets[leaf], pays it against its parent
-            masks = _leaf_masks(tables.rows[game.offsets[leaves]], uset, config.epsilon)
-            tables.masks.update(zip(leaves, masks))
+            # a leaf's only payoff slot, offsets[leaf], pays it against its
+            # parent; stacked, row leaf * size + z is that leaf's row under z
+            bases = tables.rows[game.offsets[leaves]].reshape(-1, m)
+            masks = np.empty((len(bases), size), dtype=bool)
+            for y_indices in _y_groups(len(bases), 0, m, size):
+                masks[:, y_indices] = first_witnesses(
+                    game, leaves[0], parent, bases, y_indices, [], [],
+                    np.empty((0, len(y_indices)), dtype=np.int64), [], uset, config.epsilon,
+                    config.exhaustive_cap,
+                ) >= 0
+            tables.masks.update(zip(leaves, masks.reshape(len(leaves), size, size)))
         for q in rooted.children[parent]:
             if not rooted.children[q]:
                 continue
             rows, bases = tables.rows_of(q, parent)
-            # the first scan block of a group holds (children + 1) * (m + 1)
-            # values per (z, y) pair (see first_witnesses)
-            pair_values = size * (len(rows) + 1) * (game.num_actions + 1)
-            group = max(1, _GROUP_ELEMENT_LIMIT // pair_values)
             latest = None  # the LP route's most recent witness for q
             mask = np.zeros((size, size), dtype=bool)
-            for start in range(0, size, group):
-                y_indices = np.arange(start, min(start + group, size))
+            for y_indices in _y_groups(size, len(rows), m, size):
                 mask[:, y_indices], tried = _decide_strategy(
                     game, rooted, q, parent, bases, y_indices, tables, uset, config, stats, rows,
                     latest,

@@ -98,6 +98,18 @@ class TestConfig:
         with pytest.raises(InvalidPlayerId):
             solve(identity_edge_game(), SolverConfig(epsilon=0.5, b_override=1, root=2))
 
+    @pytest.mark.parametrize(
+        "name",
+        ["b_override", "max_tries", "exhaustive_cap", "enumeration_cap", "thread_count",
+         "rng_seed", "root"],
+    )
+    def test_integer_fields_reject_bools(self, name):
+        # bool is a numbers.Integral: b_override=True solved with b=1, and
+        # root=True rooted the tree at player 1
+        for value in (True, False):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(epsilon=0.5, **{name: value})
+
 
 class TestBuildTables:
     def test_single_edge_identity_b1(self):
@@ -172,20 +184,21 @@ class TestBuildTables:
         ],
     )
     def test_leaf_masks_agree_exactly_with_scalar_check(self, topology, m, b, monkeypatch):
-        # a star's 69 leaves (more than 64) share one batch; at a limit of
-        # 60 values, m=2 and K=5 a block holds 6 (leaf, z) rows, so blocks
-        # split inside a leaf and across leaves; at 1 every row is its own
-        # block. The second epsilon puts one cell on the acceptance boundary:
-        # it is that cell's scalar gap less BR_TOL. At m = 8 and 9 numpy sums
-        # a utility pairwise, and b = 3 gives strategies with three or more
-        # weights, whose sums show the order in their bits.
+        # The leaves of one parent are decided as build_tables decides them:
+        # their payoff rows stacked, as one childless player, in y groups.
+        # A star's 69 leaves (more than 64) share one stack. The group limit
+        # runs at its default, at two y's per group and at one. The second
+        # epsilon puts one cell on the acceptance boundary: it is that cell's
+        # scalar gap less BR_TOL. At m = 8 and 9 numpy sums a utility
+        # pairwise, and b = 3 gives strategies with three or more weights,
+        # whose sums show the order in their bits.
         kind, n = topology.split("-")
         n = int(n)
         edges = star_edges(n) if kind == "star" else path_edges(n)
         uset = enumerate_uniform(m, b)
         size = len(uset)
-        default = solver_module._VECTORIZE_ELEMENT_LIMIT
-        densities = []
+        default = solver_module._GROUP_ELEMENT_LIMIT
+        densities, group_counts = [], set()
         for seed in range(2):
             game = random_normalized_game(n, m, 0.5, topology=edges, rng_seed=seed)
             table = solver_module.payoff_table(game, uset)
@@ -195,6 +208,7 @@ class TestBuildTables:
             assert len(leaves) == (n - 1 if kind == "star" else 1)
             v = action_payoffs(game, leaves[-1], {parent: uset.probs[seed + 1]})
             epsilon = float(v.max()) - mixed_payoff(uset.probs[0], v) - solver_module.BR_TOL
+            bases = table[game.offsets[leaves]].reshape(-1, m)
             for eps in (0.05, epsilon):
                 expected = np.array([
                     [
@@ -209,11 +223,23 @@ class TestBuildTables:
                     for q in leaves
                 ])
                 densities.append(expected.mean())
-                for limit in (default, 60, 1):
-                    monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
-                    masks = solver_module._leaf_masks(table[game.offsets[leaves]], uset, eps)
+                for limit in (default, 2 * len(bases) * (m + 1), 1):
+                    monkeypatch.setattr(solver_module, "_GROUP_ELEMENT_LIMIT", limit)
+                    groups = solver_module._y_groups(len(bases), 0, m, size)
+                    group_counts.add(len(groups))
+                    found = np.concatenate([
+                        first_witnesses(
+                            game, leaves[0], parent, bases, y_indices, [], [],
+                            np.empty((0, len(y_indices)), dtype=np.int64), [], uset, eps, 1,
+                        )
+                        for y_indices in groups
+                    ], axis=1)
+                    assert set(np.unique(found).tolist()) <= {-1, 0}
+                    masks = (found >= 0).reshape(len(leaves), size, size)
                     assert np.array_equal(masks, expected), (seed, eps, limit)
         assert 0.0 < min(densities) < 1.0
+        # groups of two y's and of one
+        assert {-(-size // 2), size} <= group_counts
 
     def test_stored_extensions_reference_candidates_and_best_responses(self):
         # the exhaustive route, then the LP route with infeasible LPs,
@@ -543,14 +569,16 @@ def one_strategy(lists):
 class TestUtilities:
     @pytest.mark.parametrize("m", range(1, 11))
     def test_equal_to_the_multiply_sum_bit_for_bit(self, m, monkeypatch):
-        # both call shapes, a scan block's (pairs, tuples, m) against one
-        # strategy per pair and leaf mask rows against every strategy, small
-        # and large; the summands span six orders of magnitude, so their
-        # order shows in the bits
+        # every call shape, small and large: a scan block's (pairs, tuples,
+        # m) or a first tuple's (strategies, rows, m) against one strategy
+        # per leading index, rows against every strategy, and a childless
+        # player's (1, rows, m) against (strategies, 1, m); the summands span
+        # six orders of magnitude, so their order shows in the bits
         rng = np.random.default_rng(m)
         strategies = rng.dirichlet(np.ones(m), size=50)
         shapes = [((3, 2, m), (3, 1, m)), ((40, 30, m), (40, 1, m)),
-                  ((2, 1, m), (50, m)), ((60, 1, m), (50, m))]
+                  ((2, 1, m), (50, m)), ((60, 1, m), (50, m)),
+                  ((1, 2, m), (3, 1, m)), ((1, 60, m), (50, 1, m))]
         for limit in (0, solver_module._CHAIN_MIN_UTILITIES, 10**9):
             monkeypatch.setattr(solver_module, "_CHAIN_MIN_UTILITIES", limit)
             for value_shape, strategy_shape in shapes:
@@ -829,12 +857,14 @@ class TestFirstWitnesses:
         "num_rows, strategies", [(1, 1), (3, 3)], ids=["one-row", "every-row"]
     )
     def test_blocks_hold_at_most_the_limit_of_values(self, num_rows, strategies, monkeypatch):
-        # A block holds, per tuple and pending (z, y) pair, m payoffs and a
-        # hit, and at most one gathered row of m and one position per child;
-        # and the flat index. The reads of the gathered child rows and of the pending bases
-        # are recorded, so every block's real shapes are counted. A negative
-        # epsilon hits nothing, so every product is walked, and the
-        # strategies' products differ, so some pairs run out before others.
+        # The first tuple is one broadcast of each strategy's first
+        # candidates against every row. A later block holds, per tuple and
+        # pending (z, y) pair, m payoffs and a hit, and one gathered row of m
+        # and one position per child; and the flat index. The reads of the
+        # gathered child rows and of the pending bases are recorded, so every
+        # block's real shapes are counted. A negative epsilon hits nothing,
+        # so every product is walked, and the strategies' products differ, so
+        # some pairs run out before others.
         limit = 2000
         monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
         reads = []
@@ -872,8 +902,10 @@ class TestFirstWitnesses:
             [rows.view(EdgeRows) for rows in edge_rows], uset, -1.0, 10**6,
         )
         assert found.shape == (num_rows, strategies) and (found == -1).all()
-        blocks = [reads[i:i + d + 1] for i in range(0, len(reads), d + 1)]
-        walked = 0
+        # the broadcast reads each child's first candidates, and no base row
+        assert reads[:d] == [("child", (strategies, 1, m))] * d
+        walked = strategies * num_rows
+        blocks = [reads[i:i + d + 1] for i in range(d, len(reads), d + 1)]
         for block in blocks:
             assert [kind for kind, _ in block] == ["child"] * d + ["bases"]
             # child rows are gathered once per strategy with pending pairs
@@ -884,20 +916,22 @@ class TestFirstWitnesses:
             assert block[-1][1] == (pending, m)
             walked += pending * count
             values = pending * count * (m + 1) + d * pending * count * (m + 1) + count
-            assert count == 1 or values <= limit, (count, pending)
+            assert values <= limit, (count, pending)
         # every pair walks its whole product, and no tuple past it
         assert walked == num_rows * sizes.prod(axis=0).sum()
         assert max(block[0][1][1] for block in blocks) > 1
 
     def test_cap_exceeded_on_a_batched_player(self, monkeypatch):
-        # hub 1 under root 0 with three leaves: a product of 8 tuples per y
+        # hub 1 under root 0 with three leaves: a product of 8 tuples per y;
+        # the leaves' childless calls are left out
         game = zero_game(5, [(0, 1), (1, 2), (1, 3), (1, 4)])
         config = SolverConfig(epsilon=0.5, b_override=1, exhaustive_cap=7)
         calls = []
         original = solver_module.first_witnesses
 
         def spy(*args, **kwargs):
-            calls.append(args[1])
+            if args[5]:  # the player's children
+                calls.append(args[1])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, "first_witnesses", spy)
