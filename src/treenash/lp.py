@@ -7,9 +7,12 @@ Its rows are one simplex equality per child (the weights sum to one) and one
 inequality per action j requiring y to be an (epsilon/2)-best response to the
 parent strategy z and the aggregates sigma_c = X_c^T alpha_c. The aggregates are
 substituted into the rows, so the weights are the only variables, and the
-objective is zero: the backend decides feasibility directly. Wide programs
-pass their simplex rows to the backend in sparse form. Every solution is then
-re-checked against the instance arrays within the tolerance.
+objective is zero: the backend decides feasibility directly. The backend is
+HiGHS, called through scipy's bindings with the model and the options that
+``scipy.optimize.linprog(method="highs")`` passes it, so its solutions are
+``linprog``'s bit for bit; the constraint matrix is built in CSC form in one
+array pass, and only the status and the primal solution are read back. Every
+solution is then re-checked against the instance arrays within the tolerance.
 
 The work around the backend runs in array passes over all children at once,
 each with the bits of the per-child formula it replaces, so the programs, the
@@ -26,8 +29,7 @@ from operator import getitem
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_array
+from scipy.optimize._highspy import _core as highspy
 
 from .game import RootedTree, TreePolymatrixGame, is_epsilon_best_response, mixed_payoff
 from .uniform import UniformStrategySet
@@ -40,14 +42,13 @@ logger = logging.getLogger(__name__)
 DEFAULT_LP_TOLERANCE = 1e-7
 
 # Size d * n (children times variables) above which ``build_lp`` leaves the
-# dense simplex rows out (``a_eq`` is None) and the backend receives them in
-# sparse form, one 1 per column. The backend holds its model sparse either
-# way, so the model and the solutions are the same; what differs is the
-# conversion work before the solve. Measured per call on a 2-vCPU host: the
-# sparse form costs about 0.5 ms more on lp-random's programs (d * n <= 240)
-# and saves about 8 ms on star-wide's 300-child root programs (d * n about
-# 7.9e5); on star programs of 10-300 children the two forms cost the same
-# between d * n = 3e4 and 9e4.
+# dense simplex rows out (``a_eq`` is None). The backend builds the simplex
+# rows from ``alpha_slices`` in either form, so the model, the solutions and
+# the solve time are the same, and the dense rows cost only their own
+# construction: per ``build_lp`` call on a 2-vCPU host, about 1.4 us on
+# lp-random's programs (d * n <= 220), 11 us at d * n = 6e4 and 0.22 ms on
+# star-wide's 300-child root programs (d * n about 7.7e5). Only tests and the
+# benchmark's tracer (``lp.matrix_bytes``) read ``a_eq``.
 _SPARSE_SIMPLEX_MIN_SIZE = 60_000
 
 
@@ -58,9 +59,9 @@ class LpInstance:
     The variables are the children's alpha blocks, concatenated in child order
     (``alpha_slices``), each bounded below by zero. ``a_eq`` holds one simplex
     row per child (``b_eq`` its right-hand sides, all ones), and is None when
-    the program is wide, d * n above a size, where the rows are built sparse
-    from ``alpha_slices`` at solve time. ``a_ub`` holds one best-response row
-    per action.
+    the program is wide, d * n above a size. The backend never reads it: it
+    builds the simplex rows from ``alpha_slices``. ``a_ub`` holds one
+    best-response row per action.
     """
 
     player: int
@@ -224,14 +225,86 @@ def _block_starts(instance: LpInstance) -> np.ndarray:
     return np.fromiter((sl.start for sl in slices), dtype=np.intp, count=len(slices))
 
 
-def _simplex_rows(instance: LpInstance, starts: np.ndarray) -> csc_array:
-    """The simplex rows in sparse form: column j holds a 1 in its child's row."""
-    n = instance.num_variables
-    rows = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
-    return csc_array((np.ones(n), rows, np.arange(n + 1)), shape=(len(starts), n))
+def _constraint_matrix(
+    instance: LpInstance, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSC arrays (column starts, row indices, values) of ``a_ub`` stacked
+    over the simplex rows: column j holds the nonzeros of ``a_ub``'s column j
+    in row order, then a 1 in the row of its child, after the ``a_ub`` rows.
+    Explicit zeros are left out, as ``scipy.sparse.csc_array`` leaves them."""
+    m, n = instance.a_ub.shape
+    owners = np.repeat(np.arange(len(starts), dtype=np.int32), np.diff(starts, append=n))
+    values = np.hstack((instance.a_ub.T, np.ones((n, 1))))
+    rows = np.hstack((np.broadcast_to(np.arange(m, dtype=np.int32), (n, m)), m + owners[:, None]))
+    kept = values != 0.0
+    column_starts = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(kept.sum(axis=1), out=column_starts[1:])
+    return column_starts, rows[kept], values[kept]
+
+
+# The options ``scipy.optimize.linprog(method="highs")`` sets, and no others:
+# presolve on, the dual simplex, no debugging checks and no output. These and
+# the statuses below are plain names and numbers, not the bindings' enums, and
+# the options are set by name on each HiGHS object: reading the enums or
+# building a ``HighsOptions`` at import raised the peak memory of solves that
+# run no LP by 0.2-0.3 MB.
+_HIGHS_OPTIONS = {
+    "presolve": "on",
+    "simplex_strategy": 1,  # SimplexStrategy.kSimplexStrategyDual
+    "highs_debug_level": 0,  # HighsDebugLevel.kHighsDebugLevelNone
+    "output_flag": False,
+    "log_to_console": False,
+}
+
+# HiGHS model statuses in ``linprog``'s numbering: 0 solved, 1 a limit reached,
+# 2 infeasible, 3 unbounded; every other status is 4, a failure of the solver.
+_LINPROG_STATUS = {
+    "kOptimal": 0,
+    "kTimeLimit": 1,
+    "kIterationLimit": 1,
+    "kInfeasible": 2,
+    "kModelError": 2,
+    "kUnbounded": 3,
+}
+
+
+def _highs_solve(instance: LpInstance, starts: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """Solve the program with HiGHS as ``linprog(method="highs")`` does, and
+    return ``(status, x)``: ``linprog``'s status, and the primal solution when
+    the status is 0, else None.
+
+    The model is the one ``linprog`` passes (zero costs, bounds [0, inf), the
+    ``a_ub`` rows below ``b_ub`` and the simplex rows equal to ``b_eq``), with
+    the same options, so HiGHS returns the same bits. A model HiGHS refuses to
+    load is a fault in these arrays, not an infeasible program: status 4.
+    """
+    (m, n), d = instance.a_ub.shape, len(starts)
+    column_starts, row_indices, values = _constraint_matrix(instance, starts)
+    highs = highspy._Highs()
+    for name, value in _HIGHS_OPTIONS.items():
+        # a scipy whose HiGHS renamed or retyped an option must not solve
+        # silently with its default
+        if highs.setOptionValue(name, value) == highspy.HighsStatus.kError:
+            raise RuntimeError(f"HiGHS rejected the option {name} = {value!r}")
+    loaded = highs.passModel(
+        n, m + d, len(values),
+        highspy.MatrixFormat.kColwise, highspy.ObjSense.kMinimize, 0.0,
+        np.zeros(n), np.zeros(n), np.full(n, np.inf),
+        np.concatenate((np.full(m, -np.inf), instance.b_eq)),
+        np.concatenate((instance.b_ub, instance.b_eq)),
+        column_starts, row_indices, values,
+        np.zeros(n, dtype=np.int32),  # every column continuous; an empty array is refused
+    )
+    if loaded == highspy.HighsStatus.kError:
+        return 4, None
+    highs.run()
+    status = _LINPROG_STATUS.get(highs.getModelStatus().name, 4)
+    return status, np.array(highs.getSolution().col_value) if status == 0 else None
 
 
 def _residual(instance: LpInstance, x: np.ndarray, starts: np.ndarray) -> float:
+    if not np.isfinite(x).all():
+        return math.inf  # NaN compares false, so no maximum below would show it
     worst = max(0.0, -float(x.min(initial=0.0)))
     if instance.b_eq is not None:
         # one block sum per simplex row, whether or not ``a_eq`` is built
@@ -246,7 +319,7 @@ def max_residual(instance: LpInstance, frac: FractionalExtension) -> float:
     """Largest constraint violation of a fractional solution, recomputed directly
     from the instance (independent of whatever solver produced it): negative
     weights, simplex rows as block sums over ``alpha_slices``, and the
-    best-response rows ``a_ub``."""
+    best-response rows ``a_ub``; infinite when a weight is NaN or infinite."""
     x = np.concatenate([np.zeros(0), *frac.alphas])
     return _residual(instance, x, _block_starts(instance))
 
@@ -261,13 +334,16 @@ def solve_feasibility(
     A returned solution has its weights clamped to zero and renormalized per
     child, and its largest constraint violation, recomputed from the instance
     arrays, is within ``tolerance`` (finite and positive, else ValueError).
-    Numerical failures of the backend are logged and treated as infeasible, so
-    callers can always fall back to exhaustive search. Identical instances
-    yield identical solutions (the backend is deterministic). A childless
-    program has no variables and is decided without the backend: feasible,
-    with an empty extension, exactly when y is an (epsilon/2)-best response to
-    the parent term. When ``stats`` is given, the residual of a returned
-    solution is folded into ``stats.max_lp_residual``.
+    The backend is one direct HiGHS call (``_highs_solve``) with
+    ``linprog(method="highs")``'s model and options. Its failures, and a
+    solution holding a NaN or an infinity, are logged and treated as
+    infeasible, so callers can always fall back to exhaustive search.
+    Identical instances yield identical solutions (the backend is
+    deterministic). A childless program has no variables and is decided
+    without the backend: feasible, with an empty extension, exactly when y is
+    an (epsilon/2)-best response to the parent term. When ``stats`` is given,
+    the residual of a returned solution is folded into
+    ``stats.max_lp_residual``.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError("tolerance must be finite and positive")
@@ -277,28 +353,24 @@ def solve_feasibility(
         empty = FractionalExtension((), (), (), (), ())
         return empty if max_residual(instance, empty) <= tolerance else None
     starts = _block_starts(instance)
-    result = linprog(
-        np.zeros(instance.num_variables),
-        A_ub=instance.a_ub,
-        b_ub=instance.b_ub,
-        A_eq=instance.a_eq if instance.a_eq is not None else _simplex_rows(instance, starts),
-        b_eq=instance.b_eq,
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if result.status != 0:
-        if result.status == 2:
+    status, x = _highs_solve(instance, starts)
+    if status != 0:
+        if status == 2:
             return None
         logger.warning(
-            "numerical failure in feasibility solve for player %d (status %d: %s); "
+            "numerical failure in feasibility solve for player %d (status %d); "
             "treating as infeasible",
             instance.player,
-            result.status,
-            result.message,
+            status,
+        )
+        return None
+    if not np.isfinite(x).all():
+        logger.warning(
+            "non-finite solution for player %d; treating as infeasible", instance.player
         )
         return None
 
-    x = np.clip(result.x, 0.0, None)  # degenerate tiny negatives are clamped
+    x = np.clip(x, 0.0, None)  # degenerate tiny negatives are clamped
     totals = np.add.reduceat(x, starts)
     if (totals <= 0.0).any():
         logger.warning(

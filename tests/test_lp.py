@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
-from scipy.sparse import issparse
+from scipy.optimize import linprog
+from scipy.sparse import csc_array, vstack
 
 import treenash.lp as lp_module
 from helpers import game_from_matrices, star_edges, zero_game
@@ -362,15 +362,42 @@ def simplex_form(request, monkeypatch):
 
 
 def fake_backend(monkeypatch, status=0, x=None):
-    """Make the backend return a chosen result; return the list of its calls."""
-    calls = []
+    """Make the backend return a chosen ``(status, x)``."""
+    result = status, None if x is None else np.array(x, dtype=float)
+    monkeypatch.setattr(lp_module, "_highs_solve", lambda instance, starts: result)
 
-    def linprog(c, **kwargs):
-        calls.append(kwargs)
-        return OptimizeResult(status=status, x=None if x is None else np.array(x), message="chosen")
 
-    monkeypatch.setattr(lp_module, "linprog", linprog)
-    return calls
+def recorded_models(monkeypatch):
+    """Record the arguments of every model HiGHS receives, and solve it as usual."""
+    models = []
+
+    class Recording(lp_module.highspy._Highs):
+        def passModel(self, *args):
+            models.append(args)
+            return super().passModel(*args)
+
+    monkeypatch.setattr(lp_module.highspy, "_Highs", Recording)
+    return models
+
+
+def simplex_rows(inst):
+    """The simplex rows as ``csc_array``: the dense ``a_eq`` when the program has
+    it, else one 1 per column in its child's row, built from ``alpha_slices``."""
+    if inst.a_eq is not None:
+        return csc_array(inst.a_eq)
+    n = inst.num_variables
+    owners = np.concatenate([np.full(sl.stop - sl.start, i) for i, sl in enumerate(inst.alpha_slices)])
+    return csc_array((np.ones(n), owners, np.arange(n + 1)), shape=(len(inst.alpha_slices), n))
+
+
+def assert_backend_matrix(args, inst):
+    """The CSC HiGHS received equals ``a_ub`` stacked over the simplex rows, as
+    ``scipy.sparse`` builds it: the same column starts, row indices and values."""
+    expected = vstack((csc_array(inst.a_ub), simplex_rows(inst))).tocsc()
+    num_cols, num_rows, num_nz = args[:3]
+    assert (num_rows, num_cols) == expected.shape and num_nz == expected.nnz
+    for received, wanted in zip(args[11:14], (expected.indptr, expected.indices, expected.data)):
+        assert np.array_equal(received, wanted)
 
 
 class TestPostSolve:
@@ -385,12 +412,29 @@ class TestPostSolve:
         return instance_for(game, rooted, {1: [0, 1, 2], 2: [0, 2]}, UNIFORM, 0.4, uset)
 
     def test_forms_reach_the_backend_as_forced(self, simplex_form, monkeypatch):
-        calls = fake_backend(monkeypatch, x=[0.2, 0.3, 0.5, 1.0, 0.0])
-        inst = self.instance()
-        assert (inst.a_eq is None) == (simplex_form == "sparse")
-        assert solve_feasibility(inst) is not None
-        assert issparse(calls[0]["A_eq"]) == (simplex_form == "sparse")
-        assert isinstance(calls[0]["A_ub"], np.ndarray)
+        # both forms reach HiGHS as the same CSC; the zero game's a_ub has no
+        # nonzeros, so only the simplex rows' 1s remain
+        models = recorded_models(monkeypatch)
+        game, rooted = root_with_children([[[1.0, 0.0], [0.5, 2.0]], [[0.0, 3.0], [1.0, 0.0]]])
+        uset = enumerate_uniform(2, 2)
+        other = instance_for(game, rooted, {1: [0, 1, 2], 2: [1]}, E1, 0.4, uset)
+        for inst in (self.instance(), other):
+            assert (inst.a_eq is None) == (simplex_form == "sparse")
+            assert solve_feasibility(inst) is not None
+            assert_backend_matrix(models[-1], inst)
+        assert len(models) == 2
+        assert models[0][13].tolist() == [1.0] * 5 and models[0][12].tolist() == [2, 2, 2, 3, 3]
+        assert 0.0 not in models[1][13] and len(models[1][13]) > other.num_variables
+
+    def test_a_non_finite_solution_is_infeasible_with_a_warning(
+        self, simplex_form, monkeypatch, caplog
+    ):
+        for bad in (np.nan, np.inf):
+            caplog.clear()
+            fake_backend(monkeypatch, x=[0.2, bad, 0.5, 1.0, 0.0])
+            with caplog.at_level("WARNING", logger="treenash.lp"):
+                assert solve_feasibility(self.instance()) is None
+            assert "non-finite solution" in caplog.text
 
     def test_tiny_negatives_are_clamped_and_blocks_renormalised(self, simplex_form, monkeypatch):
         x = np.array([-1e-12, 0.4, 0.6 + 1e-9, 1.0 + 2e-9, -3e-13])
@@ -456,6 +500,23 @@ class TestPostSolve:
         frac.alphas = (np.array([0.2, 0.3, 0.5]), np.array([1.0, 0.0]))
         assert max_residual(inst, frac) == 0.0
 
+    def test_max_residual_reports_a_non_finite_weight_as_infinite(self, simplex_form):
+        # a NaN compares false with every maximum: it must not read 0.0, nor
+        # hide the other block's violation of 0.5
+        inst = self.instance()
+        frac = FractionalExtension(
+            child_ids=inst.child_ids,
+            candidate_indices=inst.candidate_indices,
+            candidate_probs=inst.candidate_probs,
+            alphas=(np.array([np.nan, 0.3, 0.5]), np.array([1.0, 0.0])),
+            sigmas=(UNIFORM, UNIFORM),
+        )
+        assert max_residual(inst, frac) == math.inf
+        frac.alphas = (np.array([np.nan, 0.3, 0.5]), np.array([0.25, 0.25]))
+        assert max_residual(inst, frac) == math.inf
+        frac.alphas = (np.array([0.2, 0.3, 0.5]), np.array([np.inf, 0.0]))
+        assert max_residual(inst, frac) == math.inf
+
 
 class TestWideProgram:
     """A 300-leaf star root program, above the size where the rows go sparse."""
@@ -491,22 +552,101 @@ class TestWideProgram:
 
     def test_sparse_simplex_rows_cover_each_childs_block(self, monkeypatch):
         inst = self.instance()()
-        calls = []
-        real = lp_module.linprog
-
-        def recording(*args, **kwargs):
-            calls.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(lp_module, "linprog", recording)
+        models = recorded_models(monkeypatch)
         assert solve_feasibility(inst) is not None
-        a_eq = calls[0]["A_eq"]
-        assert issparse(a_eq) and a_eq.shape == (300, inst.num_variables)
-        assert a_eq.nnz == inst.num_variables
-        rows = a_eq.toarray()
-        assert set(np.unique(rows)) == {0.0, 1.0}
+        assert len(models) == 1
+        assert_backend_matrix(models[0], inst)
+        m, n = inst.a_ub.shape
+        column_starts, row_indices, values = models[0][11:14]
+        # each column ends with its simplex 1, in the row after the a_ub rows
+        # that belongs to its child
+        last = column_starts[1:] - 1
+        assert np.array_equal(values[last], np.ones(n))
         for i, sl in enumerate(inst.alpha_slices):
-            assert np.array_equal(np.flatnonzero(rows[i]), np.arange(sl.start, sl.stop))
+            assert np.array_equal(row_indices[last[sl]], np.full(sl.stop - sl.start, m + i))
+        assert (row_indices[np.setdiff1d(np.arange(len(values)), last)] < m).all()
+
+
+class TestHighsSeam:
+    """The direct HiGHS call against ``scipy.optimize.linprog(method="highs")``,
+    which passes HiGHS the same model with the same options."""
+
+    @staticmethod
+    def programs(d, rng, form):
+        """A feasible-or-not star root program with d children, some of them
+        with a single candidate, in the given simplex form, and the same
+        program with ``b_ub`` shifted down so far that it is infeasible."""
+        m = 3
+        game = random_normalized_game(
+            d + 1, m, 0.5, topology=star_edges(d + 1), rng_seed=int(rng.integers(1 << 30))
+        )
+        rooted = validate_and_root(game, 0)
+        uset = enumerate_uniform(m, 3)
+        cand = {
+            c: np.sort(rng.choice(len(uset), size=int(rng.integers(1, 8)), replace=False))
+            for c in range(1, d + 1)
+        }
+        cand[1] = cand[1][:1]
+        v = sum(game.matrix(0, c) @ uset.probs[cand[c]].mean(axis=0) for c in cand)
+        y = np.eye(m)[int(np.argmax(v))] if rng.random() < 0.7 else uset.probs[rng.integers(len(uset))]
+        inst = instance_for(game, rooted, cand, y, 0.5, uset)
+        assert (inst.a_eq is None) == (form == "sparse")
+        shifted = instance_for(game, rooted, cand, y, 0.5, uset)
+        shifted.b_ub = shifted.b_ub - 10.0
+        return inst, shifted
+
+    def test_solution_and_status_equal_linprogs_bit_for_bit(self, simplex_form):
+        rng = np.random.default_rng(20)
+        statuses = set()
+        for d in (1, 2, 3, 7, 20, 64, 150, 300):
+            for inst in self.programs(d, rng, simplex_form):
+                status, x = lp_module._highs_solve(inst, lp_module._block_starts(inst))
+                expected = linprog(
+                    np.zeros(inst.num_variables),
+                    A_ub=inst.a_ub,
+                    b_ub=inst.b_ub,
+                    A_eq=inst.a_eq if inst.a_eq is not None else simplex_rows(inst),
+                    b_eq=inst.b_eq,
+                    bounds=(0.0, None),
+                    method="highs",
+                )
+                assert status == expected.status
+                if expected.x is None:
+                    assert x is None
+                else:
+                    assert x.tobytes() == expected.x.tobytes()
+                statuses.add(status)
+        assert statuses == {0, 2}
+
+    def test_highs_runs_with_linprogs_options(self, monkeypatch, tmp_path):
+        solvers = []
+
+        class Recording(lp_module.highspy._Highs):
+            def run(self):
+                solvers.append(self)
+                return super().run()
+
+        # linprog makes its HiGHS object from the same module
+        monkeypatch.setattr(lp_module.highspy, "_Highs", Recording)
+        inst = TestPostSolve.instance()
+        lp_module._highs_solve(inst, lp_module._block_starts(inst))
+        linprog(np.zeros(inst.num_variables), A_ub=inst.a_ub, b_ub=inst.b_ub,
+                A_eq=simplex_rows(inst), b_eq=inst.b_eq, bounds=(0.0, None), method="highs")
+        assert len(solvers) == 2
+        written = []
+        for i, highs in enumerate(solvers):
+            highs.writeOptions(str(tmp_path / f"{i}.txt"))
+            written.append((tmp_path / f"{i}.txt").read_text())
+        assert written[0] == written[1]
+        for line in ("presolve = on", "simplex_strategy = 1", "output_flag = false"):
+            assert line in written[0].splitlines()
+
+    @pytest.mark.parametrize("option", [("presolve", "yes"), ("simplex_strateg", 1)])
+    def test_a_rejected_option_raises(self, monkeypatch, option):
+        monkeypatch.setattr(lp_module, "_HIGHS_OPTIONS", dict([option]))
+        inst = TestPostSolve.instance()
+        with pytest.raises(RuntimeError, match="rejected the option"):
+            lp_module._highs_solve(inst, lp_module._block_starts(inst))
 
 
 class TestRoundExtension:
