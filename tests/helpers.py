@@ -13,6 +13,8 @@ from treenash.game import (
     TreePolymatrixGame,
     UtilityRangeViolation,
     entry_bound,
+    is_epsilon_best_response,
+    validate_and_root,
 )
 
 
@@ -103,3 +105,70 @@ def reference_normalization(game, epsilon, log_base=math.e, atol=1e-12):
         if float(total_min.min()) < -atol:
             utility_violations.append(UtilityRangeViolation(p, "min", float(total_min.min())))
     return entry_violations, utility_violations
+
+
+def reference_profile(game, epsilon, uset, root=0):
+    """The solver's canonical profile, found from the plain definition: the
+    strategy indices of every player, or None when no root strategy extends.
+
+    A cell (q, z, y) holds the first tuple of q's children's candidates, in
+    C order (last child fastest), against which y is an epsilon-best response
+    of q when its parent plays z, or None. Child c's candidates under y are
+    the x whose cell (c, y, x) holds a tuple, in ascending order, found only
+    as far as a walk reads them. The root tries y = 0, 1, ... and takes its
+    first cell with a tuple. Every check is one is_epsilon_best_response call.
+    """
+    rooted = validate_and_root(game, root)
+    probs, size = uset.probs, len(uset)
+    cells, lists = {}, {}
+
+    def candidate(child, y, position):
+        """The candidate at ``position`` of ``child`` under ``y``, or None."""
+        known, tried = lists.setdefault((child, y), ([], [0]))
+        while len(known) <= position and tried[0] < size:
+            x = tried[0]
+            tried[0] += 1
+            if cell(child, y, x) is not None:
+                known.append(x)
+        return known[position] if position < len(known) else None
+
+    def cell(q, z, y):
+        if (q, z, y) not in cells:
+            cells[(q, z, y)] = first_tuple(q, z, y)
+        return cells[(q, z, y)]
+
+    def first_tuple(q, z, y):
+        children, parent = rooted.children[q], rooted.parent[q]
+        positions = [0] * len(children)
+        if any(candidate(c, y, 0) is None for c in children):
+            return None
+        while True:
+            chosen = tuple(candidate(c, y, p) for c, p in zip(children, positions))
+            neighbors = {} if parent is None else {parent: probs[z]}
+            neighbors.update({c: probs[x] for c, x in zip(children, chosen)})
+            if is_epsilon_best_response(game, q, probs[y], neighbors, epsilon):
+                return chosen
+            i = len(children) - 1
+            while i >= 0:  # the next tuple: carry from the last child
+                positions[i] += 1
+                if candidate(children[i], y, positions[i]) is not None:
+                    break
+                positions[i] = 0
+                i -= 1
+            if i < 0:
+                return None
+
+    for y in range(size):
+        if cell(rooted.root, None, y) is None:
+            continue
+        profile = [None] * game.num_players
+        profile[rooted.root] = y
+        stack = [rooted.root]
+        while stack:
+            q = stack.pop()
+            z = None if q == rooted.root else profile[rooted.parent[q]]
+            for c, x in zip(rooted.children[q], cells[(q, z, profile[q])]):
+                profile[c] = x
+                stack.append(c)
+        return profile
+    return None
