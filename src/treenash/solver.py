@@ -1,29 +1,37 @@
-"""Bottom-up dynamic program over candidate tables.
+"""Top-down dynamic program over candidate tables, decided on demand.
 
-For every parent-child edge and every parent strategy z on the uniform grid,
-the masks record which child strategies y extend into a partial equilibrium
-of the child's subtree; backtracking recovers the witness of each (z, y) it
-visits. Every player, the root included, decides its strategies y in
-ascending groups, each y against all its parent strategies at once, with one
-routine; the root's parent has a single, payoff-free strategy, and the root
-takes one y at a time to stop at its first hit. Candidate sets depend on y
-alone, and z enters only through the payoff row A[player, parent] @ z.
+A cell (q, z, y) says whether strategy y of player q, with its parent
+playing z, extends to a partial equilibrium of q's subtree, and by which
+tuple of its children's strategies, the witness: the first tuple of the
+children's candidate product, in canonical (C) order, against which y is an
+epsilon-best response. Child c's candidates under y are the x whose cell
+(c, y, x) is true, ascending. The root, whose parent has a single,
+payoff-free strategy, tries y = 0, 1, ... and stops at its first true cell.
+A cell is decided only when a walk reads it, or shares a scan call with one
+that is, and is kept with its witness, so backtracking reads every witness
+from the tables. Candidate sets depend on y alone, and z enters only through
+the payoff row A[q, parent] @ z.
 
-Below the LP threshold, one exhaustive scan decides every (z, y) pair of a
-group: it walks each y's candidate product in canonical order, all in the
-same blocks that double in size, and each pair leaves at its first hit,
-computed with ``action_payoffs``' own arithmetic; the leaves of one parent,
-stacked, are one childless player whose scan has only the empty tuple.
+A row (q, z) is decided in ascending y, in chunks, each chunk one call of
+the scan kernel ``first_witnesses`` over several rows and strategies. Below
+the LP threshold a chunk first checks every cell's first tuple, each child's
+lowest candidate, for which each child's row is decided only until it holds
+a true cell; the cells that fail it walk on through prefixes of their
+products as their children's rows are decided further (``_Search._evaluate``).
+A leaf's cells are the direct check of y against z, one broadcast per chunk
+of rows. Requests for rows go on an explicit stack of generators, so the
+tree's depth never becomes Python recursion.
+
 Players with many children take the LP route (LP, randomized rounding,
-exhaustive fallback) one y at a time, for the lowest pending row only; each
-witness it finds, and the player's witness carried from the previous y, is
-tried on every pending row by the same scan over that one tuple. Every
-returned profile is re-verified, so randomness can only affect running time,
-never correctness.
+exhaustive fallback): when one of their cells is first read they decide
+whole columns, every z at once for a group of y's, in ascending y, once
+their children's rows under those y's are complete, with ``_decide_strategy``;
+it carries the player's latest witness from y to y and tries each witness on
+every pending row by the scan over that one tuple. Every returned profile is
+re-verified, so randomness can only affect running time, never correctness.
 
 Every payoff row A[player, neighbour] @ x of a solve comes from one table,
-built by one stacked matmul in ``build_tables``; leaf tables, scans, the
-root and backtrack all read it.
+built by one stacked matmul in ``build_tables``; every scan reads it.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import math
 import numbers
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +53,7 @@ from .game import (
     RootedTree,
     TreePolymatrixGame,
     check_normalized,
-    is_epsilon_best_response,
+    is_epsilon_best_response,  # not called here; perfbench's tracer wraps it by this name
     regrets,
     validate_and_root,
 )
@@ -135,11 +143,14 @@ class SolverConfig:
 class SolveStats:
     """Counters from one run.
 
-    ``membership_tests`` counts every decided (z, y) pair, root included,
-    whose candidate product is not empty; ``lp_calls`` the LPs actually
-    solved; ``reused_witnesses`` the LP-route pairs settled without an LP, by
-    a witness found for a lower z of the same y or for an earlier y. So
-    ``lp_calls + reused_witnesses`` is the number of LP-route pairs.
+    ``membership_tests`` counts every decided cell (z, y) of a player with
+    children, root included, whose candidate product is not empty; cells are
+    decided on demand, so these are the cells the search reads and the rest
+    of their chunks. ``exhaustive_calls`` counts the cells the scan decides
+    and the LP route's fallback scans; ``lp_calls`` the LPs actually solved;
+    ``reused_witnesses`` the LP-route cells settled without an LP, by a
+    witness found for a lower z of the same y or for an earlier y. So
+    ``lp_calls + reused_witnesses`` is the number of LP-route cells.
     """
 
     support_size: int | None = None
@@ -158,29 +169,39 @@ class SolveStats:
 
 @dataclass(eq=False)
 class CandidateTables:
-    """DP state: per non-root player a boolean table over (parent strategy,
-    own strategy) index pairs, the LP route's tried witnesses, and the
-    solve's payoff rows.
+    """DP state, filled on demand: the decided cells of every row (player,
+    parent strategy), the LP route's tried witnesses, and the solve's payoff
+    rows.
 
-    ``masks[q][z, y]`` says whether strategy y of q extends under parent
-    strategy z. ``extensions[(q, y)]`` lists, in order, the witnesses the LP
-    route tried for strategy y of q, as canonical indices aligned with q's
-    children list. ``rows`` is the ``payoff_table``: every scan, leaf table
-    and recovery reads its payoff rows there. Strategies are referenced by
-    index only.
+    ``cells[(q, z)]`` holds, for q's strategies y = 0, 1, ... under parent
+    strategy z (z is 0 at the root, whose parent has one payoff-free
+    strategy) as far as they are decided, -1 for a false cell and otherwise
+    the cell's witness: on the scan route the flat C-order index of the
+    witness in the product of the children's candidate lists, and on the LP
+    route its position in ``extensions[(q, y)]``, the witnesses the LP route
+    tried for y, in order, as canonical indices aligned with q's children
+    list. ``firsts[(q, z)]`` is the row's lowest true cell, once it has one.
+    ``rows`` is the ``payoff_table``: every scan and leaf cell reads its
+    payoff rows there. Strategies are referenced by index only.
     """
 
     game: TreePolymatrixGame
     epsilon: float
     num_strategies: int
-    masks: dict[int, np.ndarray]
+    cells: dict[tuple[int, int], np.ndarray]
     extensions: dict[tuple[int, int], list[tuple[int, ...]]]
     rows: np.ndarray
+    firsts: dict[tuple[int, int], int] = field(default_factory=dict)
+
+    @property
+    def masks(self) -> dict[tuple[int, int], np.ndarray]:
+        """Whether each decided cell is true, per row (q, z)."""
+        return {key: codes >= 0 for key, codes in self.cells.items()}
 
     def candidate_set(self, child: int, parent_strategy_index: int) -> np.ndarray:
         """Ascending candidate indices for ``child`` when its parent plays the
-        strategy with the given index."""
-        return np.flatnonzero(self.masks[child][parent_strategy_index])
+        strategy with the given index, as far as its row is decided."""
+        return np.flatnonzero(self.cells[(child, parent_strategy_index)] >= 0)
 
     def candidate_rows(
         self, children: Sequence[int], parent_strategy_indices: np.ndarray
@@ -189,13 +210,40 @@ class CandidateTables:
         at once: per child an array with one row per strategy, whose first
         ``sizes[child position, row]`` entries are that set (the rest of the
         row holds other indices), and ``sizes``."""
-        rows = [self.masks[c].take(parent_strategy_indices, axis=0) for c in children]
-        masks = np.array(rows, dtype=bool)
-        masks = masks.reshape(len(children), len(parent_strategy_indices), self.num_strategies)
+        zs = parent_strategy_indices.tolist()
+        rows = [self.cells[(c, z)] for c in children for z in zs]
+        width = max(map(len, rows), default=0)
+        if all(len(row) == width for row in rows):
+            masks = np.array(rows, dtype=np.int64).reshape(len(rows), width) >= 0
+        else:  # rows decided only in part count their undecided cells out
+            masks = np.zeros((len(rows), width), dtype=bool)
+            for mask, row in zip(masks, rows):
+                mask[:len(row)] = row >= 0
+        masks = masks.reshape(len(children), len(zs), width)
         sizes = masks.sum(axis=2)
         # a stable sort puts each row's candidates first, in ascending order
         order = np.argsort(~masks, axis=2, kind="stable")
         return [lists[:, :width] for lists, width in zip(order, sizes.max(axis=1).tolist())], sizes
+
+    def witness(self, rooted: RootedTree, player: int, z_index: int, y_index: int) -> tuple[int, ...]:
+        """The witness of the true cell (z, y) of ``player``, read from its
+        code: a tried LP-route witness, or the scan's flat index decoded over
+        the children's candidate lists (complete whenever the index is past
+        the first tuple). Runs no check."""
+        code = int(self.cells[(player, z_index)][y_index])
+        if code < 0:
+            raise InternalSoundnessViolation(
+                f"no witness for player {player}, strategy indices ({z_index}, {y_index})"
+            )
+        tried = self.extensions.get((player, y_index))
+        if tried is not None:
+            return tried[code]
+        indices = []
+        for child in reversed(rooted.children[player]):  # the last child varies fastest
+            candidates = self.candidate_set(child, y_index)
+            code, position = divmod(code, len(candidates))
+            indices.insert(0, int(candidates[position]))
+        return tuple(indices)
 
     def rows_of(self, player: int, parent: int | None) -> tuple[list[np.ndarray], np.ndarray]:
         """``player``'s payoff rows under ``parent``: one array per child,
@@ -279,24 +327,23 @@ _CHAIN_MIN_UTILITIES = 64
 # One block of a scan after its first tuple holds at most this many values:
 # the float64 payoffs of every pending (z, y) pair for the block's tuples, the
 # gathered child rows and the index arrays. The first tuple's broadcast, and
-# with it every leaf table, is bounded by the y groups (_GROUP_ELEMENT_LIMIT)
-# instead. It bounds memory, not the scan size.
+# with it every leaf chunk, is bounded by _GROUP_ELEMENT_LIMIT instead. It
+# bounds memory, not the scan size.
 _VECTORIZE_ELEMENT_LIMIT = 8_000_000
 
-# build_tables decides a player's strategies y, and the stacked leaves of one
-# parent, in groups that keep one tuple for every (z, y) pair within about
-# this many values, counted as in first_witnesses' block sizing ((children +
-# 1) * (m + 1) per pair); the first tuple's broadcast holds fewer. Measured on
-# a 2-vCPU host with one solve per process: at the theoretical-grid path n=3,
-# m=2, eps=0.8 (K=241), ru_maxrss rose 1.6 MB with one y per group, 1.7 MB at
-# 2^14 values, 1.9 MB at 2^16, 3.0 MB at 2^17 and 6.3 MB with all 241 y's in
-# one group; a path n=4 at K=711 rose 3.4 MB at 2^16 and 43 MB in one group.
-# In process the first solved in 16 ms with one y per group, 2.9 ms at 2^14,
-# 2.5 ms at 2^15, 3.2 ms at 2^16 and 3.7 ms at 2^17 and in one group. In 10
-# alternating 35 s perfbench pairs (seeds 8101-8110), 2^15 against 2^16 read
-# theory-path solve_s 2.66 against 3.31 ms (lower in 10 of 10), but lp-random
-# 27.3 against 26.5 ms (higher in 9 of 10) and star-wide 103 against 105 ms
-# (higher in 8 of 10 pairs), so the limit stays at 2^16.
+# One scan call decides as many strategies y for its rows (and a leaf chunk
+# for its stacked rows, and an LP-route player's column group for its parent
+# rows) as keep one tuple for every (z, y) cell within about this many
+# values, counted as in first_witnesses' block sizing ((children + 1) * (m +
+# 1) per cell); and a player whose whole table fits one call decides every
+# row at once when a request needs rows complete (_Search._extend_player).
+# The limit was set for the bottom-up build, which decided every player's
+# strategies in such groups. Measured then on a 2-vCPU host with one solve
+# per process: at the theoretical-grid path n=3, m=2, eps=0.8 (K=241),
+# ru_maxrss rose 1.6 MB with one y per group, 1.9 MB at 2^16 and 6.3 MB with
+# all 241 y's in one group; in 10 alternating 35 s perfbench pairs, 2^15
+# against 2^16 read lp-random solve_s 27.3 against 26.5 ms (higher in 9 of
+# 10) and star-wide 103 against 105 ms, so the limit stayed at 2^16.
 _GROUP_ELEMENT_LIMIT = 2**16
 
 
@@ -335,22 +382,16 @@ def first_witnesses(
     ``_VECTORIZE_ELEMENT_LIMIT`` values; a pair leaves at its first hit.
     Each column sums ``action_payoffs``' gemv terms in its order
     (ascending neighbour id, the parent's base at its sorted place), so a
-    hit is exactly an ``is_epsilon_best_response`` acceptance. Raises
-    CapExceeded, naming the lowest such y, if a product set is larger than
-    ``cap``.
+    hit is exactly an ``is_epsilon_best_response`` acceptance. A pair walks
+    at most ``cap`` tuples: CapExceeded, naming the lowest y with such a
+    pair, is raised when a pair has no hit among its first ``cap`` tuples
+    and its product holds more.
     """
     num_rows, group = len(bases), len(y_indices)
     if stats is not None:
         stats.exhaustive_calls += num_rows * group
     # float64 products are exact up to 2^53, far beyond any scan that ends
     products = sizes.prod(axis=0, dtype=np.float64)
-    if products.max(initial=0) > cap:
-        g = int(np.argmax(products > cap))
-        raise CapExceeded(
-            f"player {player}, strategy index {y_indices[g]}: candidate product of size "
-            f"{math.prod(sizes[:, g].tolist())} exceeds the exhaustive cap of {cap}"
-        )
-
     m = game.num_actions
     # (take gathers rows far faster than indexing with a 2-D index array)
     ys = uset.probs.take(y_indices, axis=0)
@@ -374,13 +415,20 @@ def first_witnesses(
             ends.pop(0)
             pending = pending[products[pending // num_rows] > start]
             continue
+        if start >= cap:
+            g = int(pending[0] // num_rows)
+            raise CapExceeded(
+                f"player {player}, strategy index {y_indices[g]}: no hit among the first "
+                f"{cap} tuples of a candidate product of size "
+                f"{math.prod(sizes[:, g].tolist())} (the exhaustive cap)"
+            )
         pair_y, pair_r = np.divmod(pending, num_rows)
         runs = np.bincount(pair_y)
         active = np.flatnonzero(runs)  # the strategies with pending pairs
         # per tuple and pending pair: m payoffs and a hit, and per child a
         # gathered row of m and a position; and the flat index
         fits = _VECTORIZE_ELEMENT_LIMIT // (pending.size * (len(sizes) + 1) * (m + 1) + 1)
-        count = min(block, ends[0] - start, max(1, fits))
+        count = min(block, ends[0] - start, max(1, fits), cap - start)
         # Each child's position in a flat C-order index, by mixed-radix
         # arithmetic from the last child, which varies fastest, per active
         # strategy (np.unravel_index stops at 64 dimensions, one per child);
@@ -388,9 +436,15 @@ def first_witnesses(
         terms, rest = [], np.arange(start, start + count)
         for child_rows, radix in zip(gathered[::-1], sizes[::-1]):
             rest, position = np.divmod(rest, radix[active, None])
-            term = child_rows[active[:, None], position]
-            terms.insert(0, np.repeat(term, runs[active], axis=0))
-        terms.insert(parent_at, bases.take(pair_r, axis=0)[:, None, :])
+            terms.insert(0, child_rows[active[:, None], position])
+        # The children before the parent's place are summed once per
+        # strategy, as the left fold of _hits would sum them; then each
+        # term is repeated for the strategy's pairs
+        if parent_at:
+            terms[:parent_at] = [sum(terms[1:parent_at], terms[0])]
+        if pending.size > active.size:
+            terms = [np.repeat(term, runs[active], axis=0) for term in terms]
+        terms.insert(min(parent_at, 1), bases.take(pair_r, axis=0)[:, None, :])
         hits = _hits(terms, ys.take(pair_y, axis=0)[:, None, :], epsilon)
         # Columns follow the canonical (C-order) tuple order, so a pair's
         # first hit is its canonical witness.
@@ -498,38 +552,27 @@ def _decide_strategy(
     rows: list[np.ndarray],
     latest: tuple[int, ...] | None,
 ) -> tuple[np.ndarray, list[list[tuple[int, ...]]]]:
-    """Decide the ascending strategies ``y_indices`` of ``player`` under
-    every parent payoff row ``bases[z]``, given the children's payoff
-    ``rows`` (both as ``CandidateTables.rows_of`` returns them); return the
-    hits, one row per z and one column per y, and per y the witnesses the LP
-    route tried, in order.
+    """The LP route: decide the ascending strategies ``y_indices`` of
+    ``player`` under every parent payoff row ``bases[z]``, given the
+    children's payoff ``rows`` (both as ``CandidateTables.rows_of`` returns
+    them) and their complete rows under each y; return the cells' codes, one
+    row per z and one column per y, and per y the witnesses tried, in order.
 
-    A y with an empty candidate product is decided without a count. Below
-    ``lp_threshold`` one ``first_witnesses`` call decides every (z, y) pair
-    of the group. On the LP route the y's are decided in order: the latest
-    witness (``latest`` from before the group, then each y's) is tried first
-    when it lies in y's candidate product, then ``membership_test`` runs for
-    the lowest pending row; each witness is tried on every pending row by one
-    ``first_witnesses`` call over that one tuple and settles the rows it
-    hits. A tried tuple lies in the candidate product, so the masks are those
-    of the full scan.
+    A y with an empty candidate product is decided false without a count.
+    The y's are decided in order: the latest witness (``latest`` from before
+    the group, then each y's) is tried first when it lies in y's candidate
+    product, then ``membership_test`` runs for the lowest pending row; each
+    witness is tried on every pending row by one ``first_witnesses`` call
+    over that one tuple and settles the rows it hits, whose code is its
+    position among the tried witnesses. A tried tuple lies in the candidate
+    product, so the cells are those of the full scan.
     """
     children = rooted.children[player]
     candidates, sizes = tables.candidate_rows(children, y_indices)
-    hits = np.zeros((len(bases), len(y_indices)), dtype=bool)
+    codes = np.full((len(bases), len(y_indices)), -1, dtype=np.int64)
     tried: list[list[tuple[int, ...]]] = [[] for _ in y_indices]
     decided = sizes.all(axis=0)
     stats.membership_tests += len(bases) * int(decided.sum())
-    if len(children) < config.effective_lp_threshold(game.num_actions):
-        if decided.any():
-            found = first_witnesses(
-                game, player, parent, bases, y_indices[decided], children,
-                [lists[decided] for lists in candidates], sizes[:, decided], rows, uset,
-                config.epsilon, config.exhaustive_cap, stats,
-            )
-            hits[:, decided] = found >= 0
-        return hits, tried
-
     for g in np.flatnonzero(decided).tolist():
         y_index = int(y_indices[g])
         candidate_lists = [
@@ -538,7 +581,7 @@ def _decide_strategy(
         pending = np.arange(len(bases))
         witness = latest
         if witness is not None and not all(
-            tables.masks[c][y_index, index] for c, index in zip(children, witness)
+            tables.cells[(c, y_index)][index] >= 0 for c, index in zip(children, witness)
         ):
             witness = None
         while pending.size:
@@ -551,7 +594,7 @@ def _decide_strategy(
                 if extension is None:
                     continue
                 witness = extension.strategy_indices
-                hits[r, g] = True
+                codes[r, g] = len(tried[g])
             tried[g].append(witness)
             latest = witness
             if not pending.size:
@@ -561,18 +604,251 @@ def _decide_strategy(
                 game, player, parent, bases[pending], [y_index], children, list(single),
                 np.ones((len(children), 1), dtype=np.int64), rows, uset, config.epsilon, 1,
             )[:, 0] >= 0
-            hits[pending[reused], g] = True
+            codes[pending[reused], g] = len(tried[g]) - 1
             stats.reused_witnesses += int(reused.sum())
             pending = pending[~reused]
             witness = None
-    return hits, tried
+    return codes, tried
 
 
-def _y_groups(num_rows: int, num_children: int, m: int, size: int) -> list[np.ndarray]:
-    """Ascending groups of the strategy indices, sized by the
-    ``_GROUP_ELEMENT_LIMIT`` rule over ``num_rows`` parent rows."""
-    group = max(1, _GROUP_ELEMENT_LIMIT // (num_rows * (num_children + 1) * (m + 1)))
-    return [np.arange(start, min(start + group, size)) for start in range(0, size, group)]
+def _group_size(num_rows: int, num_children: int, m: int) -> int:
+    """Strategies y per scan call that keep one tuple for each of the
+    ``num_rows`` parent rows within about ``_GROUP_ELEMENT_LIMIT`` values."""
+    return max(1, _GROUP_ELEMENT_LIMIT // (num_rows * (num_children + 1) * (m + 1)))
+
+
+class _Search:
+    """Decides candidate-table cells on demand.
+
+    A request ``(players, z_indices, need)`` asks for each player's rows
+    under ``z_indices`` to hold a true cell (``need`` None) or at least
+    ``need`` decided cells, unless they are complete first; a leaf's rows
+    are always completed. Each request is a generator that yields the
+    requests its cells depend on, its children's rows, and resumes once they
+    are met; ``run`` keeps the open requests on an explicit stack, so a deep
+    tree needs no deep Python recursion.
+    """
+
+    def __init__(
+        self,
+        game: TreePolymatrixGame,
+        rooted: RootedTree,
+        uset: UniformStrategySet,
+        tables: CandidateTables,
+        config: SolverConfig,
+        stats: SolveStats,
+    ) -> None:
+        self.game, self.rooted, self.uset = game, rooted, uset
+        self.tables, self.config, self.stats = tables, config, stats
+        self.threshold = config.effective_lp_threshold(game.num_actions)
+
+    def run(self, players: Sequence[int], z_indices: Sequence[int], need: int | None) -> None:
+        stack = [self._extend(players, z_indices, need)]
+        while stack:
+            try:
+                request = next(stack[-1])
+            except StopIteration:
+                stack.pop()
+            else:
+                stack.append(self._extend(*request))
+
+    def _decided(self, key: tuple[int, int]) -> int:
+        return len(self.tables.cells.get(key, ()))
+
+    def _one_call(self, player: int, num_rows: int) -> bool:
+        """Whether ``num_rows`` whole rows of ``player`` fit one scan call; a
+        leaf's rows always count as fitting, since they are always completed."""
+        children = self.rooted.children[player]
+        size = self.tables.num_strategies
+        return not children or _group_size(num_rows, len(children), self.game.num_actions) >= size
+
+    def _append(self, keys: Sequence[tuple[int, int]], start: int, codes: np.ndarray) -> None:
+        """Append the codes of strategies ``start, start + 1, ...`` to the
+        rows ``keys``, one row of ``codes`` each."""
+        cells, firsts = self.tables.cells, self.tables.firsts
+        if start == 0:
+            cells.update(zip(keys, codes))
+        else:
+            for key, row in zip(keys, codes):
+                cells[key] = np.concatenate([cells[key], row])
+        hits = codes >= 0
+        for i in np.flatnonzero(hits.any(axis=1)).tolist():
+            firsts.setdefault(keys[i], start + int(hits[i].argmax()))
+
+    def _extend(self, players: Sequence[int], z_indices: Sequence[int], need: int | None):
+        rooted = self.rooted
+        leaves = [q for q in players if not rooted.children[q] and rooted.parent[q] is not None]
+        if leaves:
+            self._complete_leaves(leaves, z_indices)
+        for q in players:
+            if rooted.children[q] or rooted.parent[q] is None:
+                yield from self._extend_player(q, z_indices, need)
+
+    def _complete_leaves(self, leaves: list[int], z_indices: Sequence[int]) -> None:
+        """Complete the leaves' rows under ``z_indices``. A leaf's cell is the
+        direct check of y against z; stacked, the rows are one childless
+        player's, whose parent rows are the (leaf, z) rows of the payoff
+        table, so one broadcast decides a chunk of y's for all of them."""
+        tables, size, m = self.tables, self.tables.num_strategies, self.game.num_actions
+        offsets, cells = self.game.offsets, tables.cells
+        pending = [(q, z) for q in leaves for z in z_indices if len(cells.get((q, z), ())) < size]
+        while pending:
+            start = len(cells.get(pending[0], ()))
+            batch = [key for key in pending if len(cells.get(key, ())) == start]
+            slots, zs = zip(*((offsets[q], z) for q, z in batch))
+            bases = tables.rows[list(slots), list(zs)]
+            ys = np.arange(start, min(size, start + _group_size(len(batch), 0, m)))
+            codes = first_witnesses(
+                self.game, batch[0][0], self.rooted.parent[batch[0][0]], bases, ys, [], [],
+                np.empty((0, len(ys)), dtype=np.int64), [], self.uset, tables.epsilon, 1,
+            )
+            self._append(batch, start, codes)
+            pending = [key for key in pending if len(cells.get(key, ())) < size]
+
+    def _extend_player(self, player: int, z_indices: Sequence[int], need: int | None):
+        tables, size, m = self.tables, self.tables.num_strategies, self.game.num_actions
+        children = self.rooted.children[player]
+        if need is not None and need >= size and self.rooted.parent[player] is not None and (
+            self._one_call(player, size)
+        ):
+            # the player's whole table fits one call: decide every row, so
+            # that the rows later requests ask for share this call's blocks
+            z_indices = range(size)
+        cells, firsts = tables.cells, tables.firsts
+        target = size if need is None else min(need, size)
+        while True:
+            decided = {z: len(cells.get((player, z), ())) for z in z_indices}
+            short = [
+                z for z, length in decided.items()
+                if length < target and (need is not None or (player, z) not in firsts)
+            ]
+            if not short:
+                return
+            if len(children) >= self.threshold:
+                yield from self._decide_columns(player)
+                continue
+            start = decided[short[0]]
+            batch = [z for z in short if decided[z] == start]
+            width = min(size - start, _group_size(len(batch), len(children), m))
+            # a row searched for its first true cell grows in chunks that
+            # double, so it is decided about as far as it is read
+            width = min(width, max(1, start) if need is None else need - start)
+            yield from self._evaluate(player, batch, np.arange(start, start + width))
+
+    def _evaluate(self, player: int, z_indices: list[int], y_indices: np.ndarray):
+        """Decide the cells (z, y) of a scan-route player (the root, or a
+        player with children) and append them to its rows.
+
+        A cell's walk reads its candidate product in canonical order, and
+        every walk so far covers a prefix of it: with the first ``level``
+        children at their lowest candidate, the next child's candidates as
+        far as its row is decided, and the later children's complete lists.
+        So one call first checks every cell's first tuple (``level`` is the
+        child count), for which each child's row needs one true cell. Cells
+        that fail it walk on in one call once their children's rows are
+        complete, when each fits one call; otherwise the rows are completed
+        from the last child on, each extended in doubling chunks, with a
+        call over the prefix known after every extension. The later cells
+        of a row are decided as they are read, and a cell's first hit is
+        the same on every prefix that holds it.
+        """
+        game, tables, config = self.game, self.tables, self.config
+        size = tables.num_strategies
+        parent, children = self.rooted.parent[player], self.rooted.children[player]
+        rows, bases = tables.rows_of(player, parent)
+        bases = bases[z_indices]
+        ys = y_indices.tolist()
+        if children:
+            yield children, ys, None
+        keys = [(c, y) for c in children for y in ys]
+        firsts = np.array([tables.firsts.get(key, -1) for key in keys], dtype=np.int64)
+        firsts = firsts.reshape(len(children), len(ys))
+        live = (firsts >= 0).all(axis=0)  # the strategies with a non-empty product
+        decided = len(z_indices) * int(live.sum())
+        self.stats.membership_tests += decided
+        self.stats.exhaustive_calls += decided
+        codes = np.full((len(z_indices), len(ys)), -1, dtype=np.int64)
+        walking, level = live, len(children)
+        if all(len(tables.cells[key]) == size for key in keys):
+            level = 0  # every list is known: walk whole products at once
+        while walking.any():
+            walk = y_indices[walking]
+            if level == len(children):  # each child's lowest candidate
+                candidates = list(firsts[:, walking, None])
+                sizes = np.ones((len(children), len(walk)), dtype=np.int64)
+            else:
+                candidates, sizes = tables.candidate_rows(children, walk)
+                sizes[:level] = np.minimum(sizes[:level], 1)
+            codes[:, walking] = first_witnesses(
+                game, player, parent, bases, walk, children, candidates, sizes, rows, self.uset,
+                config.epsilon, config.exhaustive_cap,
+            )
+            walking &= (codes < 0).any(axis=0)
+            walk = y_indices[walking].tolist()
+            if not walk:
+                break
+            if level and all(self._one_call(c, len(walk)) for c in children[:level + 1]):
+                level = 0
+                yield children, walk, size
+                continue
+            active = children[level] if level < len(children) else None
+            shortest = size if active is None else min(self._decided((active, y)) for y in walk)
+            if shortest < size:
+                yield [active], walk, 2 * shortest
+            elif level:
+                level -= 1
+            else:
+                break
+        self._append([(player, z) for z in z_indices], int(y_indices[0]), codes)
+
+    def _decide_columns(self, player: int):
+        """Decide the LP-route player's next group of strategies y under
+        every parent strategy at once, in ascending order, carrying its
+        latest witness from the last decided y (the root takes one y at a
+        time and carries none)."""
+        tables, size = self.tables, self.tables.num_strategies
+        parent, children = self.rooted.parent[player], self.rooted.children[player]
+        rows, bases = tables.rows_of(player, parent)
+        start = self._decided((player, 0))
+        latest = None
+        if parent is None:
+            width = 1
+        else:
+            width = _group_size(len(bases), len(children), self.game.num_actions)
+            latest = next(
+                (tables.extensions[(player, y)][-1] for y in range(start - 1, -1, -1)
+                 if (player, y) in tables.extensions),
+                None,
+            )
+        y_indices = np.arange(start, min(size, start + width))
+        yield children, y_indices.tolist(), size
+        codes, tried = _decide_strategy(
+            self.game, self.rooted, player, parent, bases, y_indices, tables, self.uset,
+            self.config, self.stats, rows, latest,
+        )
+        for y_index, witnesses in zip(y_indices.tolist(), tried):
+            if witnesses:
+                tables.extensions[(player, y_index)] = witnesses
+        self._append([(player, z) for z in range(len(bases))], start, codes)
+
+
+def evaluate_rows(
+    game: TreePolymatrixGame,
+    rooted: RootedTree,
+    uset: UniformStrategySet,
+    tables: CandidateTables,
+    config: SolverConfig,
+    stats: SolveStats,
+    players: Sequence[int],
+    z_indices: Sequence[int],
+    complete: bool = True,
+) -> None:
+    """Decide the cells of each player's rows under ``z_indices`` (0 alone
+    at the root): all of them when ``complete``, or else until each row
+    holds a true cell. Rows only grow, in ascending y, so a later call
+    continues where an earlier one stopped, with the same cells."""
+    need = tables.num_strategies if complete else None
+    _Search(game, rooted, uset, tables, config, stats).run(players, z_indices, need)
 
 
 def build_tables(
@@ -582,102 +858,18 @@ def build_tables(
     config: SolverConfig,
     stats: SolveStats | None = None,
 ) -> CandidateTables:
-    """Populate candidate tables bottom-up for every parent-child edge.
-
-    First builds the solve's ``payoff_table``, which every later step reads.
-    The leaves of one parent, their payoff rows stacked, are decided as one
-    childless player by ``first_witnesses``, without counts. An internal
-    player decides its strategies y under every parent strategy at once
-    (``_decide_strategy``), carrying its latest LP-route witness from y to y.
-    Both take their y's in the ascending groups of ``_y_groups``.
+    """Start a solve's candidate tables: warn when the game is not normalized
+    for epsilon, and build the solve's ``payoff_table``, which every later
+    step reads. No cell is decided here; ``process_root`` decides the cells
+    its search reads. ``stats`` is accepted for symmetry with the other
+    phases and is left unchanged.
     """
-    stats = stats if stats is not None else SolveStats()
     report = check_normalized(game, config.epsilon)
     if not report.ok:
         logger.warning("game is not normalized for the requested epsilon; proceeding\n%s",
                        report.summary())
-
-    size, m = len(uset), game.num_actions
-    tables = CandidateTables(
-        game, config.epsilon, size, masks={}, extensions={}, rows=payoff_table(game, uset)
-    )
-    for parent in rooted.order:
-        leaves = [q for q in rooted.children[parent] if not rooted.children[q]]
-        if leaves:
-            # a leaf's only payoff slot, offsets[leaf], pays it against its
-            # parent; stacked, row leaf * size + z is that leaf's row under z
-            bases = tables.rows[game.offsets[leaves]].reshape(-1, m)
-            masks = np.empty((len(bases), size), dtype=bool)
-            for y_indices in _y_groups(len(bases), 0, m, size):
-                masks[:, y_indices] = first_witnesses(
-                    game, leaves[0], parent, bases, y_indices, [], [],
-                    np.empty((0, len(y_indices)), dtype=np.int64), [], uset, config.epsilon,
-                    config.exhaustive_cap,
-                ) >= 0
-            tables.masks.update(zip(leaves, masks.reshape(len(leaves), size, size)))
-        for q in rooted.children[parent]:
-            if not rooted.children[q]:
-                continue
-            rows, bases = tables.rows_of(q, parent)
-            latest = None  # the LP route's most recent witness for q
-            mask = np.zeros((size, size), dtype=bool)
-            for y_indices in _y_groups(size, len(rows), m, size):
-                mask[:, y_indices], tried = _decide_strategy(
-                    game, rooted, q, parent, bases, y_indices, tables, uset, config, stats, rows,
-                    latest,
-                )
-                for y_index, witnesses in zip(y_indices.tolist(), tried):
-                    if witnesses:
-                        tables.extensions[(q, y_index)] = witnesses
-                        latest = witnesses[-1]
-            tables.masks[q] = mask
-    return tables
-
-
-def _recover_witness(
-    rooted: RootedTree,
-    tables: CandidateTables,
-    uset: UniformStrategySet,
-    player: int,
-    z_index: int | None,
-    y_index: int,
-    tried: list[tuple[int, ...]],
-) -> tuple[int, ...]:
-    """The witness the build chose for the true cell (z, y) of ``player``
-    (z None at the root), given the witnesses its LP route tried for y.
-
-    On the LP route this is the first tried tuple that passes at z: each
-    earlier one was tried on that row and failed. Otherwise it is the
-    canonical scan's first hit for the one row: the scan's first tuple, each
-    child's lowest candidate, is checked directly, since the scan's hits are
-    exactly the direct check's acceptances, and only when it fails is the
-    scan rerun, without a cap or counts. Solves no LP.
-    """
-    game, parent = tables.game, rooted.parent[player]
-    children = rooted.children[player]
-    y = uset.probs[y_index]
-
-    def passes(witness: tuple[int, ...]) -> bool:
-        neighbors = {} if parent is None else {parent: uset.probs[z_index]}
-        neighbors.update({c: uset.probs[x] for c, x in zip(children, witness)})
-        return is_epsilon_best_response(game, player, y, neighbors, tables.epsilon)
-
-    for witness in tried:
-        if passes(witness):
-            return witness
-    if not tried:
-        candidate_lists = [tables.candidate_set(c, y_index) for c in children]
-        first = tuple(int(candidates[0]) for candidates in candidate_lists if len(candidates))
-        if len(first) == len(children) and passes(first):
-            return first
-        extension = exhaustive_membership(
-            game, rooted, player, parent, z_index, y_index, tables, uset, tables.epsilon,
-            math.inf, candidate_lists=candidate_lists,
-        )
-        if extension is not None:
-            return extension.strategy_indices
-    raise InternalSoundnessViolation(
-        f"no witness recovered for player {player}, strategy indices ({z_index}, {y_index})"
+    return CandidateTables(
+        game, config.epsilon, len(uset), cells={}, extensions={}, rows=payoff_table(game, uset)
     )
 
 
@@ -689,32 +881,25 @@ def process_root(
     config: SolverConfig,
     stats: SolveStats | None = None,
 ) -> tuple[int, Extension]:
-    """Decide root strategies in canonical order with ``_decide_strategy``
-    over one zero parent row, and return the first that extends across the
-    root's children, with its recovered witness. The root's payoff rows are
-    read from the tables' payoff table.
+    """Decide root strategies in canonical order, each cell's children's
+    cells on demand, and return the first that extends across the root's
+    children, with its witness.
 
     Raises NoEquilibriumFound when the scan is exhausted, which can only
     happen when the support size or the scan caps are below the defaults.
     """
     stats = stats if stats is not None else SolveStats()
     root = rooted.root
-    rows, bases = tables.rows_of(root, None)
-    for y_index in range(len(uset)):
-        # one y at a time, to stop at the first hit; no earlier y has a
-        # witness, so there is none to carry
-        [[hit]], [tried] = _decide_strategy(
-            game, rooted, root, None, bases, np.array([y_index]), tables, uset, config, stats,
-            rows, None,
+    evaluate_rows(game, rooted, uset, tables, config, stats, [root], [0], complete=False)
+    y_index = tables.firsts.get((root, 0))
+    if y_index is None:
+        raise NoEquilibriumFound(
+            f"no strategy on the uniform grid (b={uset.b}, {len(uset)} strategies) extends "
+            f"to an equilibrium at epsilon={config.epsilon:g}; success is only guaranteed "
+            f"with the default support size and unlimited scan caps"
         )
-        if hit:
-            indices = _recover_witness(rooted, tables, uset, root, None, y_index, tried)
-            return y_index, Extension(tuple(rooted.children[root]), indices)
-    raise NoEquilibriumFound(
-        f"no strategy on the uniform grid (b={uset.b}, {len(uset)} strategies) extends "
-        f"to an equilibrium at epsilon={config.epsilon:g}; success is only guaranteed "
-        f"with the default support size and unlimited scan caps"
-    )
+    indices = tables.witness(rooted, root, 0, y_index)
+    return y_index, Extension(tuple(rooted.children[root]), indices)
 
 
 def backtrack(
@@ -724,8 +909,8 @@ def backtrack(
     root_extension: Extension,
     uset: UniformStrategySet,
 ) -> list[np.ndarray]:
-    """Assemble the full profile top-down, recovering each internal player's
-    witness for the (z, y) cell the profile uses."""
+    """Assemble the full profile top-down, reading each internal player's
+    witness for the (z, y) cell the profile uses from the tables."""
     assignment: list[int | None] = [None] * len(rooted.parent)
     assignment[rooted.root] = root_strategy_index
     stack: list[tuple[int, Extension]] = [(rooted.root, root_extension)]
@@ -735,10 +920,7 @@ def backtrack(
             assignment[child] = strategy_index
             if not rooted.children[child]:
                 continue
-            tried = tables.extensions.get((child, strategy_index), [])
-            indices = _recover_witness(
-                rooted, tables, uset, child, assignment[player], strategy_index, tried
-            )
+            indices = tables.witness(rooted, child, assignment[player], strategy_index)
             stack.append((child, Extension(tuple(rooted.children[child]), indices)))
     if any(index is None for index in assignment):
         raise InternalSoundnessViolation("backtracking left some players unassigned")

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from helpers import identity_edge_game, matching_pennies_game, zero_game
+from helpers import game_from_matrices, identity_edge_game, matching_pennies_game, zero_game
 from treenash.cli import main
 from treenash.errors import InternalSoundnessViolation, SchemaError
 from treenash.generator import random_tree
@@ -123,14 +123,32 @@ class TestSolveVerifyRoundTrip:
         assert code == 5
 
     def test_solve_cap_exceeded_on_a_batched_player_exit_5(self, tmp_path, capsys):
-        # hub 1 has 20 leaves, below the LP threshold of 67: its candidate
-        # product of 2**20 tuples exceeds the default exhaustive cap
+        # hub 1 has 20 leaves, below the LP threshold of 67, so its candidate
+        # product holds 2**20 tuples. Its edge to the root pays its second
+        # action 0.6 more, so its first strategy is never a 0.5-best
+        # response: that cell walks the default exhaustive cap of 10**6
+        # tuples without a hit
+        zero = [[0.0, 0.0], [0.0, 0.0]]
+        game = game_from_matrices(
+            22, 2,
+            [(0, 1, zero, [[0.0, 0.0], [0.6, 0.6]])] + [(1, leaf, zero, zero) for leaf in range(2, 22)],
+        )
+        game_path = write_game(tmp_path / "hub.json", game)
+        code = run("solve", "--game", game_path, "--epsilon", "0.5",
+                   "--support-size", "1", "--out", str(tmp_path / "p.json"))
+        assert code == 5
+        assert "player 1, strategy index 0: no hit among the first 1000000 tuples" in (
+            capsys.readouterr().out
+        )
+
+    def test_solve_a_product_over_the_cap_whose_first_tuple_hits_exit_0(self, tmp_path):
+        # the same hub in the zero game: a product of 2**20 tuples, over the
+        # default exhaustive cap, whose first tuple hits
         edges = [(0, 1)] + [(1, leaf) for leaf in range(2, 22)]
         game_path = write_game(tmp_path / "hub.json", zero_game(22, edges))
         code = run("solve", "--game", game_path, "--epsilon", "0.5",
                    "--support-size", "1", "--out", str(tmp_path / "p.json"))
-        assert code == 5
-        assert "player 1" in capsys.readouterr().out
+        assert code == 0
 
     def test_solve_malformed_game_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,10 +1,13 @@
 """Tests for the dynamic program: tables, membership, root processing, solve."""
 
 import dataclasses
+import functools
 import hashlib
+import importlib.util
 import itertools
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from treenash.solver import (
     backtrack,
     build_tables,
     default_lp_threshold,
+    evaluate_rows,
     exhaustive_membership,
     first_witnesses,
     process_root,
@@ -38,26 +42,50 @@ from treenash.uniform import enumerate_uniform, support_size
 
 
 def tables_for(game, epsilon, b, **config_kwargs):
+    """Tables with every cell of every non-root player decided, as a full
+    table holds them; the root's row is left to process_root."""
     config = SolverConfig(epsilon=epsilon, b_override=b, **config_kwargs)
     rooted = validate_and_root(game, config.root)
     uset = enumerate_uniform(game.num_actions, b)
     stats = SolveStats()
     tables = build_tables(game, rooted, uset, config, stats)
+    players = [q for q in range(game.num_players) if q != rooted.root]
+    evaluate_rows(game, rooted, uset, tables, config, stats, players, range(len(uset)))
     return rooted, uset, tables, config, stats
+
+
+def full_masks(rooted, tables):
+    """Per non-root player q, the (parent strategy, own strategy) table of
+    its decided cells."""
+    size = tables.num_strategies
+    return {
+        q: np.array([tables.cells[(q, z)] >= 0 for z in range(size)]).reshape(size, size)
+        for q in range(len(rooted.parent))
+        if q != rooted.root
+    }
+
+
+def tables_from_masks(game, epsilon, uset, masks):
+    """Tables whose rows are complete and given by per-player (z, y) masks,
+    each true cell coded as its product's first tuple."""
+    cells = {
+        (q, z): np.where(row, 0, -1) for q, mask in masks.items() for z, row in enumerate(mask)
+    }
+    return CandidateTables(
+        game, epsilon, len(uset), cells=cells, extensions={},
+        rows=solver_module.payoff_table(game, uset),
+    )
 
 
 def recovered_witnesses(rooted, uset, tables):
     """The (q, z, y) -> witness map of every true cell of an internal
-    non-root player, each recovered as backtrack recovers it."""
+    non-root player, each read as backtrack reads it."""
     witnesses = {}
-    for q, mask in tables.masks.items():
+    for q, mask in full_masks(rooted, tables).items():
         if not rooted.children[q]:
             continue
         for z_idx, y_idx in zip(*map(np.ndarray.tolist, np.nonzero(mask))):
-            tried = tables.extensions.get((q, y_idx), [])
-            witnesses[(q, z_idx, y_idx)] = solver_module._recover_witness(
-                rooted, tables, uset, q, z_idx, y_idx, tried
-            )
+            witnesses[(q, z_idx, y_idx)] = tables.witness(rooted, q, z_idx, y_idx)
     return witnesses
 
 
@@ -114,14 +142,15 @@ class TestConfig:
 class TestBuildTables:
     def test_single_edge_identity_b1(self):
         game = identity_edge_game()
-        _, _, tables, _, _ = tables_for(game, 0.5, 1)
-        assert tables.masks[1].tolist() == [[True, False], [False, True]]
+        rooted, _, tables, _, _ = tables_for(game, 0.5, 1)
+        assert full_masks(rooted, tables)[1].tolist() == [[True, False], [False, True]]
 
     def test_zero_tree_everything_extends(self):
         game = zero_game(4, path_edges(4))
-        _, uset, tables, _, _ = tables_for(game, 0.3, 2)
+        rooted, uset, tables, _, _ = tables_for(game, 0.3, 2)
+        masks = full_masks(rooted, tables)
         for q in (1, 2, 3):
-            assert tables.masks[q].all()
+            assert masks[q].all()
 
     def test_path3_identity_middle_sets_match_hand_enumeration(self):
         eye = np.eye(2)
@@ -129,11 +158,12 @@ class TestBuildTables:
             3, 2, [(0, 1, eye.copy(), eye.copy()), (1, 2, eye.copy(), eye.copy())]
         )
         rooted, uset, tables, _, _ = tables_for(game, 0.1, 1)
+        masks = full_masks(rooted, tables)
         # leaf 2 best-responds to matching strategies only
-        assert tables.masks[2].tolist() == [[True, False], [False, True]]
+        assert masks[2].tolist() == [[True, False], [False, True]]
         # middle player: for any z, both y work because the child matches y
         # (y = e_k earns 1 from the child and z contributes symmetrically)
-        assert tables.masks[1].all()
+        assert masks[1].all()
         assert recovered_witnesses(rooted, uset, tables) == {
             (1, 0, 0): (0,), (1, 0, 1): (1,), (1, 1, 0): (0,), (1, 1, 1): (1,)
         }
@@ -143,6 +173,7 @@ class TestBuildTables:
         for _ in range(5):
             game = random_normalized_game(4, 3, 0.5, rng_seed=int(rng.integers(1000)))
             rooted, uset, tables, config, _ = tables_for(game, 0.5, 2)
+            masks = full_masks(rooted, tables)
             for q in range(4):
                 if rooted.children[q] or q == rooted.root:
                     continue
@@ -153,7 +184,7 @@ class TestBuildTables:
                             game, q, uset.probs[y_idx],
                             {parent: uset.probs[z_idx]}, 0.5,
                         )
-                        assert bool(tables.masks[q][z_idx, y_idx]) == expected
+                        assert bool(masks[q][z_idx, y_idx]) == expected
 
     @pytest.mark.parametrize("m, b", [(2, 4), (3, 3), (5, 2)])
     @pytest.mark.parametrize("topology", ["random-12", "star-70"])
@@ -184,10 +215,12 @@ class TestBuildTables:
         ],
     )
     def test_leaf_masks_agree_exactly_with_scalar_check(self, topology, m, b, monkeypatch):
-        # The leaves of one parent are decided as build_tables decides them:
-        # their payoff rows stacked, as one childless player, in y groups.
-        # A star's 69 leaves (more than 64) share one stack. The group limit
-        # runs at its default, at two y's per group and at one. The second
+        # The leaves of one request are decided as the search decides them:
+        # their payoff rows under every z stacked, as one childless player,
+        # in chunks of y's. A star's 69 leaves (more than 64) share one
+        # stack. The group limit runs at its default, at two y's per chunk
+        # and at one; at the first epsilon the search itself decides the
+        # leaves' rows too, at each limit. The second
         # epsilon puts one cell on the acceptance boundary: it is that cell's
         # scalar gap less BR_TOL. At m = 8 and 9 numpy sums a utility
         # pairwise, and b = 3 gives strategies with three or more weights,
@@ -225,7 +258,8 @@ class TestBuildTables:
                 densities.append(expected.mean())
                 for limit in (default, 2 * len(bases) * (m + 1), 1):
                     monkeypatch.setattr(solver_module, "_GROUP_ELEMENT_LIMIT", limit)
-                    groups = solver_module._y_groups(len(bases), 0, m, size)
+                    group = solver_module._group_size(len(bases), 0, m)
+                    groups = [np.arange(y, min(y + group, size)) for y in range(0, size, group)]
                     group_counts.add(len(groups))
                     found = np.concatenate([
                         first_witnesses(
@@ -237,6 +271,14 @@ class TestBuildTables:
                     assert set(np.unique(found).tolist()) <= {-1, 0}
                     masks = (found >= 0).reshape(len(leaves), size, size)
                     assert np.array_equal(masks, expected), (seed, eps, limit)
+                    if eps == 0.05:
+                        config = SolverConfig(epsilon=eps, b_override=b)
+                        tables = build_tables(game, rooted, uset, config)
+                        evaluate_rows(
+                            game, rooted, uset, tables, config, SolveStats(), leaves, range(size)
+                        )
+                        searched = [[tables.cells[(q, z)] for z in range(size)] for q in leaves]
+                        assert np.array_equal(np.array(searched) >= 0, expected), (seed, limit)
         assert 0.0 < min(densities) < 1.0
         # groups of two y's and of one
         assert {-(-size // 2), size} <= group_counts
@@ -257,12 +299,13 @@ class TestBuildTables:
                 lp_stats.lp_infeasible += stats.lp_infeasible
                 lp_stats.fallbacks += stats.fallbacks
                 lp_stats.reused_witnesses += stats.reused_witnesses
+            masks = full_masks(rooted, tables)
             for (q, z_idx, y_idx), indices in recovered_witnesses(rooted, uset, tables).items():
                 children = rooted.children[q]
                 assert len(indices) == len(children)
                 neighbors = {rooted.parent[q]: uset.probs[z_idx]}
                 for c, x_idx in zip(children, indices):
-                    assert tables.masks[c][y_idx, x_idx]  # witness drawn from the child's set
+                    assert masks[c][y_idx, x_idx]  # witness drawn from the child's set
                     neighbors[c] = uset.probs[x_idx]
                 assert is_epsilon_best_response(game, q, uset.probs[y_idx], neighbors, eps)
         assert lp_stats.lp_infeasible > 0
@@ -280,20 +323,21 @@ class TestBuildTables:
         for seed in range(20):
             n, m, b = 6 + seed % 11, 2 + seed % 2, 1 + seed % 3
             game = random_normalized_game(n, m, 0.5, rng_seed=seed)
-            _, _, exact, _, _ = tables_for(game, 0.5, b, lp_threshold=math.inf)
+            rooted, _, exact, _, _ = tables_for(game, 0.5, b, lp_threshold=math.inf)
             rooted, _, mixed, _, stats = tables_for(
                 game, 0.5, b, lp_threshold=2, rng_seed=seed
             )
+            exact, mixed = full_masks(rooted, exact), full_masks(rooted, mixed)
             lp_calls += stats.lp_calls
             lp_pairs += sum(
-                all(mixed.masks[c][y_idx].any() for c in rooted.children[q])
-                for q in mixed.masks
+                all(mixed[c][y_idx].any() for c in rooted.children[q])
+                for q in mixed
                 if len(rooted.children[q]) >= 2
-                for y_idx in range(mixed.num_strategies)
+                for y_idx in range(len(mixed[q]))
             )
-            assert set(exact.masks) == set(mixed.masks)
-            for q, mask in exact.masks.items():
-                assert np.array_equal(mask, mixed.masks[q]), (seed, q)
+            assert set(exact) == set(mixed)
+            for q, mask in exact.items():
+                assert np.array_equal(mask, mixed[q]), (seed, q)
         assert 0 < lp_calls < lp_pairs
 
     def test_masks_identical_across_routes_at_the_theoretical_grid(self):
@@ -313,12 +357,12 @@ class TestBuildTables:
                 y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
                 profile = backtrack(rooted, tables, y_idx, ext, uset)
                 assert verify_profile(game, profile, 0.8).accepted, (seed, threshold)
-                runs.append((tables, stats))
+                runs.append((full_masks(rooted, tables), stats))
             (exact, _), (mixed, stats) = runs
             assert stats.lp_calls > 0 and stats.reused_witnesses > 0
-            assert set(exact.masks) == set(mixed.masks)
-            for q, mask in exact.masks.items():
-                assert np.array_equal(mask, mixed.masks[q]), (seed, q)
+            assert set(exact) == set(mixed)
+            for q, mask in exact.items():
+                assert np.array_equal(mask, mixed[q]), (seed, q)
 
     def test_tables_identical_for_every_scan_block_size(self, monkeypatch):
         # the block size only cuts the canonical scan order into vectorized
@@ -332,17 +376,16 @@ class TestBuildTables:
             for limit in (default, 60, 1):
                 monkeypatch.setattr(solver_module, "_VECTORIZE_ELEMENT_LIMIT", limit)
                 rooted, uset, tables, _, _ = tables_for(game, 0.5, b, lp_threshold=math.inf)
-                runs.append((tables, recovered_witnesses(rooted, uset, tables)))
-            for tables, witnesses in runs[1:]:
-                assert set(tables.masks) == set(runs[0][0].masks)
-                for q, mask in runs[0][0].masks.items():
-                    assert np.array_equal(mask, tables.masks[q]), (seed, q)
+                runs.append((full_masks(rooted, tables), recovered_witnesses(rooted, uset, tables)))
+            for masks, witnesses in runs[1:]:
+                assert set(masks) == set(runs[0][0])
+                for q, mask in runs[0][0].items():
+                    assert np.array_equal(mask, masks[q]), (seed, q)
                 assert witnesses == runs[0][1], seed
             # count scans whose product is larger than the block the limit of
             # 60 allows with every parent row of one y pending, so that the
             # limit is known to cut some scans into several capped blocks
-            tables = runs[0][0]
-            for q in tables.masks:
+            for q in runs[0][0]:
                 children = rooted.children[q]
                 block = max(1, 60 // (len(uset) * (len(children) + 1) * (m + 1) + 1))
                 for y_idx in range(tables.num_strategies):
@@ -388,13 +431,14 @@ class TestBuildTables:
             for limit in (1, 2 * pair_values, 3 * pair_values, default):
                 monkeypatch.setattr(solver_module, "_GROUP_ELEMENT_LIMIT", limit)
                 rooted, uset, tables, config, stats = tables_for(game, eps, b, **options)
+                counts = dataclasses.replace(stats)
                 y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
                 profile = backtrack(rooted, tables, y_idx, ext, uset)
                 runs.append((
-                    {q: mask.tobytes() for q, mask in tables.masks.items()},
+                    {q: mask.tobytes() for q, mask in full_masks(rooted, tables).items()},
                     recovered_witnesses(rooted, uset, tables),
                     [uset.index_of(strategy) for strategy in profile],
-                    stats,
+                    counts,
                 ))
             for run in runs[1:]:
                 assert run == runs[0], (seed, n, m, b)
@@ -407,17 +451,18 @@ class TestBuildTables:
         assert any(size > 1 and children > 1 for size, children in groups)
 
     def test_cap_exceeded_names_the_same_strategy_for_every_group_size(self, monkeypatch):
-        # player 3's strategy 0 fits the cap and strategy 1 does not; both lie
-        # in one group at the default size
-        game = random_normalized_game(13, 3, 0.5, rng_seed=3)
-        config = SolverConfig(epsilon=0.5, b_override=2, lp_threshold=math.inf, exhaustive_cap=4)
+        # the cap bounds the tuples one cell walks: player 6's strategy 4 has
+        # a candidate product of 12 tuples and no hit among its first 4, and
+        # the same cell raises whether one y or many share a scan
+        game = random_normalized_game(13, 3, 0.5, rng_seed=1)
+        config = SolverConfig(epsilon=0.1, b_override=2, lp_threshold=math.inf, exhaustive_cap=4)
         for limit in (1, solver_module._GROUP_ELEMENT_LIMIT):
             monkeypatch.setattr(solver_module, "_GROUP_ELEMENT_LIMIT", limit)
             with pytest.raises(CapExceeded) as raised:
                 solve(game, config)
             assert str(raised.value) == (
-                "player 3, strategy index 1: candidate product of size 6 exceeds the "
-                "exhaustive cap of 4"
+                "player 6, strategy index 4: no hit among the first 4 tuples of a candidate "
+                "product of size 12 (the exhaustive cap)"
             )
 
     # sha256 prefixes of the masks, the sorted map of every true internal
@@ -453,9 +498,9 @@ class TestBuildTables:
         y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
         profile = backtrack(rooted, tables, y_idx, ext, uset)
         masks = hashlib.sha256()
-        for q in sorted(tables.masks):
-            masks.update(repr((q, tables.masks[q].shape)).encode())
-            masks.update(tables.masks[q].tobytes())
+        for q, mask in sorted(full_masks(rooted, tables).items()):
+            masks.update(repr((q, mask.shape)).encode())
+            masks.update(mask.tobytes())
         recovered = recovered_witnesses(rooted, uset, tables)
         witnesses = hashlib.sha256(repr(sorted(recovered.items())).encode())
         indices = hashlib.sha256(repr([uset.index_of(s) for s in profile]).encode())
@@ -473,11 +518,7 @@ class TestExhaustiveMembership:
         )
         rooted = validate_and_root(game, 0)
         uset = enumerate_uniform(2, 1)
-        tables = CandidateTables(
-            game=game, epsilon=0.1, num_strategies=2,
-            masks={2: np.zeros((2, 2), dtype=bool)}, extensions={},
-            rows=solver_module.payoff_table(game, uset),
-        )
+        tables = tables_from_masks(game, 0.1, uset, {2: np.zeros((2, 2), dtype=bool)})
         assert (
             exhaustive_membership(game, rooted, 1, 0, 0, 0, tables, uset, 0.1, 100)
             is None
@@ -487,10 +528,8 @@ class TestExhaustiveMembership:
         game = zero_game(4, star_edges(4))
         rooted = validate_and_root(game, 0)
         uset = enumerate_uniform(2, 1)
-        tables = CandidateTables(
-            game=game, epsilon=0.5, num_strategies=2,
-            masks={q: np.ones((2, 2), dtype=bool) for q in (1, 2, 3)}, extensions={},
-            rows=solver_module.payoff_table(game, uset),
+        tables = tables_from_masks(
+            game, 0.5, uset, {q: np.ones((2, 2), dtype=bool) for q in (1, 2, 3)}
         )
         ext = exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, 0.5, 100)
         assert ext.child_ids == (1, 2, 3)
@@ -509,6 +548,7 @@ class TestExhaustiveMembership:
                 rng_seed=int(rng.integers(10_000)),
             )
             rooted, uset, tables, config, stats = tables_for(game, 0.5, 1)
+            masks = full_masks(rooted, tables)
             epsilon = 0.5
             for z_idx in range(2):
                 for y_idx in range(2):
@@ -516,7 +556,7 @@ class TestExhaustiveMembership:
                         game, rooted, 1, 0, z_idx, y_idx, tables, uset, epsilon, 1000
                     )
                     candidates = [
-                        np.flatnonzero(tables.masks[c][y_idx]) for c in (2, 3)
+                        np.flatnonzero(masks[c][y_idx]) for c in (2, 3)
                     ]
                     expected = None
                     for i, j in itertools.product(*candidates):
@@ -536,16 +576,24 @@ class TestExhaustiveMembership:
                         assert ext is not None and ext.strategy_indices == expected
 
     def test_cap_exceeded(self):
+        # a product of 8 tuples: with a negative epsilon no tuple hits, so
+        # the walk passes a cap of 7 and stops at one of 8; with a positive
+        # one the first tuple hits under any cap
         game = zero_game(4, star_edges(4))
         rooted = validate_and_root(game, 0)
         uset = enumerate_uniform(2, 1)
-        tables = CandidateTables(
-            game=game, epsilon=0.5, num_strategies=2,
-            masks={q: np.ones((2, 2), dtype=bool) for q in (1, 2, 3)}, extensions={},
-            rows=solver_module.payoff_table(game, uset),
+        tables = tables_from_masks(
+            game, 0.5, uset, {q: np.ones((2, 2), dtype=bool) for q in (1, 2, 3)}
         )
-        with pytest.raises(CapExceeded):
-            exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, 0.5, 7)
+        with pytest.raises(CapExceeded) as raised:
+            exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, -1.0, 7)
+        assert str(raised.value) == (
+            "player 0, strategy index 0: no hit among the first 7 tuples of a candidate "
+            "product of size 8 (the exhaustive cap)"
+        )
+        assert exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, -1.0, 8) is None
+        ext = exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, 0.5, 1)
+        assert ext.strategy_indices == (0, 0, 0)
 
 
 def first_hit_by_brute_force(game, player, parent, children, z_idx, y_idx, candidate_lists, uset,
@@ -681,21 +729,32 @@ class TestFirstWitnesses:
         assert mixed > 0
 
     def test_cap_exceeded_names_the_lowest_strategy_over_the_cap(self):
-        # products 4, 9 and 8 against a cap of 7: strategies 1 and 2 are over
+        # products 4, 6 and 9 against a cap of 5: with a negative epsilon no
+        # tuple hits, so strategies 1 and 2 walk past the cap; at a cap of 6
+        # only strategy 2 does, at a cap of 9 every product is walked, and a
+        # hit at the first tuple ends a walk under any cap
         game = zero_game(3, star_edges(3))
         uset = enumerate_uniform(2, 2)
         table = solver_module.payoff_table(game, uset)
         lists = [np.tile(np.arange(3), (3, 1))] * 2
-        sizes = np.array([[2, 3, 2], [2, 3, 4]])
-        with pytest.raises(CapExceeded) as raised:
-            first_witnesses(
+        sizes = np.array([[2, 2, 3], [2, 3, 3]])
+
+        def scan(epsilon, cap):
+            return first_witnesses(
                 game, 0, None, np.zeros((1, 2)), [0, 1, 2], [1, 2], lists, sizes,
-                list(table[game.offsets[0]:game.offsets[1]]), uset, 0.5, 7,
+                list(table[game.offsets[0]:game.offsets[1]]), uset, epsilon, cap,
             )
+
+        with pytest.raises(CapExceeded) as raised:
+            scan(-1.0, 5)
         assert str(raised.value) == (
-            "player 0, strategy index 1: candidate product of size 9 exceeds the "
-            "exhaustive cap of 7"
+            "player 0, strategy index 1: no hit among the first 5 tuples of a candidate "
+            "product of size 6 (the exhaustive cap)"
         )
+        with pytest.raises(CapExceeded, match="strategy index 2: no hit among the first 6 "):
+            scan(-1.0, 6)
+        assert scan(-1.0, 9).tolist() == [[-1, -1, -1]]
+        assert scan(0.5, 1).tolist() == [[0, 0, 0]]
 
     @staticmethod
     def boundary_hits(actions):
@@ -717,7 +776,7 @@ class TestFirstWitnesses:
             uset = enumerate_uniform(m, 3)
             size = len(uset)
             tables = CandidateTables(
-                game, 0.5, size, masks={}, extensions={},
+                game, 0.5, size, cells={}, extensions={},
                 rows=solver_module.payoff_table(game, uset),
             )
             for root in (0, 3, 4):
@@ -770,48 +829,45 @@ class TestFirstWitnesses:
         checked, later = self.boundary_hits(actions)
         assert checked == 2 * len(actions) * 3 * 5 * 40 and later > 0
 
-    def test_counters_keep_their_per_pair_meaning(self, monkeypatch):
+    def test_counters_keep_their_per_pair_meaning(self):
+        # every decided cell is counted once, whether the search decides
+        # only the cells it reads or the full tables are decided first:
+        # membership_tests counts the cells of players with children, root
+        # included, whose candidate product is not empty; on the scan route
+        # exhaustive_calls counts the same cells, and on the LP route
+        # lp_calls + reused_witnesses do, while fallback scans add to
+        # exhaustive_calls
         game = random_normalized_game(10, 2, 0.5, rng_seed=3)
-        counted = []
-        original_set = CandidateTables.candidate_set
-        original_rows = CandidateTables.candidate_rows
-
-        def candidate_set(self, child, parent_strategy_index):
-            counted.append((child, parent_strategy_index))
-            return original_set(self, child, parent_strategy_index)
-
-        def candidate_rows(self, children, parent_strategy_indices):
-            counted.extend(itertools.product(children, parent_strategy_indices.tolist()))
-            return original_rows(self, children, parent_strategy_indices)
-
-        monkeypatch.setattr(CandidateTables, "candidate_set", candidate_set)
-        monkeypatch.setattr(CandidateTables, "candidate_rows", candidate_rows)
+        scanned = 0
         for threshold in (math.inf, 2):
-            counted.clear()
-            rooted, uset, tables, _, stats = tables_for(game, 0.5, 2, lp_threshold=threshold)
-            internal = [q for q in range(10) if rooted.children[q] and q != rooted.root]
+            for full in (True, False):
+                config = SolverConfig(epsilon=0.5, b_override=2, lp_threshold=threshold)
+                if full:
+                    rooted, uset, tables, config, stats = tables_for(
+                        game, 0.5, 2, lp_threshold=threshold
+                    )
+                else:
+                    rooted = validate_and_root(game, 0)
+                    uset, stats = enumerate_uniform(2, 2), SolveStats()
+                    tables = build_tables(game, rooted, uset, config, stats)
+                process_root(game, rooted, uset, tables, config, stats)
 
-            def pairs(players):
-                return sum(
-                    len(uset)
-                    for q in players
-                    for y_idx in range(len(uset))
-                    if all(tables.masks[c][y_idx].any() for c in rooted.children[q])
-                )
+                def counted(players):
+                    return sum(
+                        all((c, y_idx) in tables.firsts for c in rooted.children[q])
+                        for (q, _), row in tables.cells.items()
+                        if q in players
+                        for y_idx in range(len(row))
+                    )
 
-            lp_players = [q for q in internal if len(rooted.children[q]) >= threshold]
-            batched = pairs([q for q in internal if q not in lp_players])
-            assert stats.membership_tests == pairs(internal)
-            assert stats.lp_calls + stats.reused_witnesses == pairs(lp_players)
-            assert stats.exhaustive_calls == batched + stats.fallbacks
-            # one candidate list per child and strategy y, on either route
-            assert sorted(counted) == sorted(
-                (c, y_idx)
-                for q in internal
-                for c in rooted.children[q]
-                for y_idx in range(len(uset))
-            )
-        assert stats.lp_calls > 0 and batched > 0
+                internal = [q for q in range(10) if rooted.children[q]]
+                lp_players = [q for q in internal if len(rooted.children[q]) >= threshold]
+                batched = counted([q for q in internal if q not in lp_players])
+                assert stats.membership_tests == counted(internal)
+                assert stats.lp_calls + stats.reused_witnesses == counted(lp_players)
+                assert stats.exhaustive_calls == batched + stats.fallbacks
+                scanned += batched
+        assert stats.lp_calls > 0 and scanned > 0
 
     def test_payoff_rows_built_once_per_edge(self, monkeypatch):
         # every (player, neighbour) edge's rows are built once, in the one
@@ -922,10 +978,18 @@ class TestFirstWitnesses:
         assert max(block[0][1][1] for block in blocks) > 1
 
     def test_cap_exceeded_on_a_batched_player(self, monkeypatch):
-        # hub 1 under root 0 with three leaves: a product of 8 tuples per y;
-        # the leaves' childless calls are left out
-        game = zero_game(5, [(0, 1), (1, 2), (1, 3), (1, 4)])
-        config = SolverConfig(epsilon=0.5, b_override=1, exhaustive_cap=7)
+        # hub 1 under root 0 with three leaves: a product of 8 tuples per y.
+        # The hub's edge to the root pays its second action 0.5 more, so its
+        # first strategy is never a 0.4-best response: that cell walks past
+        # a cap of 7 and is the first cell with children the search decides
+        # (the leaves' childless calls are left out). At a cap of 8 the walk
+        # ends, and the hub's second strategy hits at its first tuple.
+        zero = np.zeros((2, 2))
+        game = game_from_matrices(
+            5, 2,
+            [(0, 1, zero, [[0.0, 0.0], [0.5, 0.5]]), (1, 2, zero, zero), (1, 3, zero, zero),
+             (1, 4, zero, zero)],
+        )
         calls = []
         original = solver_module.first_witnesses
 
@@ -935,9 +999,10 @@ class TestFirstWitnesses:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, "first_witnesses", spy)
-        with pytest.raises(CapExceeded):
-            solve(game, config)
-        assert calls == [1]
+        with pytest.raises(CapExceeded, match="player 1, strategy index 0: no hit among the first 7 "):
+            solve(game, SolverConfig(epsilon=0.4, b_override=1, exhaustive_cap=7))
+        assert set(calls) == {1}
+        assert solve(game, SolverConfig(epsilon=0.4, b_override=1, exhaustive_cap=8)).max_regret == 0.0
 
 
 class TestMembershipTest:
@@ -974,14 +1039,12 @@ class TestMembershipTest:
              (1, 2, eye * 0.5, eye.copy()),
              (1, 3, anti, eye.copy())],
         )
-        rooted = validate_and_root(game, 0)
-        uset = enumerate_uniform(2, 1)
-        config = SolverConfig(epsilon=0.2, b_override=1, lp_threshold=2, rng_seed=0)
-        stats = SolveStats()
-        tables = build_tables(game, rooted, uset, config, stats)
+        rooted, uset, tables, config, stats = tables_for(
+            game, 0.2, 1, lp_threshold=2, rng_seed=0
+        )
         assert stats.lp_infeasible > 0
         assert stats.fallbacks > 0
-        assert not tables.masks[1].all()
+        assert not full_masks(rooted, tables)[1].all()
         # soundness: every recovered witness is valid
         witnesses = recovered_witnesses(rooted, uset, tables)
         assert any(key[0] == 1 for key in witnesses)
@@ -997,7 +1060,7 @@ class TestMembershipTest:
         game = zero_game(5, [(0, 1), (1, 2), (1, 3), (1, 4)])
         rooted, uset, tables, config, stats = tables_for(game, 0.5, 2, lp_threshold=2)
         size = len(uset)
-        assert tables.masks[1].all()
+        assert full_masks(rooted, tables)[1].all()
         assert stats.lp_calls == 1
         assert stats.reused_witnesses == size * size - 1
         assert stats.membership_tests == size * size
@@ -1152,48 +1215,32 @@ class TestBacktrack:
         assert all(np.array_equal(a, b) for a, b in zip(profile, expected))
         assert dataclasses.asdict(stats) == counts
 
-    def test_exhaustive_recovery_scans_only_when_the_first_tuple_fails(self, monkeypatch):
-        # An exhaustive-route cell's recovered witness is the scan's first
-        # hit; the scan runs only for cells whose first tuple, each child's
-        # lowest candidate, fails the scalar check. At the small epsilon some
-        # first tuples fail.
-        scans = []
-        original = solver_module.first_witnesses
-
-        def counting(*args, **kwargs):
-            scans.append(args[1])
-            return original(*args, **kwargs)
-
-        checked = failed = 0
+    def test_exhaustive_witnesses_are_read_without_a_scan(self, monkeypatch):
+        # An exhaustive-route cell's witness is the scan's first hit, kept as
+        # its flat index: reading it runs neither a scan nor a check. At the
+        # small epsilon some witnesses lie past the first tuple.
+        checked = later = 0
         for seed, epsilon in ((1, 0.5), (2, 0.05), (3, 0.05)):
             game = random_normalized_game(9, 3, 0.5, rng_seed=seed)
             rooted, uset, tables, _, _ = tables_for(game, epsilon, 2, lp_threshold=math.inf)
-            for q, mask in tables.masks.items():
+            expected = {}
+            for q, mask in full_masks(rooted, tables).items():
                 children = rooted.children[q]
                 if not children:
                     continue
                 for z_idx, y_idx in zip(*map(np.ndarray.tolist, np.nonzero(mask))):
-                    expected = exhaustive_membership(
+                    expected[(q, z_idx, y_idx)] = exhaustive_membership(
                         game, rooted, q, rooted.parent[q], z_idx, y_idx, tables, uset,
                         epsilon, math.inf,
                     ).strategy_indices
                     first = tuple(int(tables.candidate_set(c, y_idx)[0]) for c in children)
-                    neighbors = {rooted.parent[q]: uset.probs[z_idx]}
-                    neighbors.update({c: uset.probs[x] for c, x in zip(children, first)})
-                    passes = is_epsilon_best_response(
-                        game, q, uset.probs[y_idx], neighbors, epsilon
-                    )
-                    monkeypatch.setattr(solver_module, "first_witnesses", counting)
-                    scans.clear()
-                    recovered = solver_module._recover_witness(
-                        rooted, tables, uset, q, z_idx, y_idx, []
-                    )
-                    monkeypatch.setattr(solver_module, "first_witnesses", original)
-                    assert recovered == expected
-                    assert len(scans) == (0 if passes else 1)
-                    checked += 1
-                    failed += not passes
-        assert checked > failed > 0
+                    later += expected[(q, z_idx, y_idx)] != first
+            with monkeypatch.context() as patch:
+                for name in ("first_witnesses", "is_epsilon_best_response"):
+                    patch.setattr(solver_module, name, None)
+                assert recovered_witnesses(rooted, uset, tables) == expected
+            checked += len(expected)
+        assert checked > later > 0
 
     def test_single_edge(self):
         game = identity_edge_game()
@@ -1339,12 +1386,27 @@ class TestSolve:
         assert serial.max_regret == parallel.max_regret
 
     def test_cap_exceeded_propagates(self):
+        # the root's edge to leaf 1 pays its second action 0.5 more, so its
+        # first strategy walks all 8 tuples without a hit, past a cap of 3
+        zero = np.zeros((2, 2))
+        game = game_from_matrices(
+            4, 2, [(0, 1, [[0.0, 0.0], [0.5, 0.5]], zero), (0, 2, zero, zero), (0, 3, zero, zero)]
+        )
+        config = SolverConfig(
+            epsilon=0.3, b_override=1, lp_threshold=math.inf, exhaustive_cap=3
+        )
+        with pytest.raises(CapExceeded, match="player 0, strategy index 0"):
+            solve(game, config)
+
+    def test_a_product_over_the_cap_whose_first_tuple_hits_solves(self):
+        # the cap bounds the tuples a cell walks, not its product: every
+        # tuple of the zero game hits, so the root's product of 8 tuples
+        # ends at its first under a cap of 3
         game = zero_game(4, star_edges(4))
         config = SolverConfig(
             epsilon=0.5, b_override=1, lp_threshold=math.inf, exhaustive_cap=3
         )
-        with pytest.raises(CapExceeded):
-            solve(game, config)
+        assert solve(game, config).max_regret == 0.0
 
     def test_enumeration_cap_raises_set_too_large(self):
         game = identity_edge_game()
@@ -1365,7 +1427,74 @@ class TestSolve:
         cert2 = solve(gm1, SolverConfig(epsilon=0.5))
         assert [s.tolist() for s in cert2.profile] == [[1.0], [1.0]]
 
+    def test_a_path_of_1500_players_solves_under_the_default_recursion_limit(self):
+        # requests for rows go on an explicit stack: the search's depth
+        # follows the tree's, and no Python recursion does
+        edges = path_edges(1500)
+        game = random_normalized_game(1500, 2, 0.5, topology=edges, rng_seed=1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            cert = solve(game, SolverConfig(epsilon=0.5, b_override=2))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verify_profile(game, cert.profile, 0.5).accepted
+
     def test_root_choice_configurable(self):
         game = zero_game(3, path_edges(3))
         cert = solve(game, SolverConfig(epsilon=0.5, b_override=1, root=1))
         assert len(cert.profile) == 3
+
+
+@functools.cache
+def perfbench_workloads():
+    """The benchmark's workload definitions, perfbench/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPhaseApi:
+    """The phase functions the benchmark's traced pass calls one by one."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize(
+        "name", ["exhaustive-random", "lp-random", "theory-path", "star-wide"]
+    )
+    def test_phases_in_order_give_solves_profile(self, name, seed):
+        # build_tables, process_root and backtrack, run in that order, give
+        # solve's profile bit for bit on every game of each workload, with
+        # each game's seed drawn as the benchmark draws it; every mask value
+        # is an array of the decided cells
+        workloads = perfbench_workloads()
+        workload = workloads.WORKLOADS[name]
+        seeds = np.random.SeedSequence(seed).generate_state(len(workload.shapes)).tolist()
+        for shape, game_seed in zip(workload.shapes, seeds):
+            n, edges = workloads.shape_edges(shape)
+            game = random_normalized_game(
+                n, workload.num_actions, workload.epsilon, topology=edges, rng_seed=game_seed
+            )
+            config = SolverConfig(
+                epsilon=workload.epsilon, b_override=workload.b,
+                lp_threshold=workload.lp_threshold, rng_seed=game_seed,
+            )
+            expected = solve(game, config).profile
+            rooted = validate_and_root(game, config.root)
+            b = workload.b or support_size(workload.num_actions, n, workload.epsilon)
+            uset = enumerate_uniform(workload.num_actions, b)
+            stats = SolveStats()
+            tables = build_tables(game, rooted, uset, config, stats)
+            y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
+            profile = backtrack(rooted, tables, y_idx, ext, uset)
+            assert [s.tobytes() for s in profile] == [s.tobytes() for s in expected]
+            masks = tables.masks
+            assert masks and all(isinstance(mask, np.ndarray) for mask in masks.values())
+            assert 0 < sum(int(mask.sum()) for mask in masks.values()) <= sum(
+                mask.size for mask in masks.values()
+            )
+            assert isinstance(tables.extensions, dict)
+        for attr in ("membership_test", "exhaustive_membership", "is_epsilon_best_response"):
+            assert callable(getattr(solver_module, attr))
