@@ -228,8 +228,10 @@ class CandidateTables:
     def witness(self, rooted: RootedTree, player: int, z_index: int, y_index: int) -> tuple[int, ...]:
         """The witness of the true cell (z, y) of ``player``, read from its
         code: a tried LP-route witness, or the scan's flat index decoded over
-        the children's candidate lists (complete whenever the index is past
-        the first tuple). Runs no check."""
+        the children's candidate lists as far as they are decided. A walk
+        covers a prefix of the canonical order, so the lists of the children
+        after the one its hit moved last are complete, and the earlier ones
+        sit at their lowest candidate. Runs no check."""
         code = int(self.cells[(player, z_index)][y_index])
         if code < 0:
             raise InternalSoundnessViolation(
