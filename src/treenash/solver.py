@@ -674,8 +674,9 @@ class _Search:
             for key, row in zip(keys, codes):
                 cells[key] = np.concatenate([cells[key], row])
         hits = codes >= 0
+        lowest = (start + hits.argmax(axis=1)).tolist()
         for i in np.flatnonzero(hits.any(axis=1)).tolist():
-            firsts.setdefault(keys[i], start + int(hits[i].argmax()))
+            firsts.setdefault(keys[i], lowest[i])
 
     def _extend(self, players: Sequence[int], z_indices: Sequence[int], need: int | None):
         rooted = self.rooted
