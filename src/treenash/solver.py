@@ -337,8 +337,9 @@ _VECTORIZE_ELEMENT_LIMIT = 8_000_000
 # for its stacked rows, and an LP-route player's column group for its parent
 # rows) as keep one tuple for every (z, y) cell within about this many
 # values, counted as in first_witnesses' block sizing ((children + 1) * (m +
-# 1) per cell); and a player whose whole table fits one call decides every
-# row at once when a request needs rows complete (_Search._extend_player).
+# 1) per cell). A player whose whole table fits one call (_Search._small)
+# decides every row at once when a request needs rows complete, and a walk
+# completes such a child's rows at once instead of in doubling chunks.
 # The limit was set for the bottom-up build, which decided every player's
 # strategies in such groups. Measured then on a 2-vCPU host with one solve
 # per process: at the theoretical-grid path n=3, m=2, eps=0.8 (K=241),
@@ -657,12 +658,13 @@ class _Search:
     def _decided(self, key: tuple[int, int]) -> int:
         return len(self.tables.cells.get(key, ()))
 
-    def _one_call(self, player: int, num_rows: int) -> bool:
-        """Whether ``num_rows`` whole rows of ``player`` fit one scan call; a
-        leaf's rows always count as fitting, since they are always completed."""
+    def _small(self, player: int) -> bool:
+        """Whether ``player``'s whole table, every row under every parent
+        strategy, fits one scan call; a leaf's always counts, since its rows
+        are always decided whole."""
         children = self.rooted.children[player]
         size = self.tables.num_strategies
-        return not children or _group_size(num_rows, len(children), self.game.num_actions) >= size
+        return not children or _group_size(size, len(children), self.game.num_actions) >= size
 
     def _append(self, keys: Sequence[tuple[int, int]], start: int, codes: np.ndarray) -> None:
         """Append the codes of strategies ``start, start + 1, ...`` to the
@@ -712,10 +714,10 @@ class _Search:
         tables, size, m = self.tables, self.tables.num_strategies, self.game.num_actions
         children = self.rooted.children[player]
         if need is not None and need >= size and self.rooted.parent[player] is not None and (
-            self._one_call(player, size)
+            self._small(player)
         ):
-            # the player's whole table fits one call: decide every row, so
-            # that the rows later requests ask for share this call's blocks
+            # decide every row, so that the rows later requests ask for
+            # share this call's blocks
             z_indices = range(size)
         cells, firsts = tables.cells, tables.firsts
         target = size if need is None else min(need, size)
@@ -749,11 +751,11 @@ class _Search:
         So one call first checks every cell's first tuple (``level`` is the
         child count), for which each child's row needs one true cell. Cells
         that fail it walk on in one call once their children's rows are
-        complete, when each fits one call; otherwise the rows are completed
-        from the last child on, each extended in doubling chunks, with a
-        call over the prefix known after every extension. The later cells
-        of a row are decided as they are read, and a cell's first hit is
-        the same on every prefix that holds it.
+        complete, when each child's whole table fits one call; otherwise the
+        rows are completed from the last child on, each extended in doubling
+        chunks, with a call over the prefix known after every extension. The
+        later cells of a row are decided as they are read, and a cell's
+        first hit is the same on every prefix that holds it.
         """
         game, tables, config = self.game, self.tables, self.config
         size = tables.num_strategies
@@ -790,7 +792,7 @@ class _Search:
             walk = y_indices[walking].tolist()
             if not walk:
                 break
-            if level and all(self._one_call(c, len(walk)) for c in children[:level + 1]):
+            if level and all(self._small(c) for c in children[:level + 1]):
                 level = 0
                 yield children, walk, size
                 continue
