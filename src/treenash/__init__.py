@@ -1,11 +1,13 @@
 """Approximate Nash equilibrium computation for polymatrix games on trees.
 
-The solver walks a rooted game tree bottom-up, maintaining for every
-parent-child edge the set of child strategies (on a grid of uniform mixed
-strategies) that extend into a partial equilibrium of the child's subtree.
-Membership tests run either exhaustively or through an LP relaxation with
-randomized rounding; every output is re-verified, so results are always
-correct and randomness affects running time only.
+The solver roots the game tree and searches it top-down: the root tries
+its strategies (on a grid of uniform mixed strategies) in order, and each
+cell, whether a player's strategy extends into a partial equilibrium of its
+subtree under a parent strategy, is decided only when that search reads it.
+A cell is decided either by an exhaustive scan of its children's candidate
+strategies or through an LP relaxation with randomized rounding; every
+output is re-verified, so results are always correct and randomness affects
+running time only.
 """
 
 from .errors import (

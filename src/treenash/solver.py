@@ -23,11 +23,11 @@ of rows. Requests for rows go on an explicit stack of generators, so the
 tree's depth never becomes Python recursion.
 
 Players with many children take the LP route (LP, randomized rounding,
-exhaustive fallback): when one of their cells is first read they decide
-whole columns, every z at once for a group of y's, in ascending y, once
-their children's rows under those y's are complete, with ``_decide_strategy``;
-it carries the player's latest witness from y to y and tries each witness on
-every pending row by the scan over that one tuple. Every returned profile is
+exhaustive fallback, ``_Search._decide_columns``): when one of their cells is
+first read they decide whole columns, every z at once for a group of y's, in
+ascending y, once their children's rows under those y's are complete. The
+player's latest witness is carried from y to y, and each witness is tried on
+every pending row by one broadcast of its tuple. Every returned profile is
 re-verified, so randomness can only affect running time, never correctness.
 
 Every payoff row A[player, neighbour] @ x of a solve comes from one table,
@@ -240,12 +240,7 @@ class CandidateTables:
         tried = self.extensions.get((player, y_index))
         if tried is not None:
             return tried[code]
-        indices = []
-        for child in reversed(rooted.children[player]):  # the last child varies fastest
-            candidates = self.candidate_set(child, y_index)
-            code, position = divmod(code, len(candidates))
-            indices.insert(0, int(candidates[position]))
-        return tuple(indices)
+        return _unflatten(code, [self.candidate_set(c, y_index) for c in rooted.children[player]])
 
     def rows_of(self, player: int, parent: int | None) -> tuple[list[np.ndarray], np.ndarray]:
         """``player``'s payoff rows under ``parent``: one array per child,
@@ -260,6 +255,15 @@ class CandidateTables:
             return own, np.zeros((1, self.game.num_actions))
         base = own.pop(bisect_left(self.game.neighbors(player), parent))
         return own, base
+
+
+def _unflatten(flat: int, lists: Sequence[np.ndarray]) -> tuple[int, ...]:
+    """The tuple at C-order index ``flat`` of the product of ``lists``."""
+    indices = []
+    for candidates in reversed(lists):  # the last list varies fastest
+        flat, position = divmod(flat, len(candidates))
+        indices.insert(0, int(candidates[position]))
+    return tuple(indices)
 
 
 def _derived_seed(config: SolverConfig, player: int, z_index: int | None, y_index: int):
@@ -311,26 +315,25 @@ def _hits(terms: list[np.ndarray], ys: np.ndarray, epsilon: float) -> np.ndarray
 # _utilities chains the action columns once a call has this many utilities
 # per action. The chain makes 2m - 1 numpy calls where the sum makes two, and
 # a sum over a length-m last axis costs several times as much per utility.
-# The sum path serves the LP route's one-tuple reuse checks, each now only a
-# first tuple's broadcast: the benchmark's lp-random tree (n=32, m=3, b=4,
-# lp_threshold=2) at perfbench seed 1 makes 127 of a solve's 152 calls with
-# fewer than 16 utilities per action (120 of its kernel calls are those
-# checks), and all but one of the rest with fewer than 256; the counts are
-# the same with leaf tables built apart from the kernel. Measured on a 2-vCPU
-# host, in process, over that workload's games at three seeds in 8
-# alternating 15 s runs, before leaves joined the kernel, chaining every call
-# (a limit of 0) took 69.66 ms per pass, slower in 7 of 8 runs than the 68.81
-# ms with this limit and the 68.78 ms with no chain at all. The theory-path
-# and star-wide workloads make all but one call with at least 256 utilities
-# per action (9 of 10 and 2 of 2 at seed 1), and neither moved by more than
-# 0.2% between limits 0 and 64 (306 to 1850 alternating passes each).
+# Most calls of the gated workloads are small and take the sum: at perfbench
+# seed 1, lp-random (n=32, m=3, b=4, lp_threshold=2) makes 139 of a solve's
+# 159 calls below the limit, 120 of them the LP route's reuse checks of one
+# witness; theory-path makes 2 of 3, and star-wide none of its one leaf call
+# per game. Measured on a 2-vCPU host with the on-demand search, summing
+# every call read solve_s -0.1% to +1.6% against this limit on those three
+# workloads (4 alternating 8 s perfbench pairs each). The chain pays on
+# sparse walks, where a call holds many cells: in process, games normalized
+# for eps 0.5 and lp_threshold=inf, 7-run medians over 4 alternating runs,
+# random n=32, m=3, b=4 at eps 0.05 took 37.3-37.7 ms with the chain against
+# 45.8-46.8 ms without, and random n=16, m=3, b=6 at eps 0.05 took 24.0-24.2
+# ms against 30.1-30.8 ms.
 _CHAIN_MIN_UTILITIES = 64
 
 # One block of a scan after its first tuple holds at most this many values:
 # the float64 payoffs of every pending (z, y) pair for the block's tuples, the
-# gathered child rows and the index arrays. The first tuple's broadcast, and
-# with it every leaf chunk, is bounded by _GROUP_ELEMENT_LIMIT instead. It
-# bounds memory, not the scan size.
+# gathered child rows and the index arrays. The first tuple's broadcast, like
+# every leaf chunk, is bounded by _GROUP_ELEMENT_LIMIT instead. It bounds
+# memory, not the scan size.
 _VECTORIZE_ELEMENT_LIMIT = 8_000_000
 
 # One scan call decides as many strategies y for its rows (and a leaf chunk
@@ -378,11 +381,11 @@ def first_witnesses(
     Deterministic.
 
     The first tuple, each child's lowest candidate, is one broadcast of each
-    y's tuple against every row; a childless player, such as a parent's
-    stacked leaves, ends there. The pairs left walk their products in shared
-    flat-index blocks from tuple 1, which double in size, end where the
-    shortest product still pending does, and are capped by
-    ``_VECTORIZE_ELEMENT_LIMIT`` values; a pair leaves at its first hit.
+    y's tuple against every row; a childless root ends there. The pairs
+    left walk their products in shared flat-index blocks from tuple 1, which
+    double in size, end where the shortest product still pending does, and
+    are capped by ``_VECTORIZE_ELEMENT_LIMIT`` values; a pair leaves at its
+    first hit.
     Each column sums ``action_payoffs``' gemv terms in its order
     (ascending neighbour id, the parent's base at its sorted place), so a
     hit is exactly an ``is_epsilon_best_response`` acceptance. A pair walks
@@ -492,11 +495,7 @@ def exhaustive_membership(
     ).tolist()
     if flat < 0:
         return None
-    indices = []
-    for candidates in reversed(candidate_lists):  # in C order the last child varies fastest
-        flat, position = divmod(flat, len(candidates))
-        indices.insert(0, int(candidates[position]))
-    return Extension(tuple(children), tuple(indices))
+    return Extension(tuple(children), _unflatten(flat, candidate_lists))
 
 
 def membership_test(
@@ -541,79 +540,6 @@ def membership_test(
     )
 
 
-def _decide_strategy(
-    game: TreePolymatrixGame,
-    rooted: RootedTree,
-    player: int,
-    parent: int | None,
-    bases: np.ndarray,
-    y_indices: np.ndarray,
-    tables: CandidateTables,
-    uset: UniformStrategySet,
-    config: SolverConfig,
-    stats: SolveStats,
-    rows: list[np.ndarray],
-    latest: tuple[int, ...] | None,
-) -> tuple[np.ndarray, list[list[tuple[int, ...]]]]:
-    """The LP route: decide the ascending strategies ``y_indices`` of
-    ``player`` under every parent payoff row ``bases[z]``, given the
-    children's payoff ``rows`` (both as ``CandidateTables.rows_of`` returns
-    them) and their complete rows under each y; return the cells' codes, one
-    row per z and one column per y, and per y the witnesses tried, in order.
-
-    A y with an empty candidate product is decided false without a count.
-    The y's are decided in order: the latest witness (``latest`` from before
-    the group, then each y's) is tried first when it lies in y's candidate
-    product, then ``membership_test`` runs for the lowest pending row; each
-    witness is tried on every pending row by one ``first_witnesses`` call
-    over that one tuple and settles the rows it hits, whose code is its
-    position among the tried witnesses. A tried tuple lies in the candidate
-    product, so the cells are those of the full scan.
-    """
-    children = rooted.children[player]
-    candidates, sizes = tables.candidate_rows(children, y_indices)
-    codes = np.full((len(bases), len(y_indices)), -1, dtype=np.int64)
-    tried: list[list[tuple[int, ...]]] = [[] for _ in y_indices]
-    decided = sizes.all(axis=0)
-    stats.membership_tests += len(bases) * int(decided.sum())
-    for g in np.flatnonzero(decided).tolist():
-        y_index = int(y_indices[g])
-        candidate_lists = [
-            lists[g, :size] for lists, size in zip(candidates, sizes[:, g].tolist())
-        ]
-        pending = np.arange(len(bases))
-        witness = latest
-        if witness is not None and not all(
-            tables.cells[(c, y_index)][index] >= 0 for c, index in zip(children, witness)
-        ):
-            witness = None
-        while pending.size:
-            if witness is None:
-                r, pending = int(pending[0]), pending[1:]
-                extension = membership_test(
-                    game, rooted, player, parent, None if parent is None else r, y_index,
-                    tables, uset, config, stats, candidate_lists,
-                )
-                if extension is None:
-                    continue
-                witness = extension.strategy_indices
-                codes[r, g] = len(tried[g])
-            tried[g].append(witness)
-            latest = witness
-            if not pending.size:
-                break
-            single = np.array(witness).reshape(-1, 1, 1)
-            reused = first_witnesses(
-                game, player, parent, bases[pending], [y_index], children, list(single),
-                np.ones((len(children), 1), dtype=np.int64), rows, uset, config.epsilon, 1,
-            )[:, 0] >= 0
-            codes[pending[reused], g] = len(tried[g]) - 1
-            stats.reused_witnesses += int(reused.sum())
-            pending = pending[~reused]
-            witness = None
-    return codes, tried
-
-
 def _group_size(num_rows: int, num_children: int, m: int) -> int:
     """Strategies y per scan call that keep one tuple for each of the
     ``num_rows`` parent rows within about ``_GROUP_ELEMENT_LIMIT`` values."""
@@ -629,7 +555,8 @@ class _Search:
     are always completed. Each request is a generator that yields the
     requests its cells depend on, its children's rows, and resumes once they
     are met; ``run`` keeps the open requests on an explicit stack, so a deep
-    tree needs no deep Python recursion.
+    tree needs no deep Python recursion. Rows only grow, in ascending y, so a
+    later request continues where an earlier one stopped, with the same cells.
     """
 
     def __init__(
@@ -691,9 +618,9 @@ class _Search:
 
     def _complete_leaves(self, leaves: list[int], z_indices: Sequence[int]) -> None:
         """Complete the leaves' rows under ``z_indices``. A leaf's cell is the
-        direct check of y against z; stacked, the rows are one childless
-        player's, whose parent rows are the (leaf, z) rows of the payoff
-        table, so one broadcast decides a chunk of y's for all of them."""
+        direct check of y against z, whose payoff row is the (leaf, z) row of
+        the payoff table, so one broadcast decides a chunk of y's for all the
+        rows."""
         tables, size, m = self.tables, self.tables.num_strategies, self.game.num_actions
         offsets, cells = self.game.offsets, tables.cells
         pending = [(q, z) for q in leaves for z in z_indices if len(cells.get((q, z), ())) < size]
@@ -703,11 +630,8 @@ class _Search:
             slots, zs = zip(*((offsets[q], z) for q, z in batch))
             bases = tables.rows[list(slots), list(zs)]
             ys = np.arange(start, min(size, start + _group_size(len(batch), 0, m)))
-            codes = first_witnesses(
-                self.game, batch[0][0], self.rooted.parent[batch[0][0]], bases, ys, [], [],
-                np.empty((0, len(ys)), dtype=np.int64), [], self.uset, tables.epsilon, 1,
-            )
-            self._append(batch, start, codes)
+            hits = _hits([bases], self.uset.probs[ys, None], tables.epsilon)
+            self._append(batch, start, np.where(hits.T, 0, -1))
             pending = [key for key in pending if len(cells.get(key, ())) < size]
 
     def _extend_player(self, player: int, z_indices: Sequence[int], need: int | None):
@@ -807,19 +731,31 @@ class _Search:
         self._append([(player, z) for z in z_indices], int(y_indices[0]), codes)
 
     def _decide_columns(self, player: int):
-        """Decide the LP-route player's next group of strategies y under
-        every parent strategy at once, in ascending order, carrying its
-        latest witness from the last decided y (the root takes one y at a
-        time and carries none)."""
-        tables, size = self.tables, self.tables.num_strategies
+        """The LP route: decide the player's next group of strategies y under
+        every parent strategy at once, in ascending order, once its
+        children's rows under them are complete (the root takes one y at a
+        time).
+
+        A y with an empty candidate product is decided false without a
+        count. The latest witness, carried from the last decided y, is tried
+        first when it lies in y's candidate product; then ``membership_test``
+        runs for the lowest pending row. Each witness is tried on every
+        pending row by one broadcast of its tuple and settles the rows it
+        hits, whose code is its position in ``tables.extensions[(player,
+        y)]``. A tried tuple lies in the candidate product, so the cells are
+        those of the full scan.
+        """
+        game, tables, config, stats = self.game, self.tables, self.config, self.stats
+        size = tables.num_strategies
         parent, children = self.rooted.parent[player], self.rooted.children[player]
         rows, bases = tables.rows_of(player, parent)
+        parent_at = 0 if parent is None else bisect_left(children, parent)
         start = self._decided((player, 0))
         latest = None
         if parent is None:
             width = 1
         else:
-            width = _group_size(len(bases), len(children), self.game.num_actions)
+            width = _group_size(len(bases), len(children), game.num_actions)
             latest = next(
                 (tables.extensions[(player, y)][-1] for y in range(start - 1, -1, -1)
                  if (player, y) in tables.extensions),
@@ -827,33 +763,47 @@ class _Search:
             )
         y_indices = np.arange(start, min(size, start + width))
         yield children, y_indices.tolist(), size
-        codes, tried = _decide_strategy(
-            self.game, self.rooted, player, parent, bases, y_indices, tables, self.uset,
-            self.config, self.stats, rows, latest,
-        )
-        for y_index, witnesses in zip(y_indices.tolist(), tried):
-            if witnesses:
-                tables.extensions[(player, y_index)] = witnesses
+        candidates, sizes = tables.candidate_rows(children, y_indices)
+        codes = np.full((len(bases), len(y_indices)), -1, dtype=np.int64)
+        decided = sizes.all(axis=0)
+        stats.membership_tests += len(bases) * int(decided.sum())
+        for g in np.flatnonzero(decided).tolist():
+            y_index = int(y_indices[g])
+            candidate_lists = [
+                lists[g, :count] for lists, count in zip(candidates, sizes[:, g].tolist())
+            ]
+            tried: list[tuple[int, ...]] = []
+            pending = np.arange(len(bases))
+            witness = latest
+            if witness is not None and not all(
+                tables.cells[(c, y_index)][index] >= 0 for c, index in zip(children, witness)
+            ):
+                witness = None
+            while pending.size:
+                if witness is None:
+                    r, pending = int(pending[0]), pending[1:]
+                    extension = membership_test(
+                        game, self.rooted, player, parent, None if parent is None else r,
+                        y_index, tables, self.uset, config, stats, candidate_lists,
+                    )
+                    if extension is None:
+                        continue
+                    witness = extension.strategy_indices
+                    codes[r, g] = len(tried)
+                tried.append(witness)
+                latest = witness
+                if not pending.size:
+                    break
+                terms = [child_rows[index] for child_rows, index in zip(rows, witness)]
+                terms.insert(parent_at, bases[pending])
+                reused = _hits(terms, self.uset.probs[y_index], config.epsilon)
+                codes[pending[reused], g] = len(tried) - 1
+                stats.reused_witnesses += int(reused.sum())
+                pending = pending[~reused]
+                witness = None
+            if tried:
+                tables.extensions[(player, y_index)] = tried
         self._append([(player, z) for z in range(len(bases))], start, codes)
-
-
-def evaluate_rows(
-    game: TreePolymatrixGame,
-    rooted: RootedTree,
-    uset: UniformStrategySet,
-    tables: CandidateTables,
-    config: SolverConfig,
-    stats: SolveStats,
-    players: Sequence[int],
-    z_indices: Sequence[int],
-    complete: bool = True,
-) -> None:
-    """Decide the cells of each player's rows under ``z_indices`` (0 alone
-    at the root): all of them when ``complete``, or else until each row
-    holds a true cell. Rows only grow, in ascending y, so a later call
-    continues where an earlier one stopped, with the same cells."""
-    need = tables.num_strategies if complete else None
-    _Search(game, rooted, uset, tables, config, stats).run(players, z_indices, need)
 
 
 def build_tables(
@@ -895,7 +845,7 @@ def process_root(
     """
     stats = stats if stats is not None else SolveStats()
     root = rooted.root
-    evaluate_rows(game, rooted, uset, tables, config, stats, [root], [0], complete=False)
+    _Search(game, rooted, uset, tables, config, stats).run([root], [0], None)
     y_index = tables.firsts.get((root, 0))
     if y_index is None:
         raise NoEquilibriumFound(

@@ -29,10 +29,10 @@ from treenash.solver import (
     CandidateTables,
     SolveStats,
     SolverConfig,
+    _Search,
     backtrack,
     build_tables,
     default_lp_threshold,
-    evaluate_rows,
     exhaustive_membership,
     first_witnesses,
     process_root,
@@ -50,7 +50,7 @@ def tables_for(game, epsilon, b, **config_kwargs):
     stats = SolveStats()
     tables = build_tables(game, rooted, uset, config, stats)
     players = [q for q in range(game.num_players) if q != rooted.root]
-    evaluate_rows(game, rooted, uset, tables, config, stats, players, range(len(uset)))
+    _Search(game, rooted, uset, tables, config, stats).run(players, range(len(uset)), len(uset))
     return rooted, uset, tables, config, stats
 
 
@@ -274,8 +274,8 @@ class TestBuildTables:
                     if eps == 0.05:
                         config = SolverConfig(epsilon=eps, b_override=b)
                         tables = build_tables(game, rooted, uset, config)
-                        evaluate_rows(
-                            game, rooted, uset, tables, config, SolveStats(), leaves, range(size)
+                        _Search(game, rooted, uset, tables, config, SolveStats()).run(
+                            leaves, range(size), size
                         )
                         searched = [[tables.cells[(q, z)] for z in range(size)] for q in leaves]
                         assert np.array_equal(np.array(searched) >= 0, expected), (seed, limit)
@@ -311,6 +311,95 @@ class TestBuildTables:
         assert lp_stats.lp_infeasible > 0
         assert lp_stats.fallbacks > 0
         assert lp_stats.reused_witnesses > 0
+
+    def test_lp_route_codes_follow_the_scalar_check_with_the_parent_at_every_sorted_place(self):
+        # An LP-route column tries its witnesses in order on every row still
+        # pending, and a row's LP runs only when every earlier witness missed
+        # it, so each cell's code is the first tried witness that the scalar
+        # check accepts there, or -1. The reuse broadcast adds the parent's
+        # row at its sorted place among the children; roots away from 0 put
+        # the parent's id below, between and above its children's ids.
+        places = set()
+        for seed in range(4):
+            n, m, eps = 10 + seed % 5, 3 + seed % 2, 0.1
+            game = random_normalized_game(n, m, eps, rng_seed=seed)
+            for root in (n - 1, n // 2):
+                rooted, uset, tables, _, _ = tables_for(
+                    game, eps, 2, lp_threshold=2, rng_seed=seed, root=root
+                )
+                for (q, y_idx), tried in tables.extensions.items():
+                    parent, children = rooted.parent[q], rooted.children[q]
+                    codes = [int(tables.cells[(q, z_idx)][y_idx]) for z_idx in range(len(uset))]
+                    expected = []
+                    for z_idx in range(len(uset)):
+                        hits = [
+                            is_epsilon_best_response(
+                                game, q, uset.probs[y_idx],
+                                {parent: uset.probs[z_idx],
+                                 **{c: uset.probs[x] for c, x in zip(children, witness)}},
+                                eps,
+                            )
+                            for witness in tried
+                        ]
+                        expected.append(hits.index(True) if True in hits else -1)
+                    assert codes == expected, (seed, root, q, y_idx)
+                    if sum(code >= 0 for code in codes) > len(tried):  # a witness was reused
+                        places.add(
+                            "below" if parent < children[0]
+                            else "above" if parent > children[-1] else "between"
+                        )
+        assert places == {"below", "between", "above"}
+
+    def test_carried_witness_reused_exactly_at_the_scalar_boundary(self):
+        # The reuse broadcast has no scalar confirm, so its payoff sums must
+        # round like action_payoffs'. Player 2's children's rows are complete
+        # and all true, and a witness is carried into column y; epsilon is
+        # the smallest float at which the scalar check accepts it under one
+        # parent strategy, and the float just below. Rooted at 0, 3 and 4,
+        # player 2's parent id falls below, between and above its children's.
+        edges = [(3, 2), (2, 1), (2, 4), (2, 0)]
+        rng = np.random.default_rng(5)
+        boundaries = dict.fromkeys((0, 3, 4), 0)  # per root, over both m
+        for m in (2, 3):
+            game = random_normalized_game(5, m, 0.5, topology=edges, rng_seed=m)
+            uset = enumerate_uniform(m, 3)
+            size = len(uset)
+            for root in (0, 3, 4):
+                rooted = validate_and_root(game, root)
+                parent, children = rooted.parent[2], rooted.children[2]
+                for _ in range(8):
+                    y_idx = int(rng.integers(1, size))
+                    witness = tuple(rng.integers(size, size=len(children)).tolist())
+                    z_idx = int(rng.integers(size))
+
+                    def accepts(eps, z_idx):
+                        neighbors = {parent: uset.probs[z_idx]}
+                        neighbors.update({c: uset.probs[x] for c, x in zip(children, witness)})
+                        return is_epsilon_best_response(game, 2, uset.probs[y_idx], neighbors, eps)
+
+                    low, high = -1.0, 2.0  # payoffs lie in [0, 1]
+                    while (mid := (low + high) / 2) not in (low, high):
+                        low, high = (low, mid) if accepts(mid, z_idx) else (mid, high)
+                    if not 0.0 < low < high <= 1.0:
+                        continue  # a best response, whose boundary is not a valid epsilon
+                    for eps in (high, low):
+                        config = SolverConfig(epsilon=eps, b_override=3, lp_threshold=2, root=root)
+                        tables = build_tables(game, rooted, uset, config)
+                        for c in children:
+                            for y in range(size):
+                                tables.cells[(c, y)] = np.zeros(size, dtype=np.int64)
+                        for z in range(size):
+                            tables.cells[(2, z)] = np.zeros(y_idx, dtype=np.int64)
+                        tables.extensions[(2, y_idx - 1)] = [witness]
+                        _Search(game, rooted, uset, tables, config, SolveStats()).run(
+                            [2], range(size), size
+                        )
+                        assert tables.extensions[(2, y_idx)][0] == witness
+                        for z in range(size):
+                            reused = tables.cells[(2, z)][y_idx] == 0
+                            assert reused == accepts(eps, z), (m, root, eps, z)
+                        boundaries[root] += eps == high
+        assert min(boundaries.values()) >= 10
 
 
     def test_masks_identical_with_and_without_the_lp_route(self):
