@@ -1,13 +1,17 @@
 """Tests for loading games: payoff matrix validation and its error paths."""
 
+import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from helpers import identity_edge_game
+from helpers import identity_edge_game, path_edges, star_edges
 from treenash.errors import SchemaError
-from treenash.serialize import game_from_dict, game_to_dict
+from treenash.game import Edge, TreePolymatrixGame
+from treenash.generator import random_normalized_game
+from treenash.serialize import game_from_dict, game_to_dict, load_game, save_game
 
 
 def game_data(m=3):
@@ -33,3 +37,175 @@ class TestPayoffMatrices:
         data["edges"][0]["payoff_u_v"][1] = [0.0, 0.5]
         with pytest.raises(SchemaError, match=re.escape("game.edges[0].payoff_u_v, row 1")):
             game_from_dict(data)
+
+
+# The star n=301, m=3 (300 edges, edge i joins 0 and i + 1) that every
+# fault below is put into, once on edge 0 and once on edge 250.
+STAR = json.dumps(
+    game_to_dict(random_normalized_game(301, 3, 0.5, topology=star_edges(301), rng_seed=1), 0.5)
+)
+
+
+def _duplicate(edges, i):
+    other = edges[1 if i == 0 else i - 1]
+    edges[i]["u"], edges[i]["v"] = other["v"], other["u"]
+
+
+def _entry(key, row, col, value):
+    return lambda edges, i: edges[i][key][row].__setitem__(col, value)
+
+
+FAULTS = {
+    "not an object": lambda edges, i: edges.__setitem__(i, [edges[i]["u"], edges[i]["v"]]),
+    "unknown key": lambda edges, i: edges[i].update(w=1),
+    "missing key": lambda edges, i: edges[i].pop("payoff_v_u"),
+    "u a bool": lambda edges, i: edges[i].update(u=False),
+    "v a float": lambda edges, i: edges[i].update(v=float(edges[i]["v"])),
+    "too few rows": lambda edges, i: edges[i]["payoff_u_v"].pop(),
+    "short row": lambda edges, i: edges[i]["payoff_v_u"][1].pop(),
+    "entry true": _entry("payoff_v_u", 2, 1, True),
+    "entry a string": _entry("payoff_v_u", 2, 1, "0.5"),
+    "entry null": _entry("payoff_u_v", 2, 1, None),
+    "entry NaN": _entry("payoff_v_u", 2, 1, math.nan),
+    "entry negative": _entry("payoff_u_v", 1, 2, -0.25),
+    "unknown player": lambda edges, i: edges[i].update(u=400 + i),
+    "self-loop": lambda edges, i: edges[i].update(u=edges[i]["v"]),
+    "duplicate edge": _duplicate,
+}
+
+# The full text of each error, as the per-edge loader reports it.
+MESSAGES = [
+    ("not an object", 0, "game.edges[0]: expected an object"),
+    ("not an object", 250, "game.edges[250]: expected an object"),
+    ("unknown key", 0, "game.edges[0]: unknown fields ['w']"),
+    ("unknown key", 250, "game.edges[250]: unknown fields ['w']"),
+    ("missing key", 0, "game.edges[0]: missing fields ['payoff_v_u']"),
+    ("missing key", 250, "game.edges[250]: missing fields ['payoff_v_u']"),
+    ("u a bool", 0, "game.edges[0].u: expected an integer, got False"),
+    ("u a bool", 250, "game.edges[250].u: expected an integer, got False"),
+    ("v a float", 0, "game.edges[0].v: expected an integer, got 1.0"),
+    ("v a float", 250, "game.edges[250].v: expected an integer, got 251.0"),
+    ("too few rows", 0, "game.edges[0].payoff_u_v: expected 3 rows"),
+    ("too few rows", 250, "game.edges[250].payoff_u_v: expected 3 rows"),
+    ("short row", 0, "game.edges[0].payoff_v_u, row 1: expected 3 entries"),
+    ("short row", 250, "game.edges[250].payoff_v_u, row 1: expected 3 entries"),
+    ("entry true", 0, "game.edges[0].payoff_v_u[2][1]: expected a number, got True"),
+    ("entry true", 250, "game.edges[250].payoff_v_u[2][1]: expected a number, got True"),
+    ("entry a string", 0, "game.edges[0].payoff_v_u[2][1]: expected a number, got '0.5'"),
+    ("entry a string", 250, "game.edges[250].payoff_v_u[2][1]: expected a number, got '0.5'"),
+    ("entry null", 0, "game.edges[0].payoff_u_v[2][1]: expected a number, got None"),
+    ("entry null", 250, "game.edges[250].payoff_u_v[2][1]: expected a number, got None"),
+    ("entry NaN", 0, "game: payoff matrix for (1, 0) has non-finite entries"),
+    ("entry NaN", 250, "game: payoff matrix for (251, 0) has non-finite entries"),
+    ("entry negative", 0, "game: payoff matrix for (0, 1) has negative entries"),
+    ("entry negative", 250, "game: payoff matrix for (0, 251) has negative entries"),
+    ("unknown player", 0, "game: edge (400, 1) references an unknown player"),
+    ("unknown player", 250, "game: edge (650, 251) references an unknown player"),
+    ("self-loop", 0, "game: self-loop at player 1"),
+    ("self-loop", 250, "game: self-loop at player 251"),
+    ("duplicate edge", 0, "game: duplicate edge (0, 2)"),
+    ("duplicate edge", 250, "game: duplicate edge (250, 0)"),
+]
+
+# Two faults at once: the first in the loader's order is reported. Every
+# edge's fields are checked before any construction check, edge by edge in
+# key order, and the per-edge construction checks come before the
+# whole-array finiteness and sign checks.
+FIRST_OF_TWO = [
+    ((("short row", 10), ("u a bool", 5)), "game.edges[5].u: expected an integer, got False"),
+    (
+        (("entry null", 250), ("missing key", 251)),
+        "game.edges[250].payoff_u_v[2][1]: expected a number, got None",
+    ),
+    (
+        (("entry NaN", 0), ("entry true", 299)),
+        "game.edges[299].payoff_v_u[2][1]: expected a number, got True",
+    ),
+    ((("self-loop", 0), ("not an object", 299)), "game.edges[299]: expected an object"),
+    (
+        (("self-loop", 250), ("unknown player", 10)),
+        "game: edge (410, 11) references an unknown player",
+    ),
+    ((("entry NaN", 0), ("duplicate edge", 250)), "game: duplicate edge (250, 0)"),
+    (
+        (("entry negative", 3), ("entry NaN", 250)),
+        "game: payoff matrix for (251, 0) has non-finite entries",
+    ),
+]
+
+
+def faulty_star(faults):
+    data = json.loads(STAR)
+    for kind, i in faults:
+        FAULTS[kind](data["edges"], i)
+    return data
+
+
+def load_via(route, data, tmp_path):
+    if route == "game_from_dict":
+        return game_from_dict(data)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(data))
+    return load_game(str(path))
+
+
+@pytest.mark.parametrize("route", ["game_from_dict", "load_game"])
+class TestErrorsAtAnyEdge:
+    @pytest.mark.parametrize("kind, i, message", MESSAGES)
+    def test_one_fault_gives_its_full_message(self, route, kind, i, message, tmp_path):
+        with pytest.raises(SchemaError) as excinfo:
+            load_via(route, faulty_star([(kind, i)]), tmp_path)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("faults, message", FIRST_OF_TWO)
+    def test_of_two_faults_the_first_in_loader_order_is_reported(
+        self, route, faults, message, tmp_path
+    ):
+        with pytest.raises(SchemaError) as excinfo:
+            load_via(route, faulty_star(faults), tmp_path)
+        assert str(excinfo.value) == message
+
+    def test_the_unfaulted_star_loads(self, route, tmp_path):
+        game, eps = load_via(route, faulty_star([]), tmp_path)
+        assert (game.num_players, game.num_actions, len(game.edges), eps) == (301, 3, 300, 0.5)
+
+
+ROUND_TRIPS = {
+    "star n=301": lambda: random_normalized_game(301, 3, 0.5, topology=star_edges(301), rng_seed=1),
+    "random tree n=32": lambda: random_normalized_game(32, 3, 0.5, rng_seed=7),
+    "path n=3": lambda: random_normalized_game(3, 2, 0.8, topology=path_edges(3), rng_seed=1),
+    "one player": lambda: random_normalized_game(1, 3, 0.5, rng_seed=1),
+    "one action": lambda: random_normalized_game(5, 1, 0.5, rng_seed=2),
+}
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+    def test_a_saved_game_loads_bit_for_bit_with_views_into_payoffs(self, name, tmp_path):
+        made = ROUND_TRIPS[name]()
+        save_game(str(tmp_path / "game.json"), made, 0.5)
+        game, _ = load_game(str(tmp_path / "game.json"))
+        assert game.payoffs.dtype == np.float64 and game.payoffs.shape == made.payoffs.shape
+        assert game.payoffs.tobytes() == made.payoffs.tobytes()
+        for field in ("owners", "neighbor_ids", "offsets"):
+            assert getattr(game, field).tolist() == getattr(made, field).tolist()
+        assert not game.payoffs.flags.writeable
+        assert len(game.edges) == len(made.edges)
+        for loaded, original in zip(game.edges, made.edges):
+            assert (loaded.u, loaded.v) == (original.u, original.v)
+            for view, expected in ((loaded.payoff_u_v, original.payoff_u_v),
+                                   (loaded.payoff_v_u, original.payoff_v_u)):
+                assert view.tobytes() == expected.tobytes()
+                assert not view.flags.writeable
+                assert view.base is game.payoffs and np.shares_memory(view, game.payoffs)
+
+    def test_the_constructor_accepts_nested_lists_of_ints(self):
+        game = TreePolymatrixGame(
+            num_players=2,
+            num_actions=2,
+            edges=[Edge(1, 0, [[1, 0], [0, 2]], [[0, 3], [4, 0.5]])],
+        )
+        assert game.matrix(1, 0).tolist() == [[1.0, 0.0], [0.0, 2.0]]
+        assert game.matrix(0, 1).tolist() == [[0.0, 3.0], [4.0, 0.5]]
+        assert game.edges[0].payoff_u_v.dtype == np.float64
+        assert (game.owners.tolist(), game.neighbor_ids.tolist()) == ([0, 1], [1, 0])
