@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,9 +51,14 @@ class TreePolymatrixGame:
     and then by neighbour, both ascending: slots ``offsets[p]:offsets[p + 1]``
     pay p, and slot s holds ``A[owners[s], neighbor_ids[s]]``. ``matrix(p, q)``
     and every edge's ``payoff_u_v`` / ``payoff_v_u`` are views into it.
-    Construction checks player ids, self-loops, duplicate edges and shapes,
-    then finiteness and signs over the whole array; tree-ness of the edge set
-    is checked separately by :func:`validate_and_root`.
+    Construction stacks every matrix once, with one ``np.array`` call, into a
+    float64 (2 * len(edges), m, m) array and checks in whole passes its shape,
+    that every id is an ``int`` in range, that no (owner, neighbour) pair sits
+    on two slots (a self-loop or a duplicate edge), then finiteness and signs.
+    When one of the first three fails, the per-edge loop ``_check_edges``
+    raises the first error in edge order, or passes ids of other types that
+    it allows. Tree-ness of the edge set is checked separately by
+    :func:`validate_and_root`.
     """
 
     num_players: int
@@ -70,8 +77,51 @@ class TreePolymatrixGame:
             raise InvalidGame("num_players must be >= 1")
         if m < 1:
             raise InvalidGame("num_actions must be >= 1")
+        ends = list(chain.from_iterable(map(attrgetter("u", "v"), self.edges)))
+        try:
+            stacked = np.array(
+                list(chain.from_iterable(map(attrgetter("payoff_u_v", "payoff_v_u"), self.edges))),
+                dtype=np.float64,
+            )
+        except (TypeError, ValueError, OverflowError):  # ragged, or entries that are not floats
+            stacked = None
+        if not (
+            stacked is not None
+            and stacked.shape == (len(ends), m, m)
+            and set(map(type, ends)) <= {int}
+            and min(ends, default=0) >= 0
+            and max(ends, default=0) < n
+        ):
+            stacked = self._check_edges()
+        # slot 2i is A[u, v] of edge i and slot 2i + 1 is A[v, u]
+        across = ends.copy()
+        across[0::2], across[1::2] = ends[1::2], ends[0::2]
+        if len(set(zip(ends, across))) < len(ends):  # a self-loop or a duplicate edge
+            self._check_edges()  # raises for the first one
+        pairs = np.array([ends, across], dtype=np.intp)  # owner and neighbour per slot
+        slots = np.lexsort(pairs[::-1])  # by owner, then neighbour
+        self.owners, self.neighbor_ids = owners, neighbor_ids = pairs[:, slots]
+        self.payoffs = payoffs = stacked[slots]
+        for bad, problem in ((~np.isfinite(payoffs), "non-finite"), (payoffs < 0.0, "negative")):
+            if bad.any():
+                s = int(slots[np.argwhere(bad)[0, 0]])
+                raise InvalidGame(f"payoff matrix for {(ends[s], across[s])} has {problem} entries")
+        payoffs.setflags(write=False)
+        self.offsets = np.searchsorted(owners, np.arange(n + 1))
+        # one prebuilt view per slot, shared by edges, matrix() and hot action_payoffs
+        views, ids, starts = list(payoffs), neighbor_ids.tolist(), self.offsets.tolist()
+        self._neighbors = [ids[lo:hi] for lo, hi in zip(starts, starts[1:])]
+        self._incident = [views[lo:hi] for lo, hi in zip(starts, starts[1:])]
+        placed = list(map(views.__getitem__, np.argsort(slots).tolist()))  # in edge order
+        self.edges = list(map(Edge, ends[0::2], ends[1::2], placed[0::2], placed[1::2]))
+
+    def _check_edges(self) -> np.ndarray:
+        """The per-edge checks in edge order: raise InvalidGame for the first
+        unknown player, self-loop, duplicate edge or misshapen matrix, else
+        return every matrix stacked as (2 * len(edges), m, m)."""
+        n, m = self.num_players, self.num_actions
         seen: set[tuple[int, int]] = set()
-        pairs, matrices = [], []
+        matrices = []
         for edge in self.edges:
             u, v = edge.u, edge.v
             if not (0 <= u < n and 0 <= v < n):
@@ -88,26 +138,8 @@ class TreePolymatrixGame:
                     raise InvalidGame(
                         f"payoff matrix for {pair} has shape {arr.shape}, expected ({m}, {m})"
                     )
-                pairs.append(pair)
                 matrices.append(arr)
-        pair_ids = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-        slots = np.lexsort((pair_ids[:, 1], pair_ids[:, 0]))  # by owner, then neighbour
-        self.owners, self.neighbor_ids = pair_ids[slots].T
-        self.payoffs = payoffs = np.array(matrices, dtype=np.float64).reshape(-1, m, m)[slots]
-        for bad, problem in ((~np.isfinite(payoffs), "non-finite"), (payoffs < 0.0, "negative")):
-            if bad.any():
-                pair = pairs[slots[np.argwhere(bad)[0, 0]]]
-                raise InvalidGame(f"payoff matrix for {pair} has {problem} entries")
-        payoffs.setflags(write=False)
-        self.offsets = np.searchsorted(self.owners, np.arange(n + 1))
-        # one prebuilt view per slot, shared by edges, matrix() and hot action_payoffs
-        views, ids, starts = list(payoffs), self.neighbor_ids.tolist(), self.offsets.tolist()
-        self._neighbors = [ids[lo:hi] for lo, hi in zip(starts, starts[1:])]
-        self._incident = [views[lo:hi] for lo, hi in zip(starts, starts[1:])]
-        self.edges = [
-            Edge(e.u, e.v, views[uv], views[vu])
-            for e, (uv, vu) in zip(self.edges, np.argsort(slots).reshape(-1, 2).tolist())
-        ]
+        return np.array(matrices, dtype=np.float64).reshape(-1, m, m)
 
     def neighbors(self, p: int) -> list[int]:
         """Neighbors of p in ascending order."""

@@ -3,12 +3,20 @@
 Unknown fields are rejected so that misspelled configuration cannot slip
 through silently. Floats rely on Python's shortest round-trip representation,
 which reproduces the exact double on reload.
+
+A game's edges are checked in one structural pass over the whole file
+(``_plain_payoff_values``: C-level ``set(map(type, ...))`` passes over the
+entries, ids, matrices, rows and values), and every payoff entry is parsed in
+one float64 array. Only when that pass fails does the per-edge walk
+(``_check_edge``) run, edge by edge, to name the first fault.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -44,19 +52,50 @@ def _as_number(value, context: str) -> float:
     return float(value)
 
 
-def _as_matrix(value, m: int, context: str) -> np.ndarray:
+def _check_matrix(value, m: int, context: str) -> None:
     if not isinstance(value, list) or len(value) != m:
         raise SchemaError(f"{context}: expected {m} rows")
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != m:
             raise SchemaError(f"{context}, row {i}: expected {m} entries")
-    # One pass over plain JSON numbers; the per-entry walk runs only to name
-    # the first bad entry (or to accept number subclasses other than bool).
-    if not all(type(x) is float or type(x) is int for row in value for x in row):
-        for i, row in enumerate(value):
-            for j, x in enumerate(row):
-                _as_number(x, f"{context}[{i}][{j}]")
-    return np.array(value, dtype=np.float64)
+    for i, row in enumerate(value):
+        for j, x in enumerate(row):
+            _as_number(x, f"{context}[{i}][{j}]")
+
+
+def _check_edge(entry, m: int, context: str) -> None:
+    _check_keys(entry, _EDGE_KEYS, (), context)
+    _as_int(entry["u"], f"{context}.u")
+    _as_int(entry["v"], f"{context}.v")
+    _check_matrix(entry["payoff_u_v"], m, f"{context}.payoff_u_v")
+    _check_matrix(entry["payoff_v_u"], m, f"{context}.payoff_v_u")
+
+
+def _plain_payoff_values(entries: list, m: int) -> list | None:
+    """Every payoff entry of every edge in one flat list, in the order of an
+    (edges, 2, m, m) array, when each edge entry is well formed as JSON
+    decoding builds it: a dict with exactly the edge keys, ``int`` ids, and
+    matrices of m lists of m ``int`` or ``float`` entries; else None.
+
+    Checked in whole-list passes. Every entry it accepts, ``_check_edge``
+    accepts too. On None the caller runs ``_check_edge`` on each entry, which
+    names the first fault, or passes the subclasses of these types that the
+    schema also allows.
+    """
+    if not (
+        set(map(type, entries)) <= {dict}
+        and set(map(frozenset, entries)) <= {frozenset(_EDGE_KEYS)}
+        and set(map(type, chain.from_iterable(map(itemgetter("u", "v"), entries)))) <= {int}
+    ):
+        return None
+    matrices = list(chain.from_iterable(map(itemgetter("payoff_u_v", "payoff_v_u"), entries)))
+    if not (set(map(type, matrices)) <= {list} and set(map(len, matrices)) <= {m}):
+        return None
+    rows = list(chain.from_iterable(matrices))
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {m}):
+        return None
+    values = list(chain.from_iterable(rows))
+    return values if set(map(type, values)) <= {int, float} else None
 
 
 def game_to_dict(game: TreePolymatrixGame, epsilon_normalization: float) -> dict:
@@ -77,24 +116,43 @@ def game_to_dict(game: TreePolymatrixGame, epsilon_normalization: float) -> dict
 
 
 def game_from_dict(data: dict) -> tuple[TreePolymatrixGame, float]:
+    """Build a game from its JSON document; return it with its epsilon_normalization.
+
+    The edges pass one structural check in whole-list passes, their matrices
+    become one float64 array of shape (edges, 2, m, m), and each ``Edge``
+    holds views of it. When the check fails, the per-edge walk raises
+    SchemaError for the first fault in edge order; the constructor's
+    InvalidGame comes back as ``SchemaError("game: ...")``.
+    """
     _check_keys(data, _GAME_KEYS, (), "game")
     n = _as_int(data["num_players"], "game.num_players")
     m = _as_int(data["num_actions"], "game.num_actions")
     eps = _as_number(data["epsilon_normalization"], "game.epsilon_normalization")
-    if not isinstance(data["edges"], list):
+    entries = data["edges"]
+    if not isinstance(entries, list):
         raise SchemaError("game.edges: expected a list")
+    values = _plain_payoff_values(entries, m)
+    if values is None:
+        for i, entry in enumerate(entries):
+            _check_edge(entry, m, f"game.edges[{i}]")
+        values = [
+            x
+            for entry in entries
+            for key in ("payoff_u_v", "payoff_v_u")
+            for row in entry[key]
+            for x in row
+        ]
     edges = []
-    for i, entry in enumerate(data["edges"]):
-        context = f"game.edges[{i}]"
-        _check_keys(entry, _EDGE_KEYS, (), context)
-        edges.append(
-            Edge(
-                u=_as_int(entry["u"], f"{context}.u"),
-                v=_as_int(entry["v"], f"{context}.v"),
-                payoff_u_v=_as_matrix(entry["payoff_u_v"], m, f"{context}.payoff_u_v"),
-                payoff_v_u=_as_matrix(entry["payoff_v_u"], m, f"{context}.payoff_v_u"),
-            )
-        )
+    if entries:
+        # every matrix in one array; each Edge holds views of it
+        payoffs = np.array(values, dtype=np.float64).reshape(len(entries), 2, m, m)
+        edges = list(map(
+            Edge,
+            map(itemgetter("u"), entries),
+            map(itemgetter("v"), entries),
+            payoffs[:, 0],
+            payoffs[:, 1],
+        ))
     try:
         game = TreePolymatrixGame(num_players=n, num_actions=m, edges=edges)
     except InvalidGame as exc:
