@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -50,20 +49,35 @@ def count_uniform(m: int, b: int) -> int:
     return math.comb(m + b - 1, m - 1)
 
 
-def _compositions(m: int, b: int) -> Iterator[tuple[int, ...]]:
-    # Yields count vectors summing to b in strictly increasing colexicographic
-    # order (last coordinate slowest-changing comparison key).
+def _colex_counts(m: int, b: int) -> np.ndarray:
+    """Every count vector over m actions summing to b, one per row, in
+    strictly increasing colexicographic order (the last count is the most
+    significant), built in whole-array passes.
+
+    The last count is the outermost loop, 0..b. Going down one count, each
+    row with ``rest`` units left to place expands to rest + 1 consecutive
+    rows that put 0..rest on that count; the first count takes what is left.
+    """
     if m == 1:
-        yield (b,)
-        return
-    for last in range(b + 1):
-        for prefix in _compositions(m - 1, b - last):
-            yield prefix + (last,)
+        return np.full((1, 1), b, dtype=np.int64)
+    last = np.arange(b + 1, dtype=np.int64)
+    columns, rest = [last], b - last  # columns from the last count down
+    for _ in range(m - 2):
+        sizes = rest + 1
+        parent = np.arange(rest.size).repeat(sizes)
+        value = np.arange(parent.size) - (sizes.cumsum() - sizes)[parent]
+        columns = [c[parent] for c in columns] + [value]
+        rest = rest[parent] - value
+    counts = np.empty((rest.size, m), dtype=np.int64)
+    counts[:, 0] = rest
+    for j, column in enumerate(columns, 1):
+        counts[:, -j] = column
+    return counts
 
 
 def _colex_rank(counts) -> int:
     # Rank of a count vector within the colex enumeration, via stars-and-bars
-    # prefix counts; inverse of the order produced by _compositions.
+    # prefix counts; inverse of the order produced by _colex_counts.
     rank = 0
     remaining = int(sum(counts))
     for pos in range(len(counts) - 1, 0, -1):
@@ -120,11 +134,7 @@ def enumerate_uniform(m: int, b: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Uni
         raise SetTooLarge(
             f"uniform strategy set has {total} elements, exceeding the cap of {cap}"
         )
-    counts = np.fromiter(
-        (k for vec in _compositions(m, b) for k in vec),
-        dtype=np.int64,
-        count=total * m,
-    ).reshape(total, m)
+    counts = _colex_counts(m, b)
     probs = counts / float(b)
     counts.setflags(write=False)
     probs.setflags(write=False)

@@ -81,6 +81,18 @@ def random_small_game(rng, n=None, m=None):
     return game_from_matrices(n, m, edges)
 
 
+def reference_compositions(m, b):
+    """The count vectors over m actions that sum to b, in strictly increasing
+    colexicographic order (the last count the most significant), from the
+    plain recursion on the last count."""
+    if m == 1:
+        yield (b,)
+        return
+    for last in range(b + 1):
+        for prefix in reference_compositions(m - 1, b - last):
+            yield prefix + (last,)
+
+
 def reference_normalization(game, epsilon, log_base=math.e, atol=1e-12):
     """(entry violations, utility violations) of check_normalized, found by a
     plain loop over players and their neighbours in ascending order."""

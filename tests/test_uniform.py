@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_compositions
 from treenash.errors import InvalidEpsilon, SetTooLarge
 from treenash.uniform import count_uniform, enumerate_uniform, support_size
 
@@ -141,3 +142,33 @@ class TestEnumerateUniform:
             counts = [combo.count(a) for a in range(3)]
             expected.add(tuple(counts))
         assert expected == {tuple(row) for row in uset.counts.tolist()}
+
+
+def assert_equals_the_recursion(m, b):
+    uset = enumerate_uniform(m, b)
+    expected = np.array(list(reference_compositions(m, b)), dtype=np.int64)
+    assert uset.counts.dtype == np.int64 and uset.counts.shape == expected.shape
+    assert np.array_equal(uset.counts, expected)
+    assert uset.probs.tobytes() == (expected / float(b)).tobytes()
+    assert not uset.counts.flags.writeable and not uset.probs.flags.writeable
+
+
+class TestAgainstTheRecursiveReference:
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_every_small_grid(self, m):
+        for b in range(1, 31):
+            assert_equals_the_recursion(m, b)
+
+    @pytest.mark.parametrize("m, b", [(2, 240), (3, 762)])
+    def test_theoretical_grids(self, m, b):
+        assert_equals_the_recursion(m, b)
+
+    @pytest.mark.parametrize("m, b", [(1, 30), (2, 240), (3, 762), (5, 30)])
+    def test_index_of_round_trips(self, m, b):
+        uset = enumerate_uniform(m, b)
+        size = len(uset)
+        picks = {0, size - 1, size // 2} | set(
+            np.random.default_rng(m * 1000 + b).integers(0, size, 200).tolist()
+        )
+        for i in sorted(picks):
+            assert uset.index_of(uset.strategy_at(i)) == i
