@@ -4,11 +4,11 @@ Unknown fields are rejected so that misspelled configuration cannot slip
 through silently. Floats rely on Python's shortest round-trip representation,
 which reproduces the exact double on reload.
 
-A game's edges are checked in one structural pass over the whole file
-(``_plain_payoff_values``: C-level ``set(map(type, ...))`` passes over the
-entries, ids, matrices, rows and values), and every payoff entry is parsed in
-one float64 array. Only when that pass fails does the per-edge walk
-(``_check_edge``) run, edge by edge, to name the first fault.
+A game's edges are checked once for the whole file in C-level passes
+(``_plain_payoff_values``: ``set(map(type, ...))`` and ``set(map(len, ...))``
+over the entries, ids, matrices, rows and values), and every payoff entry is
+parsed by one ``np.array`` call. Only when that check fails does the per-edge
+walk (``_check_edge``) run, edge by edge, to name the first fault.
 """
 
 from __future__ import annotations
@@ -72,15 +72,11 @@ def _check_edge(entry, m: int, context: str) -> None:
 
 
 def _plain_payoff_values(entries: list, m: int) -> list | None:
-    """Every payoff entry of every edge in one flat list, in the order of an
-    (edges, 2, m, m) array, when each edge entry is well formed as JSON
-    decoding builds it: a dict with exactly the edge keys, ``int`` ids, and
-    matrices of m lists of m ``int`` or ``float`` entries; else None.
-
-    Checked in whole-list passes. Every entry it accepts, ``_check_edge``
-    accepts too. On None the caller runs ``_check_edge`` on each entry, which
-    names the first fault, or passes the subclasses of these types that the
-    schema also allows.
+    """All payoff entries in one flat list, in (edges, 2, m, m) order, when every
+    edge entry is as JSON decoding builds it: a dict of exactly the edge keys,
+    ``int`` ids, and m lists of m ``int`` or ``float`` entries per matrix. Else
+    None, and the caller runs ``_check_edge`` (which accepts all this accepts)
+    on each entry, to name the first fault or to pass subclasses of these types.
     """
     if not (
         set(map(type, entries)) <= {dict}
@@ -135,24 +131,13 @@ def game_from_dict(data: dict) -> tuple[TreePolymatrixGame, float]:
     if values is None:
         for i, entry in enumerate(entries):
             _check_edge(entry, m, f"game.edges[{i}]")
-        values = [
-            x
-            for entry in entries
-            for key in ("payoff_u_v", "payoff_v_u")
-            for row in entry[key]
-            for x in row
-        ]
+        matrices = (e[k] for e in entries for k in ("payoff_u_v", "payoff_v_u"))
+        values = [x for matrix in matrices for row in matrix for x in row]
     edges = []
-    if entries:
-        # every matrix in one array; each Edge holds views of it
+    if entries:  # every matrix in one array; each Edge holds views of it
         payoffs = np.array(values, dtype=np.float64).reshape(len(entries), 2, m, m)
-        edges = list(map(
-            Edge,
-            map(itemgetter("u"), entries),
-            map(itemgetter("v"), entries),
-            payoffs[:, 0],
-            payoffs[:, 1],
-        ))
+        us, vs = map(itemgetter("u"), entries), map(itemgetter("v"), entries)
+        edges = list(map(Edge, us, vs, payoffs[:, 0], payoffs[:, 1]))
     try:
         game = TreePolymatrixGame(num_players=n, num_actions=m, edges=edges)
     except InvalidGame as exc:

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -198,6 +199,21 @@ class TestConstruction:
                 assert view.tobytes() == expected.tobytes()
                 assert not view.flags.writeable
                 assert view.base is game.payoffs and np.shares_memory(view, game.payoffs)
+
+    @pytest.mark.parametrize("change", ["ordered dict", "numpy float entry", "keys reordered"])
+    def test_entries_beyond_plain_json_types_load_the_same(self, change):
+        data = faulty_star([])
+        entry = data["edges"][250]
+        if change == "ordered dict":
+            data["edges"][250] = OrderedDict(reversed(list(entry.items())))
+        elif change == "numpy float entry":
+            entry["payoff_v_u"][2][1] = np.float64(entry["payoff_v_u"][2][1])
+        else:
+            data["edges"][250] = dict(reversed(list(entry.items())))
+        game, _ = game_from_dict(data)
+        expected, _ = game_from_dict(faulty_star([]))
+        assert game.payoffs.tobytes() == expected.payoffs.tobytes()
+        assert [(e.u, e.v) for e in game.edges] == [(e.u, e.v) for e in expected.edges]
 
     def test_the_constructor_accepts_nested_lists_of_ints(self):
         game = TreePolymatrixGame(
