@@ -117,8 +117,9 @@ class TreePolymatrixGame:
 
     def _check_edges(self) -> np.ndarray:
         """The per-edge checks in edge order: raise InvalidGame for the first
-        unknown player, self-loop, duplicate edge or misshapen matrix, else
-        return every matrix stacked as (2 * len(edges), m, m)."""
+        unknown player, self-loop, duplicate edge, misshapen matrix or integer
+        entry too large for a float64, else return every matrix stacked as
+        (2 * len(edges), m, m)."""
         n, m = self.num_players, self.num_actions
         seen: set[tuple[int, int]] = set()
         matrices = []
@@ -133,7 +134,12 @@ class TreePolymatrixGame:
                 raise InvalidGame(f"duplicate edge ({u}, {v})")
             seen.add(key)
             for pair, values in (((u, v), edge.payoff_u_v), ((v, u), edge.payoff_v_u)):
-                arr = np.asarray(values, dtype=np.float64)
+                try:
+                    arr = np.asarray(values, dtype=np.float64)
+                except OverflowError:
+                    raise InvalidGame(
+                        f"payoff matrix for {pair} has an entry too large for a float64"
+                    ) from None
                 if arr.shape != (m, m):
                     raise InvalidGame(
                         f"payoff matrix for {pair} has shape {arr.shape}, expected ({m}, {m})"
@@ -158,16 +164,12 @@ class TreePolymatrixGame:
 
 @dataclass(eq=False)
 class RootedTree:
-    """A rooting of the game tree.
-
-    ``order`` is a bottom-up processing sequence: every player appears after
-    all of its children.
-    """
+    """A rooting of the game tree: each player's parent (None at the root) and
+    its children in ascending order."""
 
     root: int
     parent: list[int | None]
     children: list[list[int]]
-    order: list[int]
 
 
 def rooted_tree_from_edges(
@@ -205,7 +207,7 @@ def rooted_tree_from_edges(
     children: list[list[int]] = [[] for _ in range(n)]
     for p in bfs[1:]:
         children[parent[p]].append(p)  # BFS visits neighbors sorted, so lists are sorted
-    return RootedTree(root=root, parent=parent, children=children, order=list(reversed(bfs)))
+    return RootedTree(root=root, parent=parent, children=children)
 
 
 def validate_and_root(game: TreePolymatrixGame, root: int | None = None) -> RootedTree:

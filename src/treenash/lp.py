@@ -10,9 +10,11 @@ substituted into the rows, so the weights are the only variables, and the
 objective is zero: the backend decides feasibility directly. The backend is
 HiGHS, called through scipy's bindings with the model and the options that
 ``scipy.optimize.linprog(method="highs")`` passes it, so its solutions are
-``linprog``'s bit for bit; the constraint matrix is built in CSC form in one
-array pass, and only the status and the primal solution are read back. Every
-solution is then re-checked against the instance arrays within the tolerance.
+``linprog``'s bit for bit. The simplex rows are never stored: the constraint
+matrix is built from the best-response rows and the children's block starts,
+in CSC form in one array pass, and only the status and the primal solution
+are read back. Every solution is then re-checked against the instance arrays
+within the tolerance.
 
 The work around the backend runs in array passes over all children at once,
 each with the bits of the per-child formula it replaces, so the programs, the
@@ -41,48 +43,32 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_LP_TOLERANCE = 1e-7
 
-# Size d * n (children times variables) above which ``build_lp`` leaves the
-# dense simplex rows out (``a_eq`` is None). The backend builds the simplex
-# rows from ``alpha_slices`` in either form, so the model, the solutions and
-# the solve time are the same, and the dense rows cost only their own
-# construction: per ``build_lp`` call on a 2-vCPU host, about 1.4 us on
-# lp-random's programs (d * n <= 220), 11 us at d * n = 6e4 and 0.22 ms on
-# star-wide's 300-child root programs (d * n about 7.7e5). Only tests and the
-# benchmark's tracer (``lp.matrix_bytes``) read ``a_eq``.
-_SPARSE_SIMPLEX_MIN_SIZE = 60_000
-
 
 @dataclass(eq=False)
 class LpInstance:
-    """One feasibility program; trivially infeasible when a candidate set is empty.
+    """One feasibility program: exactly what HiGHS receives, and the
+    candidates the solution's mixtures range over.
 
-    The variables are the children's alpha blocks, concatenated in child order
-    (``alpha_slices``), each bounded below by zero. ``a_eq`` holds one simplex
-    row per child (``b_eq`` its right-hand sides, all ones), and is None when
-    the program is wide, d * n above a size. The backend never reads it: it
-    builds the simplex rows from ``alpha_slices``. ``a_ub`` holds one
-    best-response row per action.
+    The variables are the children's alpha blocks, concatenated in child
+    order, child i's block starting at ``block_starts[i]``, each weight
+    bounded below by zero. ``a_ub`` holds one best-response row per action,
+    bounded above by ``b_ub``. The simplex rows, one per child, are implicit:
+    a 1 in each column of the child's block, equal to ``b_eq`` (all ones).
+    A program with no variables is exactly a childless one. ``a_eq`` is
+    always None, as no dense simplex rows are built; the benchmark's tracer
+    reads it by name.
     """
 
     player: int
-    parent: int | None
     child_ids: tuple[int, ...]
     candidate_indices: tuple[np.ndarray, ...]
     candidate_probs: tuple[np.ndarray, ...]
-    strategy: np.ndarray  # y, the strategy being extended
-    base_payoffs: np.ndarray  # A[player, parent] @ z, or zeros at the root
-    epsilon: float
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    alpha_slices: tuple[slice, ...] = ()
-    num_variables: int = 0
-    empty_children: tuple[int, ...] = ()
-
-    @property
-    def trivially_infeasible(self) -> bool:
-        return bool(self.empty_children)
+    a_ub: np.ndarray
+    b_ub: np.ndarray
+    b_eq: np.ndarray
+    block_starts: np.ndarray
+    num_variables: int
+    a_eq: None = None
 
 
 @dataclass(eq=False)
@@ -141,8 +127,9 @@ def build_lp(
     """Assemble LP(player, parent, z, y) for the given per-child candidate sets.
 
     ``candidate_sets`` maps each child to the canonical indices of its
-    candidates; when the player is the root, ``parent`` and ``z`` are omitted
-    and the parent terms vanish. Child c's block of best-response rows is
+    candidates, at least one each (else ValueError, naming the child); when
+    the player is the root, ``parent`` and ``z`` are omitted and the parent
+    terms vanish. Child c's block of best-response rows is
     ``(A[player, c] - y @ A[player, c]) @ X_c^T`` bit for bit, taken from one
     stacked product over all children and grid strategies; the candidates'
     strategies (``candidate_probs``) are views of one gathered array.
@@ -161,31 +148,12 @@ def build_lp(
 
     cand_idx = tuple(np.asarray(candidate_sets[c], dtype=np.int64) for c in children)
     sizes = [len(idx) for idx in cand_idx]
+    if 0 in sizes:
+        raise ValueError(f"child {children[sizes.index(0)]} of player {player} has no candidates")
     bounds = list(accumulate(sizes, initial=0))
-    alpha_slices = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
     flat = np.concatenate([np.empty(0, dtype=np.int64), *cand_idx])
     probs = uset.probs[flat]  # every child's candidates, in child order
-    common = dict(
-        player=player,
-        parent=parent,
-        child_ids=tuple(children),
-        candidate_indices=cand_idx,
-        candidate_probs=tuple(probs[sl] for sl in alpha_slices),
-        strategy=y,
-        base_payoffs=base,
-        epsilon=epsilon,
-    )
-    empty = tuple(c for c, size in zip(children, sizes) if size == 0)
-    if empty:
-        return LpInstance(**common, empty_children=empty)
-
-    num_vars = bounds[-1]
     owners = np.repeat(np.arange(len(children)), sizes)  # each variable's child
-    a_eq = None
-    if len(children) * num_vars <= _SPARSE_SIMPLEX_MIN_SIZE:
-        # each child's mixture weights sum to one
-        a_eq = np.zeros((len(children), num_vars))
-        a_eq[owners, np.arange(num_vars)] = 1.0
 
     # Best-response rows, rearranged to <= form with sigma_c = X_c^T alpha_c:
     #   sum_c (e_j - y)^T A[player,c] X_c^T alpha_c <= (y - e_j)^T base + epsilon/2
@@ -206,33 +174,26 @@ def build_lp(
     if single:
         columns = [bounds[i] for i in single]
         a_ub[:, columns] = (diffs[single] @ probs[columns, :, None])[..., 0].T
-    b_ub = mixed_payoff(y, base) - base + epsilon / 2.0
 
     return LpInstance(
-        **common,
-        a_eq=a_eq,
-        b_eq=np.ones(len(children)),
+        player=player,
+        child_ids=tuple(children),
+        candidate_indices=cand_idx,
+        candidate_probs=tuple(probs[lo:hi] for lo, hi in zip(bounds, bounds[1:])),
         a_ub=a_ub,
-        b_ub=b_ub,
-        alpha_slices=alpha_slices,
-        num_variables=num_vars,
+        b_ub=mixed_payoff(y, base) - base + epsilon / 2.0,
+        b_eq=np.ones(len(children)),
+        block_starts=np.array(bounds[:-1], dtype=np.intp),
+        num_variables=bounds[-1],
     )
 
 
-def _block_starts(instance: LpInstance) -> np.ndarray:
-    """First variable of each child's block, in child order."""
-    slices = instance.alpha_slices
-    return np.fromiter((sl.start for sl in slices), dtype=np.intp, count=len(slices))
-
-
-def _constraint_matrix(
-    instance: LpInstance, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _constraint_matrix(instance: LpInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The CSC arrays (column starts, row indices, values) of ``a_ub`` stacked
     over the simplex rows: column j holds the nonzeros of ``a_ub``'s column j
     in row order, then a 1 in the row of its child, after the ``a_ub`` rows.
     Explicit zeros are left out, as ``scipy.sparse.csc_array`` leaves them."""
-    m, n = instance.a_ub.shape
+    (m, n), starts = instance.a_ub.shape, instance.block_starts
     owners = np.repeat(np.arange(len(starts), dtype=np.int32), np.diff(starts, append=n))
     values = np.hstack((instance.a_ub.T, np.ones((n, 1))))
     rows = np.hstack((np.broadcast_to(np.arange(m, dtype=np.int32), (n, m)), m + owners[:, None]))
@@ -268,7 +229,7 @@ _LINPROG_STATUS = {
 }
 
 
-def _highs_solve(instance: LpInstance, starts: np.ndarray) -> tuple[int, np.ndarray | None]:
+def _highs_solve(instance: LpInstance) -> tuple[int, np.ndarray | None]:
     """Solve the program with HiGHS as ``linprog(method="highs")`` does, and
     return ``(status, x)``: ``linprog``'s status, and the primal solution when
     the status is 0, else None.
@@ -278,8 +239,8 @@ def _highs_solve(instance: LpInstance, starts: np.ndarray) -> tuple[int, np.ndar
     the same options, so HiGHS returns the same bits. A model HiGHS refuses to
     load is a fault in these arrays, not an infeasible program: status 4.
     """
-    (m, n), d = instance.a_ub.shape, len(starts)
-    column_starts, row_indices, values = _constraint_matrix(instance, starts)
+    (m, n), d = instance.a_ub.shape, len(instance.b_eq)
+    column_starts, row_indices, values = _constraint_matrix(instance)
     highs = highspy._Highs()
     for name, value in _HIGHS_OPTIONS.items():
         # a scipy whose HiGHS renamed or retyped an option must not solve
@@ -302,26 +263,24 @@ def _highs_solve(instance: LpInstance, starts: np.ndarray) -> tuple[int, np.ndar
     return status, np.array(highs.getSolution().col_value) if status == 0 else None
 
 
-def _residual(instance: LpInstance, x: np.ndarray, starts: np.ndarray) -> float:
+def _residual(instance: LpInstance, x: np.ndarray) -> float:
     if not np.isfinite(x).all():
         return math.inf  # NaN compares false, so no maximum below would show it
-    worst = max(0.0, -float(x.min(initial=0.0)))
-    if instance.b_eq is not None:
-        # one block sum per simplex row, whether or not ``a_eq`` is built
-        sums = np.add.reduceat(x, starts)
-        worst = max(worst, float(np.abs(sums - instance.b_eq).max(initial=0.0)))
-    if instance.a_ub is not None:
-        worst = max(worst, float(np.maximum(instance.a_ub @ x - instance.b_ub, 0.0).max()))
-    return worst
+    sums = np.add.reduceat(x, instance.block_starts)  # one per simplex row
+    return max(
+        0.0,
+        -float(x.min(initial=0.0)),
+        float(np.abs(sums - instance.b_eq).max(initial=0.0)),
+        float(np.maximum(instance.a_ub @ x - instance.b_ub, 0.0).max()),
+    )
 
 
 def max_residual(instance: LpInstance, frac: FractionalExtension) -> float:
     """Largest constraint violation of a fractional solution, recomputed directly
     from the instance (independent of whatever solver produced it): negative
-    weights, simplex rows as block sums over ``alpha_slices``, and the
+    weights, simplex rows as block sums from ``block_starts``, and the
     best-response rows ``a_ub``; infinite when a weight is NaN or infinite."""
-    x = np.concatenate([np.zeros(0), *frac.alphas])
-    return _residual(instance, x, _block_starts(instance))
+    return _residual(instance, np.concatenate([np.zeros(0), *frac.alphas]))
 
 
 def solve_feasibility(
@@ -347,13 +306,10 @@ def solve_feasibility(
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError("tolerance must be finite and positive")
-    if instance.trivially_infeasible:
-        return None
     if instance.num_variables == 0:  # childless: y against the parent term alone
         empty = FractionalExtension((), (), (), (), ())
         return empty if max_residual(instance, empty) <= tolerance else None
-    starts = _block_starts(instance)
-    status, x = _highs_solve(instance, starts)
+    status, x = _highs_solve(instance)
     if status != 0:
         if status == 2:
             return None
@@ -371,6 +327,7 @@ def solve_feasibility(
         return None
 
     x = np.clip(x, 0.0, None)  # degenerate tiny negatives are clamped
+    starts = instance.block_starts
     totals = np.add.reduceat(x, starts)
     if (totals <= 0.0).any():
         logger.warning(
@@ -379,7 +336,7 @@ def solve_feasibility(
         )
         return None
     x /= np.repeat(totals, np.diff(starts, append=instance.num_variables))
-    residual = _residual(instance, x, starts)
+    residual = _residual(instance, x)
     if residual > tolerance:
         logger.warning(
             "post-clamp residual exceeds tolerance for player %d; treating as infeasible",
@@ -388,7 +345,9 @@ def solve_feasibility(
         return None
     if stats is not None:
         stats.max_lp_residual = max(stats.max_lp_residual, residual)
-    alphas = tuple(x[sl] for sl in instance.alpha_slices)
+    # sliced: np.split takes two to four times as long on a 300-child program
+    bounds = [*starts.tolist(), instance.num_variables]
+    alphas = tuple(x[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
     return FractionalExtension(
         child_ids=instance.child_ids,
         candidate_indices=instance.candidate_indices,

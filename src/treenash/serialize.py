@@ -7,13 +7,15 @@ which reproduces the exact double on reload.
 A game's edges are checked once for the whole file in C-level passes
 (``_plain_payoff_values``: ``set(map(type, ...))`` and ``set(map(len, ...))``
 over the entries, ids, matrices, rows and values), and every payoff entry is
-parsed by one ``np.array`` call. Only when that check fails does the per-edge
-walk (``_check_edge``) run, edge by edge, to name the first fault.
+parsed by one ``np.array`` call. Only when that check fails, or an integer
+entry is too large for a float64, does the per-edge walk (``_check_edge``) run,
+edge by edge, to name the first fault.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -49,7 +51,10 @@ def _as_int(value, context: str) -> int:
 def _as_number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{context}: integer too large for a float64") from None
 
 
 def _check_matrix(value, m: int, context: str) -> None:
@@ -116,9 +121,10 @@ def game_from_dict(data: dict) -> tuple[TreePolymatrixGame, float]:
 
     The edges pass one structural check in whole-list passes, their matrices
     become one float64 array of shape (edges, 2, m, m), and each ``Edge``
-    holds views of it. When the check fails, the per-edge walk raises
-    SchemaError for the first fault in edge order; the constructor's
-    InvalidGame comes back as ``SchemaError("game: ...")``.
+    holds views of it. When the check fails, or the array's conversion
+    overflows, the per-edge walk raises SchemaError for the first fault in
+    edge order; the constructor's InvalidGame comes back as
+    ``SchemaError("game: ...")``.
     """
     _check_keys(data, _GAME_KEYS, (), "game")
     n = _as_int(data["num_players"], "game.num_players")
@@ -128,14 +134,19 @@ def game_from_dict(data: dict) -> tuple[TreePolymatrixGame, float]:
     if not isinstance(entries, list):
         raise SchemaError("game.edges: expected a list")
     values = _plain_payoff_values(entries, m)
-    if values is None:
+    payoffs = None
+    if values is not None:
+        with suppress(OverflowError):  # an int beyond float64: the walk names the first
+            payoffs = np.array(values, dtype=np.float64)
+    if payoffs is None:
         for i, entry in enumerate(entries):
             _check_edge(entry, m, f"game.edges[{i}]")
         matrices = (e[k] for e in entries for k in ("payoff_u_v", "payoff_v_u"))
         values = [x for matrix in matrices for row in matrix for x in row]
+        payoffs = np.array(values, dtype=np.float64)
     edges = []
     if entries:  # every matrix in one array; each Edge holds views of it
-        payoffs = np.array(values, dtype=np.float64).reshape(len(entries), 2, m, m)
+        payoffs = payoffs.reshape(len(entries), 2, m, m)
         us, vs = map(itemgetter("u"), entries), map(itemgetter("v"), entries)
         edges = list(map(Edge, us, vs, payoffs[:, 0], payoffs[:, 1]))
     try:

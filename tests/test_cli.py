@@ -158,6 +158,24 @@ class TestSolveVerifyRoundTrip:
         assert code == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_an_integer_payoff_too_large_for_a_float64_exit_2(self, tmp_path, command, capsys):
+        game_path = write_game(tmp_path / "game.json", identity_edge_game())
+        data = json.loads((tmp_path / "game.json").read_text())
+        data["edges"][-1]["payoff_v_u"][1][0] = 10**400
+        (tmp_path / "game.json").write_text(json.dumps(data))
+        if command == "solve":
+            code = run("solve", "--game", game_path, "--epsilon", "0.5",
+                       "--out", str(tmp_path / "p.json"))
+        else:
+            save_profile(str(tmp_path / "p.json"), [[1.0, 0.0], [1.0, 0.0]], 0.5, [0.0, 0.0])
+            code = run("verify", "--game", game_path, "--profile", str(tmp_path / "p.json"),
+                       "--epsilon", "0.5")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "input error: game.edges[0].payoff_v_u[1][0]: integer too large for a float64\n"
+        )
+
     def test_internal_error_exit_6(self, tmp_path, monkeypatch, capsys):
         def broken_solve(*args, **kwargs):
             raise InternalSoundnessViolation("assembled profile failed verification")

@@ -142,8 +142,7 @@ class TestValidateAndRoot:
         game = zero_game(3, path_edges(3))
         rooted = validate_and_root(game, root=1)
         assert rooted.children[1] == [0, 2]
-        assert rooted.order.index(0) < rooted.order.index(1)
-        assert rooted.order.index(2) < rooted.order.index(1)
+        assert rooted.parent == [1, None, 1]
 
     def test_cycle_rejected_by_edge_count(self):
         game = zero_game(3, [(0, 1), (1, 2), (0, 2)])
@@ -167,18 +166,8 @@ class TestValidateAndRoot:
 
     def test_single_player(self):
         rooted = validate_and_root(zero_game(1, []))
-        assert rooted.order == [0]
+        assert rooted.parent == [None]
         assert rooted.children[0] == []
-
-    def test_processing_order_is_bottom_up(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            game = random_small_game(rng, n=int(rng.integers(2, 9)))
-            rooted = validate_and_root(game)
-            position = {p: i for i, p in enumerate(rooted.order)}
-            for p in range(game.num_players):
-                for c in rooted.children[p]:
-                    assert position[c] < position[p]
 
 
 class TestExpectedUtility:

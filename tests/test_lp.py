@@ -76,18 +76,15 @@ class TestBuildLp:
         game, rooted = root_with_children([np.zeros((2, 2)), np.zeros((2, 2))])
         uset = enumerate_uniform(2, 1)
         inst = instance_for(game, rooted, {1: [0, 1], 2: [0, 1]}, UNIFORM, 0.4, uset)
-        assert not inst.trivially_infeasible
         assert np.allclose(inst.b_ub, 0.2)  # 0 >= 0 - eps/2 rearranged
         assert np.allclose(inst.a_ub, 0.0)
         assert solve_feasibility(inst) is not None
 
-    def test_empty_candidate_set_marks_trivially_infeasible(self):
-        game, rooted = root_with_children([np.eye(2)])
+    def test_an_empty_candidate_set_is_refused_naming_its_child(self):
+        game, rooted = root_with_children([np.eye(2), np.eye(2), np.eye(2)])
         uset = enumerate_uniform(2, 1)
-        inst = instance_for(game, rooted, {1: []}, E1, 0.5, uset)
-        assert inst.trivially_infeasible
-        assert inst.empty_children == (1,)
-        assert solve_feasibility(inst) is None
+        with pytest.raises(ValueError, match=r"^child 2 of player 0 has no candidates$"):
+            instance_for(game, rooted, {1: [0], 2: [], 3: []}, E1, 0.5, uset)
 
     def test_requires_candidate_sets_for_all_children(self):
         game, rooted = root_with_children([np.eye(2), np.eye(2)])
@@ -111,12 +108,11 @@ class TestBuildLp:
         cand = {1: [0, 2, 5], 2: [1], 3: list(range(6))}
         inst = instance_for(game, rooted, cand, uset.probs[3], 0.4, uset)
         assert inst.num_variables == sum(len(v) for v in cand.values())
-        assert inst.a_eq.shape == (3, inst.num_variables)
+        assert inst.a_eq is None
         assert inst.a_ub.shape == (3, inst.num_variables)
         assert np.array_equal(inst.b_eq, np.ones(3))
-        # each simplex row covers exactly its child's block
-        for i, sl in enumerate(inst.alpha_slices):
-            assert np.array_equal(np.flatnonzero(inst.a_eq[i]), np.arange(sl.start, sl.stop))
+        # each child's block starts where the one before it ends
+        assert inst.block_starts.tolist() == [0, 3, 4]
 
     def test_parent_terms_enter_the_rows(self):
         # path 0-1-2, membership of player 1 given parent strategy z
@@ -128,12 +124,11 @@ class TestBuildLp:
         uset = enumerate_uniform(2, 1)
         inst = build_lp(game, rooted, 1, 0, E1, E1, {2: [0, 1]}, uset, 0.4)
         # base payoffs A[1,0] @ e1 = e1; rows j: (y - e_j) . base + eps/2
-        assert np.allclose(inst.base_payoffs, E1)
         assert inst.b_ub[0] == pytest.approx(0.2)  # j = 0: 0 + eps/2
         assert inst.b_ub[1] == pytest.approx(1.2)  # j = 1: 1 + eps/2
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
-    def test_best_response_rows_equal_the_per_child_products(self, m, simplex_form):
+    def test_best_response_rows_equal_the_per_child_products(self, m):
         # The stacked product and its gathered columns must hold, bit for
         # bit, the per-child (A_c - y @ A_c) @ X_c^T: a one-candidate child's
         # column included, which numpy multiplies by gemv, not gemm. Player 1
@@ -167,7 +162,7 @@ class TestBuildLp:
                     assert np.array_equal(inst.a_ub, expected), (root, pattern)
                     # _residual reads it with a gemv, whose sums follow the layout
                     assert inst.a_ub.flags.c_contiguous
-                    assert (inst.a_eq is None) == (simplex_form == "sparse")
+                    assert inst.a_eq is None
                     for c, idx, probs in zip(
                         children, inst.candidate_indices, inst.candidate_probs
                     ):
@@ -353,18 +348,10 @@ class TestChildlessProgram:
         assert outcomes == {True, False}
 
 
-@pytest.fixture(params=["dense", "sparse"])
-def simplex_form(request, monkeypatch):
-    """Force the dense or the sparse simplex rows, whatever the program's size."""
-    limit = math.inf if request.param == "dense" else 0
-    monkeypatch.setattr(lp_module, "_SPARSE_SIMPLEX_MIN_SIZE", limit)
-    return request.param
-
-
 def fake_backend(monkeypatch, status=0, x=None):
     """Make the backend return a chosen ``(status, x)``."""
     result = status, None if x is None else np.array(x, dtype=float)
-    monkeypatch.setattr(lp_module, "_highs_solve", lambda instance, starts: result)
+    monkeypatch.setattr(lp_module, "_highs_solve", lambda instance: result)
 
 
 def recorded_models(monkeypatch):
@@ -381,13 +368,11 @@ def recorded_models(monkeypatch):
 
 
 def simplex_rows(inst):
-    """The simplex rows as ``csc_array``: the dense ``a_eq`` when the program has
-    it, else one 1 per column in its child's row, built from ``alpha_slices``."""
-    if inst.a_eq is not None:
-        return csc_array(inst.a_eq)
-    n = inst.num_variables
-    owners = np.concatenate([np.full(sl.stop - sl.start, i) for i, sl in enumerate(inst.alpha_slices)])
-    return csc_array((np.ones(n), owners, np.arange(n + 1)), shape=(len(inst.alpha_slices), n))
+    """The simplex rows as ``csc_array``: one 1 per column in its child's row,
+    built from ``block_starts``."""
+    n, d = inst.num_variables, len(inst.block_starts)
+    owners = np.searchsorted(inst.block_starts, np.arange(n), side="right") - 1
+    return csc_array((np.ones(n), owners, np.arange(n + 1)), shape=(d, n))
 
 
 def assert_backend_matrix(args, inst):
@@ -401,7 +386,7 @@ def assert_backend_matrix(args, inst):
 
 
 class TestPostSolve:
-    """The checks after the backend, on both forms of the simplex rows."""
+    """The checks after the backend."""
 
     @staticmethod
     def instance():
@@ -411,24 +396,22 @@ class TestPostSolve:
         uset = enumerate_uniform(2, 2)
         return instance_for(game, rooted, {1: [0, 1, 2], 2: [0, 2]}, UNIFORM, 0.4, uset)
 
-    def test_forms_reach_the_backend_as_forced(self, simplex_form, monkeypatch):
-        # both forms reach HiGHS as the same CSC; the zero game's a_ub has no
-        # nonzeros, so only the simplex rows' 1s remain
+    def test_programs_reach_the_backend_as_csc(self, monkeypatch):
+        # the zero game's a_ub has no nonzeros, so only the simplex rows' 1s
+        # remain
         models = recorded_models(monkeypatch)
         game, rooted = root_with_children([[[1.0, 0.0], [0.5, 2.0]], [[0.0, 3.0], [1.0, 0.0]]])
         uset = enumerate_uniform(2, 2)
         other = instance_for(game, rooted, {1: [0, 1, 2], 2: [1]}, E1, 0.4, uset)
         for inst in (self.instance(), other):
-            assert (inst.a_eq is None) == (simplex_form == "sparse")
+            assert inst.a_eq is None
             assert solve_feasibility(inst) is not None
             assert_backend_matrix(models[-1], inst)
         assert len(models) == 2
         assert models[0][13].tolist() == [1.0] * 5 and models[0][12].tolist() == [2, 2, 2, 3, 3]
         assert 0.0 not in models[1][13] and len(models[1][13]) > other.num_variables
 
-    def test_a_non_finite_solution_is_infeasible_with_a_warning(
-        self, simplex_form, monkeypatch, caplog
-    ):
+    def test_a_non_finite_solution_is_infeasible_with_a_warning(self, monkeypatch, caplog):
         for bad in (np.nan, np.inf):
             caplog.clear()
             fake_backend(monkeypatch, x=[0.2, bad, 0.5, 1.0, 0.0])
@@ -436,7 +419,7 @@ class TestPostSolve:
                 assert solve_feasibility(self.instance()) is None
             assert "non-finite solution" in caplog.text
 
-    def test_tiny_negatives_are_clamped_and_blocks_renormalised(self, simplex_form, monkeypatch):
+    def test_tiny_negatives_are_clamped_and_blocks_renormalised(self, monkeypatch):
         x = np.array([-1e-12, 0.4, 0.6 + 1e-9, 1.0 + 2e-9, -3e-13])
         fake_backend(monkeypatch, x=x)
         frac = solve_feasibility(self.instance())
@@ -448,7 +431,7 @@ class TestPostSolve:
         for alpha, probs, sigma in zip(frac.alphas, frac.candidate_probs, frac.sigmas):
             assert np.array_equal(sigma, alpha @ probs)
 
-    def test_long_blocks_match_the_per_block_loop(self, simplex_form, monkeypatch):
+    def test_long_blocks_match_the_per_block_loop(self, monkeypatch):
         # block totals are summed in another order than a per-block .sum() once
         # a block has 8 or more weights, so the loop agrees within a few ulps
         game = zero_game(3, [(0, 1), (0, 2)])
@@ -459,35 +442,32 @@ class TestPostSolve:
         fake_backend(monkeypatch, x=x)
         frac = solve_feasibility(inst)
         assert frac is not None
-        for alpha, sl in zip(frac.alphas, inst.alpha_slices):
-            block = np.clip(x[sl], 0.0, None)
+        ends = [*inst.block_starts[1:], inst.num_variables]
+        for alpha, lo, hi in zip(frac.alphas, inst.block_starts, ends):
+            block = np.clip(x[lo:hi], 0.0, None)
             np.testing.assert_allclose(alpha, block / block.sum(), rtol=8 * np.finfo(float).eps)
 
     @pytest.mark.parametrize("block", [[0.0, 0.0], [-1e-12, 0.0]])
-    def test_a_block_summing_to_at_most_zero_is_infeasible(
-        self, simplex_form, monkeypatch, caplog, block
-    ):
+    def test_a_block_summing_to_at_most_zero_is_infeasible(self, monkeypatch, caplog, block):
         fake_backend(monkeypatch, x=[0.2, 0.3, 0.5, *block])
         with caplog.at_level("WARNING", logger="treenash.lp"):
             assert solve_feasibility(self.instance()) is None
         assert "degenerate mixture block" in caplog.text
 
     @pytest.mark.parametrize("status", [1, 3, 4])
-    def test_a_backend_failure_is_infeasible_with_a_warning(
-        self, simplex_form, monkeypatch, caplog, status
-    ):
+    def test_a_backend_failure_is_infeasible_with_a_warning(self, monkeypatch, caplog, status):
         fake_backend(monkeypatch, status=status)
         with caplog.at_level("WARNING", logger="treenash.lp"):
             assert solve_feasibility(self.instance()) is None
         assert "numerical failure" in caplog.text
 
-    def test_status_two_is_infeasible_without_a_warning(self, simplex_form, monkeypatch, caplog):
+    def test_status_two_is_infeasible_without_a_warning(self, monkeypatch, caplog):
         fake_backend(monkeypatch, status=2)
         with caplog.at_level("WARNING", logger="treenash.lp"):
             assert solve_feasibility(self.instance()) is None
         assert caplog.text == ""
 
-    def test_max_residual_reports_an_unnormalised_block(self, simplex_form):
+    def test_max_residual_reports_an_unnormalised_block(self):
         inst = self.instance()
         frac = FractionalExtension(
             child_ids=inst.child_ids,
@@ -500,7 +480,7 @@ class TestPostSolve:
         frac.alphas = (np.array([0.2, 0.3, 0.5]), np.array([1.0, 0.0]))
         assert max_residual(inst, frac) == 0.0
 
-    def test_max_residual_reports_a_non_finite_weight_as_infinite(self, simplex_form):
+    def test_max_residual_reports_a_non_finite_weight_as_infinite(self):
         # a NaN compares false with every maximum: it must not read 0.0, nor
         # hide the other block's violation of 0.5
         inst = self.instance()
@@ -519,7 +499,7 @@ class TestPostSolve:
 
 
 class TestWideProgram:
-    """A 300-leaf star root program, above the size where the rows go sparse."""
+    """A 300-leaf star root program."""
 
     @staticmethod
     def instance():
@@ -535,25 +515,13 @@ class TestWideProgram:
         # y best-responds to the candidates' average mixtures, so the program is feasible
         v = sum(game.matrix(0, c) @ uset.probs[cand[c]].mean(axis=0) for c in cand)
         y = np.eye(m)[int(np.argmax(v))]
-        return lambda: instance_for(game, rooted, cand, y, 0.5, uset)
+        return instance_for(game, rooted, cand, y, 0.5, uset)
 
-    def test_dense_and_sparse_forms_return_the_same_alphas(self, monkeypatch):
-        build = self.instance()
-        sparse = build()
-        assert sparse.a_eq is None  # d * n is far above the default size
-        monkeypatch.setattr(lp_module, "_SPARSE_SIMPLEX_MIN_SIZE", math.inf)
-        dense = build()
-        assert dense.a_eq is not None
-        first, second = solve_feasibility(sparse), solve_feasibility(dense)
-        assert first is not None and second is not None
-        assert len(first.alphas) == 300
-        for a, b in zip(first.alphas, second.alphas):
-            assert np.array_equal(a, b)
-
-    def test_sparse_simplex_rows_cover_each_childs_block(self, monkeypatch):
-        inst = self.instance()()
+    def test_simplex_rows_cover_each_childs_block(self, monkeypatch):
+        inst = self.instance()
         models = recorded_models(monkeypatch)
-        assert solve_feasibility(inst) is not None
+        frac = solve_feasibility(inst)
+        assert frac is not None and len(frac.alphas) == 300
         assert len(models) == 1
         assert_backend_matrix(models[0], inst)
         m, n = inst.a_ub.shape
@@ -562,8 +530,8 @@ class TestWideProgram:
         # that belongs to its child
         last = column_starts[1:] - 1
         assert np.array_equal(values[last], np.ones(n))
-        for i, sl in enumerate(inst.alpha_slices):
-            assert np.array_equal(row_indices[last[sl]], np.full(sl.stop - sl.start, m + i))
+        owners = np.searchsorted(inst.block_starts, np.arange(n), side="right") - 1
+        assert np.array_equal(row_indices[last], m + owners)
         assert (row_indices[np.setdiff1d(np.arange(len(values)), last)] < m).all()
 
 
@@ -572,10 +540,10 @@ class TestHighsSeam:
     which passes HiGHS the same model with the same options."""
 
     @staticmethod
-    def programs(d, rng, form):
+    def programs(d, rng):
         """A feasible-or-not star root program with d children, some of them
-        with a single candidate, in the given simplex form, and the same
-        program with ``b_ub`` shifted down so far that it is infeasible."""
+        with a single candidate, and the same program with ``b_ub`` shifted
+        down so far that it is infeasible."""
         m = 3
         game = random_normalized_game(
             d + 1, m, 0.5, topology=star_edges(d + 1), rng_seed=int(rng.integers(1 << 30))
@@ -590,22 +558,21 @@ class TestHighsSeam:
         v = sum(game.matrix(0, c) @ uset.probs[cand[c]].mean(axis=0) for c in cand)
         y = np.eye(m)[int(np.argmax(v))] if rng.random() < 0.7 else uset.probs[rng.integers(len(uset))]
         inst = instance_for(game, rooted, cand, y, 0.5, uset)
-        assert (inst.a_eq is None) == (form == "sparse")
         shifted = instance_for(game, rooted, cand, y, 0.5, uset)
         shifted.b_ub = shifted.b_ub - 10.0
         return inst, shifted
 
-    def test_solution_and_status_equal_linprogs_bit_for_bit(self, simplex_form):
+    def test_solution_and_status_equal_linprogs_bit_for_bit(self):
         rng = np.random.default_rng(20)
         statuses = set()
         for d in (1, 2, 3, 7, 20, 64, 150, 300):
-            for inst in self.programs(d, rng, simplex_form):
-                status, x = lp_module._highs_solve(inst, lp_module._block_starts(inst))
+            for inst in self.programs(d, rng):
+                status, x = lp_module._highs_solve(inst)
                 expected = linprog(
                     np.zeros(inst.num_variables),
                     A_ub=inst.a_ub,
                     b_ub=inst.b_ub,
-                    A_eq=inst.a_eq if inst.a_eq is not None else simplex_rows(inst),
+                    A_eq=simplex_rows(inst),
                     b_eq=inst.b_eq,
                     bounds=(0.0, None),
                     method="highs",
@@ -629,7 +596,7 @@ class TestHighsSeam:
         # linprog makes its HiGHS object from the same module
         monkeypatch.setattr(lp_module.highspy, "_Highs", Recording)
         inst = TestPostSolve.instance()
-        lp_module._highs_solve(inst, lp_module._block_starts(inst))
+        lp_module._highs_solve(inst)
         linprog(np.zeros(inst.num_variables), A_ub=inst.a_ub, b_ub=inst.b_ub,
                 A_eq=simplex_rows(inst), b_eq=inst.b_eq, bounds=(0.0, None), method="highs")
         assert len(solvers) == 2
@@ -646,7 +613,7 @@ class TestHighsSeam:
         monkeypatch.setattr(lp_module, "_HIGHS_OPTIONS", dict([option]))
         inst = TestPostSolve.instance()
         with pytest.raises(RuntimeError, match="rejected the option"):
-            lp_module._highs_solve(inst, lp_module._block_starts(inst))
+            lp_module._highs_solve(inst)
 
 
 class TestRoundExtension:

@@ -9,10 +9,16 @@ import numpy as np
 import pytest
 
 from helpers import identity_edge_game, path_edges, star_edges
-from treenash.errors import SchemaError
+from treenash.errors import InvalidGame, SchemaError
 from treenash.game import Edge, TreePolymatrixGame
 from treenash.generator import random_normalized_game
-from treenash.serialize import game_from_dict, game_to_dict, load_game, save_game
+from treenash.serialize import (
+    game_from_dict,
+    game_to_dict,
+    load_game,
+    profile_from_dict,
+    save_game,
+)
 
 
 def game_data(m=3):
@@ -68,6 +74,7 @@ FAULTS = {
     "entry a string": _entry("payoff_v_u", 2, 1, "0.5"),
     "entry null": _entry("payoff_u_v", 2, 1, None),
     "entry NaN": _entry("payoff_v_u", 2, 1, math.nan),
+    "entry too large": _entry("payoff_u_v", 0, 2, 10**400),
     "entry negative": _entry("payoff_u_v", 1, 2, -0.25),
     "unknown player": lambda edges, i: edges[i].update(u=400 + i),
     "self-loop": lambda edges, i: edges[i].update(u=edges[i]["v"]),
@@ -96,6 +103,12 @@ MESSAGES = [
     ("entry a string", 250, "game.edges[250].payoff_v_u[2][1]: expected a number, got '0.5'"),
     ("entry null", 0, "game.edges[0].payoff_u_v[2][1]: expected a number, got None"),
     ("entry null", 250, "game.edges[250].payoff_u_v[2][1]: expected a number, got None"),
+    ("entry too large", 0, "game.edges[0].payoff_u_v[0][2]: integer too large for a float64"),
+    (
+        "entry too large",
+        250,
+        "game.edges[250].payoff_u_v[0][2]: integer too large for a float64",
+    ),
     ("entry NaN", 0, "game: payoff matrix for (1, 0) has non-finite entries"),
     ("entry NaN", 250, "game: payoff matrix for (251, 0) has non-finite entries"),
     ("entry negative", 0, "game: payoff matrix for (0, 1) has negative entries"),
@@ -128,6 +141,14 @@ FIRST_OF_TWO = [
         "game: edge (410, 11) references an unknown player",
     ),
     ((("entry NaN", 0), ("duplicate edge", 250)), "game: duplicate edge (250, 0)"),
+    (
+        (("entry NaN", 10), ("entry too large", 250)),
+        "game.edges[250].payoff_u_v[0][2]: integer too large for a float64",
+    ),
+    (
+        (("entry too large", 250), ("entry too large", 251)),
+        "game.edges[250].payoff_u_v[0][2]: integer too large for a float64",
+    ),
     (
         (("entry negative", 3), ("entry NaN", 250)),
         "game: payoff matrix for (251, 0) has non-finite entries",
@@ -225,3 +246,23 @@ class TestConstruction:
         assert game.matrix(0, 1).tolist() == [[0.0, 3.0], [4.0, 0.5]]
         assert game.edges[0].payoff_u_v.dtype == np.float64
         assert (game.owners.tolist(), game.neighbor_ids.tolist()) == ([0, 1], [1, 0])
+
+    def test_the_constructor_refuses_an_integer_too_large_for_a_float64(self):
+        with pytest.raises(InvalidGame) as excinfo:
+            TreePolymatrixGame(2, 1, [Edge(0, 1, [[10**400]], [[0]])])
+        assert str(excinfo.value) == "payoff matrix for (0, 1) has an entry too large for a float64"
+        with pytest.raises(InvalidGame) as excinfo:
+            TreePolymatrixGame(3, 1, [Edge(0, 1, [[1]], [[0]]), Edge(2, 1, [[0]], [[-10**400]])])
+        assert str(excinfo.value) == "payoff matrix for (1, 2) has an entry too large for a float64"
+
+
+class TestProfileEntries:
+    def test_an_integer_too_large_for_a_float64_names_its_entry(self):
+        for key, data, context in (
+            ("strategies", {"strategies": [[1, 0], [0, 10**400]]}, "profile.strategies[1][1]"),
+            ("regrets", {"strategies": [[1, 0]], "regrets": [0, 10**400]}, "profile.regrets[1]"),
+            ("epsilon", {"strategies": [[1, 0]], "epsilon": 10**400}, "profile.epsilon"),
+        ):
+            with pytest.raises(SchemaError) as excinfo:
+                profile_from_dict(data)
+            assert str(excinfo.value) == f"{context}: integer too large for a float64", key

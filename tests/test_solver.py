@@ -1546,6 +1546,23 @@ def perfbench_workloads():
     return module
 
 
+def workload_games(name, seed):
+    """Each game of a benchmark workload at a run seed, with its solver
+    config, each game's seed drawn as the benchmark draws it."""
+    workloads = perfbench_workloads()
+    workload = workloads.WORKLOADS[name]
+    seeds = np.random.SeedSequence(seed).generate_state(len(workload.shapes)).tolist()
+    for shape, game_seed in zip(workload.shapes, seeds):
+        n, edges = workloads.shape_edges(shape)
+        game = random_normalized_game(
+            n, workload.num_actions, workload.epsilon, topology=edges, rng_seed=game_seed
+        )
+        yield game, SolverConfig(
+            epsilon=workload.epsilon, b_override=workload.b,
+            lp_threshold=workload.lp_threshold, rng_seed=game_seed,
+        )
+
+
 class TestPhaseApi:
     """The phase functions the benchmark's traced pass calls one by one."""
 
@@ -1555,25 +1572,14 @@ class TestPhaseApi:
     )
     def test_phases_in_order_give_solves_profile(self, name, seed):
         # build_tables, process_root and backtrack, run in that order, give
-        # solve's profile bit for bit on every game of each workload, with
-        # each game's seed drawn as the benchmark draws it; every mask value
-        # is an array of the decided cells
-        workloads = perfbench_workloads()
-        workload = workloads.WORKLOADS[name]
-        seeds = np.random.SeedSequence(seed).generate_state(len(workload.shapes)).tolist()
-        for shape, game_seed in zip(workload.shapes, seeds):
-            n, edges = workloads.shape_edges(shape)
-            game = random_normalized_game(
-                n, workload.num_actions, workload.epsilon, topology=edges, rng_seed=game_seed
-            )
-            config = SolverConfig(
-                epsilon=workload.epsilon, b_override=workload.b,
-                lp_threshold=workload.lp_threshold, rng_seed=game_seed,
-            )
+        # solve's profile bit for bit on every game of each workload; every
+        # mask value is an array of the decided cells
+        for game, config in workload_games(name, seed):
             expected = solve(game, config).profile
             rooted = validate_and_root(game, config.root)
-            b = workload.b or support_size(workload.num_actions, n, workload.epsilon)
-            uset = enumerate_uniform(workload.num_actions, b)
+            m = game.num_actions
+            b = config.b_override or support_size(m, game.num_players, config.epsilon)
+            uset = enumerate_uniform(m, b)
             stats = SolveStats()
             tables = build_tables(game, rooted, uset, config, stats)
             y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
@@ -1587,3 +1593,61 @@ class TestPhaseApi:
             assert isinstance(tables.extensions, dict)
         for attr in ("membership_test", "exhaustive_membership", "is_epsilon_best_response"):
             assert callable(getattr(solver_module, attr))
+
+
+class TestLpPrograms:
+    """A strategy y whose children's candidate product is empty is decided
+    false before any LP, so every program the search builds has a candidate
+    for each child and ``build_lp`` never refuses one."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Wrap ``solver.build_lp``: check the candidate sets of every program
+        it receives, and count the programs."""
+        built, build_lp = [], solver_module.build_lp
+
+        def checked_build_lp(game, rooted, player, parent, z, y, candidate_sets, *rest):
+            for child in rooted.children[player]:
+                assert len(candidate_sets[child]) > 0, (player, child)
+            built.append(player)
+            return build_lp(game, rooted, player, parent, z, y, candidate_sets, *rest)
+
+        monkeypatch.setattr(solver_module, "build_lp", checked_build_lp)
+        return built
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("name", ["lp-random", "star-wide"])
+    def test_benchmark_shapes_build_no_program_with_an_empty_candidate_set(
+        self, name, seed, monkeypatch
+    ):
+        built = self.recording(monkeypatch)
+        for game, config in workload_games(name, seed):
+            solve(game, config)
+        assert built
+
+    def test_random_trees_build_no_program_with_an_empty_candidate_set(self, monkeypatch):
+        # at epsilon 0.05 many cells are false and some games have no grid
+        # equilibrium, so some strategies y of players on the LP route (every
+        # player with two children or more) have an empty candidate product
+        built, empty = self.recording(monkeypatch), []
+        candidate_rows = CandidateTables.candidate_rows
+
+        def counted_candidate_rows(tables, children, y_indices):
+            candidates, sizes = candidate_rows(tables, children, y_indices)
+            if len(children) >= 2:
+                empty.append(int((~sizes.all(axis=0)).sum()))
+            return candidates, sizes
+
+        monkeypatch.setattr(CandidateTables, "candidate_rows", counted_candidate_rows)
+        for seed in range(24):
+            n, m, b = 5 + seed % 8, 2 + seed % 2, 1 + seed % 3
+            game = random_normalized_game(n, m, 0.5, rng_seed=900 + seed)
+            for epsilon, root in itertools.product((0.5, 0.05), (0, n - 1)):
+                config = SolverConfig(
+                    epsilon=epsilon, b_override=b, lp_threshold=2, root=root, rng_seed=seed
+                )
+                try:
+                    solve(game, config)
+                except NoEquilibriumFound:
+                    pass
+        assert len(built) > 24 and sum(empty) > 0
