@@ -314,6 +314,16 @@ class TestChildlessProgram:
                 outcomes.add(expected)
         assert outcomes == {True, False}
 
+    def test_no_variables_means_no_blocks_and_no_simplex_rows(self):
+        # build_lp refuses a child without candidates, so a program without
+        # variables is exactly a childless player's: m best-response rows alone
+        game, rooted = path_with_leaf(np.eye(2))
+        uset = enumerate_uniform(2, 2)
+        inst = build_lp(game, rooted, 1, 0, E1, E1, {}, uset, 0.6)
+        assert inst.num_variables == 0 and inst.child_ids == ()
+        assert inst.block_starts.size == 0 and inst.b_eq.size == 0 and inst.a_eq is None
+        assert inst.a_ub.shape == (2, 0) and inst.b_ub.shape == (2,)
+
     def test_rounding_returns_the_empty_extension_exactly_when_y_is_an_epsilon_best_response(
         self,
     ):

@@ -39,6 +39,25 @@ class TestPayoffMatrices:
         with pytest.raises(SchemaError, match=re.escape("game.edges[0].payoff_v_u[2][1]")):
             game_from_dict(data)
 
+    # 2**1024 - 2**970 is the least integer that rounds past the largest double
+    @pytest.mark.parametrize("route", ["game_from_dict", "constructor"])
+    def test_integers_load_up_to_the_float64_limit_and_no_further(self, route):
+        largest = 2**1024 - 2**970 - 1
+
+        def load(entry):
+            data = game_data()
+            data["edges"][0]["payoff_v_u"][2][1] = entry
+            if route == "game_from_dict":
+                return game_from_dict(data)[0]
+            edges = [Edge(e["u"], e["v"], e["payoff_u_v"], e["payoff_v_u"]) for e in data["edges"]]
+            return TreePolymatrixGame(data["num_players"], data["num_actions"], edges)
+
+        game = load(largest)
+        assert game.edges[0].payoff_v_u[2, 1] == np.finfo(np.float64).max
+        error = SchemaError if route == "game_from_dict" else InvalidGame
+        with pytest.raises(error, match="too large for a float64"):
+            load(largest + 1)
+
     def test_short_row_names_its_index(self):
         data = game_data()
         data["edges"][0]["payoff_u_v"][1] = [0.0, 0.5]
