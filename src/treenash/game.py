@@ -117,9 +117,9 @@ class TreePolymatrixGame:
 
     def _check_edges(self) -> np.ndarray:
         """The per-edge checks in edge order: raise InvalidGame for the first
-        unknown player, self-loop, duplicate edge, misshapen matrix or integer
-        entry too large for a float64, else return every matrix stacked as
-        (2 * len(edges), m, m)."""
+        unknown player, self-loop, duplicate edge, misshapen matrix, entry
+        that is not a number or integer entry too large for a float64, else
+        return every matrix stacked as (2 * len(edges), m, m)."""
         n, m = self.num_players, self.num_actions
         seen: set[tuple[int, int]] = set()
         matrices = []
@@ -140,6 +140,14 @@ class TreePolymatrixGame:
                     raise InvalidGame(
                         f"payoff matrix for {pair} has an entry too large for a float64"
                     ) from None
+                except (TypeError, ValueError):
+                    # an entry that is not a number, or rows of unequal length,
+                    # which the shape check below names
+                    arr = np.asarray(values, dtype=object)
+                    if arr.shape == (m, m):
+                        raise InvalidGame(
+                            f"payoff matrix for {pair} has an entry that is not a number"
+                        ) from None
                 if arr.shape != (m, m):
                     raise InvalidGame(
                         f"payoff matrix for {pair} has shape {arr.shape}, expected ({m}, {m})"

@@ -16,6 +16,17 @@ in CSC form in one array pass, and only the status and the primal solution
 are read back. Every solution is then re-checked against the instance arrays
 within the tolerance.
 
+The bindings are scipy's compiled extension ``scipy.optimize._highspy._core``,
+loaded straight from its file under scipy's package directory and registered
+under that name (``_load_highs_bindings``). Importing it the usual way runs
+``scipy/optimize/__init__.py``, which loads about 320 scipy modules (linalg,
+sparse, fft, ...) that nothing here uses: in a fresh interpreter it raised
+the peak RSS of ``import treenash`` from 34 to 79 MB and its time from 0.17
+to 0.73 s (Python 3.11, scipy 1.17.1, 2-vCPU host). Because the module is
+registered under its own name, a later ``import scipy.optimize`` reuses it,
+and one imported before is used as it is, so ``linprog`` and this solver
+share one HiGHS module in either import order.
+
 The work around the backend runs in array passes over all children at once,
 each with the bits of the per-child formula it replaces, so the programs, the
 draws and the witnesses are those of a loop over the children.
@@ -23,15 +34,18 @@ draws and the witnesses are those of a loop over the children.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import getitem
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize._highspy import _core as highspy
 
 from .game import RootedTree, TreePolymatrixGame, is_epsilon_best_response, mixed_payoff
 from .uniform import UniformStrategySet
@@ -42,6 +56,42 @@ if TYPE_CHECKING:  # pragma: no cover
 logger = logging.getLogger(__name__)
 
 DEFAULT_LP_TOLERANCE = 1e-7
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_bindings():
+    """scipy's HiGHS extension module, loaded from its file without running
+    ``scipy/optimize/__init__.py``; the module already in ``sys.modules``
+    under its name if there is one. ImportError if scipy or the file is
+    missing."""
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("the LP route needs scipy's HiGHS bindings, and scipy is not installed",
+                          name="scipy")
+    directory = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    files = (os.path.join(directory, "_core" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+    path = next(filter(os.path.isfile, files), None)
+    if path is None:
+        raise ImportError(f"no HiGHS extension module _core in {directory}",
+                          name=_HIGHS_MODULE, path=directory)
+    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    module = importlib.util.module_from_spec(spec)
+    # registered first, as the import system does, so that a later
+    # ``import scipy.optimize`` finds this module instead of loading a second
+    sys.modules[_HIGHS_MODULE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS_MODULE]
+        raise
+    return module
+
+
+highspy = _load_highs_bindings()
 
 
 @dataclass(eq=False)
@@ -208,7 +258,10 @@ def _constraint_matrix(instance: LpInstance) -> tuple[np.ndarray, np.ndarray, np
 # the statuses below are plain names and numbers, not the bindings' enums, and
 # the options are set by name on each HiGHS object: reading the enums or
 # building a ``HighsOptions`` at import raised the peak memory of solves that
-# run no LP by 0.2-0.3 MB.
+# run no LP by 0.2-0.3 MB. The import itself cost far more: loading the
+# bindings through ``scipy.optimize`` raised the peak RSS of every benchmark
+# workload by about 39 MB (star-wide 87.9 against 49.4 MB) and the CLI's
+# start-up by about 0.55 s, which ``_load_highs_bindings`` avoids.
 _HIGHS_OPTIONS = {
     "presolve": "on",
     "simplex_strategy": 1,  # SimplexStrategy.kSimplexStrategyDual

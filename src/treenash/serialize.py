@@ -228,6 +228,10 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except ValueError as exc:
+            # an integer literal past Python's int-string conversion limit
+            # (4300 digits by default), or bytes that are not UTF-8
+            raise SchemaError(f"{path}: {exc}") from exc
 
 
 def load_game(path: str) -> tuple[TreePolymatrixGame, float]:

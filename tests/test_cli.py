@@ -176,6 +176,19 @@ class TestSolveVerifyRoundTrip:
             "input error: game.edges[0].payoff_v_u[1][0]: integer too large for a float64\n"
         )
 
+    def test_an_integer_literal_past_the_int_string_limit_exit_2_names_the_file(
+        self, tmp_path, capsys
+    ):
+        game_path = write_game(tmp_path / "game.json", identity_edge_game())
+        data = json.loads((tmp_path / "game.json").read_text())
+        data["edges"][-1]["payoff_v_u"][1][0] = "LONG"
+        (tmp_path / "game.json").write_text(json.dumps(data).replace('"LONG"', "9" * 5001))
+        code = run("solve", "--game", game_path, "--epsilon", "0.5",
+                   "--out", str(tmp_path / "p.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {game_path}: ") and "4300" in err, err
+
     def test_internal_error_exit_6(self, tmp_path, monkeypatch, capsys):
         def broken_solve(*args, **kwargs):
             raise InternalSoundnessViolation("assembled profile failed verification")

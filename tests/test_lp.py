@@ -1,6 +1,14 @@
 """Tests for the feasibility program and the Las Vegas rounding step."""
 
+import importlib.util
+import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -624,6 +632,99 @@ class TestHighsSeam:
         inst = TestPostSolve.instance()
         with pytest.raises(RuntimeError, match="rejected the option"):
             lp_module._highs_solve(inst)
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this package from the
+    same source tree, and return what it prints, read as JSON."""
+    src = str(Path(lp_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+# solves the lp-n13-eps0.1-root12 digest game on demand, as ``solve`` does,
+# and prints the profile's grid indices, the LP route's tried witnesses, every
+# decided cell and the counters
+LP_ROUTE_SOLVE = """
+import dataclasses, json, sys
+from treenash.game import validate_and_root
+from treenash.generator import random_normalized_game
+from treenash.solver import SolveStats, SolverConfig, backtrack, build_tables, process_root
+from treenash.uniform import enumerate_uniform
+game = random_normalized_game(13, 3, 0.5, rng_seed=5)
+config = SolverConfig(epsilon=0.1, b_override=2, lp_threshold=2, root=12, rng_seed=5)
+rooted = validate_and_root(game, config.root)
+uset = enumerate_uniform(game.num_actions, 2)
+stats = SolveStats()
+tables = build_tables(game, rooted, uset, config, stats)
+root, extension = process_root(game, rooted, uset, tables, config, stats)
+profile = backtrack(rooted, tables, root, extension, uset)
+print(json.dumps({
+    "optimize": "scipy.optimize" in sys.modules,
+    "indices": [uset.index_of(s) for s in profile],
+    "root": [root, repr(extension)],
+    "witnesses": sorted([*key, [list(map(int, w)) for w in tried]]
+                        for key, tried in tables.extensions.items()),
+    "cells": sorted([*key, codes.tolist()] for key, codes in tables.cells.items()),
+    "stats": dataclasses.asdict(stats),
+}))
+"""
+
+
+class TestBindingsImport:
+    """The HiGHS bindings are loaded from their file, without running
+    ``scipy/optimize/__init__.py``, and shared with ``linprog`` in either
+    import order."""
+
+    def test_importing_the_package_leaves_scipy_optimize_out(self):
+        state = run_fresh("""
+import json, sys
+import treenash, treenash.cli
+name = "scipy.optimize._highspy._core"
+state = {"optimize": "scipy.optimize" in sys.modules,
+         "registered": treenash.lp.highspy is sys.modules[name]}
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+state["shared"] = _core is treenash.lp.highspy is sys.modules[name]
+state["x"] = linprog([1.0], A_ub=[[-1.0]], b_ub=[-2.0], method="highs").x.tolist()
+print(json.dumps(state))
+""")
+        assert state == {"optimize": False, "registered": True, "shared": True, "x": [2.0]}
+
+    def test_a_package_imported_after_scipy_optimize_uses_its_module(self):
+        state = run_fresh("""
+import json
+import scipy.optimize
+import scipy.optimize._highspy._core
+import treenash.lp
+print(json.dumps({"same": treenash.lp.highspy is scipy.optimize._highspy._core}))
+""")
+        assert state == {"same": True}
+
+    def test_import_order_moves_no_bit_of_an_lp_route_solve(self):
+        alone = run_fresh(LP_ROUTE_SOLVE)
+        after = run_fresh("import scipy.optimize\n" + LP_ROUTE_SOLVE)
+        assert (alone.pop("optimize"), after.pop("optimize")) == (False, True)
+        assert alone["stats"]["lp_calls"] > 0 and alone["stats"]["fallbacks"] > 0
+        assert alone["witnesses"]
+        assert alone == after
+
+    @pytest.mark.parametrize("found", ["no scipy", "no extension file"])
+    def test_missing_bindings_raise_import_error(self, monkeypatch, tmp_path, found):
+        monkeypatch.delitem(sys.modules, lp_module._HIGHS_MODULE)
+        scipy = None if found == "no scipy" else SimpleNamespace(
+            submodule_search_locations=[str(tmp_path)]
+        )
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+        expected = "scipy is not installed" if scipy is None else (
+            f"no HiGHS extension module _core in {tmp_path / 'optimize' / '_highspy'}"
+        )
+        with pytest.raises(ImportError, match=re.escape(expected)):
+            lp_module._load_highs_bindings()
+        assert lp_module._HIGHS_MODULE not in sys.modules
 
 
 class TestRoundExtension:

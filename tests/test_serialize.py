@@ -16,6 +16,7 @@ from treenash.serialize import (
     game_from_dict,
     game_to_dict,
     load_game,
+    load_profile,
     profile_from_dict,
     save_game,
 )
@@ -273,6 +274,48 @@ class TestConstruction:
         with pytest.raises(InvalidGame) as excinfo:
             TreePolymatrixGame(3, 1, [Edge(0, 1, [[1]], [[0]]), Edge(2, 1, [[0]], [[-10**400]])])
         assert str(excinfo.value) == "payoff matrix for (1, 2) has an entry too large for a float64"
+
+
+    def test_the_constructor_refuses_an_entry_that_is_not_a_number(self):
+        for entry in ("a", {}, object(), 1 + 2j):
+            with pytest.raises(InvalidGame) as excinfo:
+                TreePolymatrixGame(2, 1, [Edge(0, 1, [[entry]], [[1.0]])])
+            assert str(excinfo.value) == (
+                "payoff matrix for (0, 1) has an entry that is not a number"
+            ), entry
+        with pytest.raises(InvalidGame) as excinfo:
+            TreePolymatrixGame(3, 1, [Edge(0, 1, [[1]], [[0]]), Edge(2, 1, [[0]], [["a"]])])
+        assert str(excinfo.value) == "payoff matrix for (1, 2) has an entry that is not a number"
+        # numpy raises the same ValueError for rows of unequal length
+        with pytest.raises(InvalidGame) as excinfo:
+            TreePolymatrixGame(2, 2, [Edge(0, 1, [[1.0], [1.0, 2.0]], [[0, 0], [0, 0]])])
+        assert str(excinfo.value) == "payoff matrix for (0, 1) has shape (2,), expected (2, 2)"
+
+
+class TestJsonText:
+    def test_an_integer_literal_past_the_int_string_limit_names_the_file(self, tmp_path):
+        # Python refuses to convert integer strings of more than 4300 digits
+        # (sys.get_int_max_str_digits), and json.load raises a plain
+        # ValueError for them, not a JSONDecodeError
+        data = game_data()
+        data["edges"][0]["payoff_v_u"][2][1] = "LONG"
+        long = "9" * 5001
+        for load, text in (
+            (load_game, json.dumps(data).replace('"LONG"', long)),
+            (load_profile, '{"strategies": [[' + long + "]]}"),
+        ):
+            path = tmp_path / f"{load.__name__}.json"
+            path.write_text(text)
+            with pytest.raises(SchemaError) as excinfo:
+                load(str(path))
+            message = str(excinfo.value)
+            assert message.startswith(f"{path}: ") and "4300" in message, message
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "game.json"
+        path.write_bytes(b'{"num_players": "\xff"}')
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: ")):
+            load_game(str(path))
 
 
 class TestProfileEntries:
