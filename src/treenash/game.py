@@ -53,11 +53,12 @@ class TreePolymatrixGame:
     and every edge's ``payoff_u_v`` / ``payoff_v_u`` are views into it.
     Construction stacks every matrix once, with one ``np.array`` call, into a
     float64 (2 * len(edges), m, m) array and checks in whole passes its shape,
-    that every id is an ``int`` in range, that no (owner, neighbour) pair sits
-    on two slots (a self-loop or a duplicate edge), then finiteness and signs.
-    When one of the first three fails, the per-edge loop ``_check_edges``
-    raises the first error in edge order, or passes ids of other types that
-    it allows. Tree-ness of the edge set is checked separately by
+    that every matrix is a float ndarray, that every id is an ``int`` in
+    range, that no (owner, neighbour) pair sits on two slots (a self-loop or a
+    duplicate edge), then finiteness and signs. When one of the first four
+    fails, the per-edge loop ``_check_edges`` raises the first error in edge
+    order, or passes ids of other types and numeric entries that it allows.
+    Tree-ness of the edge set is checked separately by
     :func:`validate_and_root`.
     """
 
@@ -78,16 +79,18 @@ class TreePolymatrixGame:
         if m < 1:
             raise InvalidGame("num_actions must be >= 1")
         ends = list(chain.from_iterable(map(attrgetter("u", "v"), self.edges)))
+        matrices = [*chain.from_iterable(map(attrgetter("payoff_u_v", "payoff_v_u"), self.edges))]
         try:
-            stacked = np.array(
-                list(chain.from_iterable(map(attrgetter("payoff_u_v", "payoff_v_u"), self.edges))),
-                dtype=np.float64,
-            )
+            stacked = np.array(matrices, dtype=np.float64)
         except (TypeError, ValueError, OverflowError):  # ragged, or entries that are not floats
             stacked = None
         if not (
             stacked is not None
             and stacked.shape == (len(ends), m, m)
+            # np.array reads True, "1.5" and b"1" as numbers: other inputs
+            # than float arrays (which the file loader passes) are checked
+            and set(map(type, matrices)) <= {np.ndarray}
+            and {dtype.kind for dtype in set(map(attrgetter("dtype"), matrices))} <= {"f"}
             and set(map(type, ends)) <= {int}
             and min(ends, default=0) >= 0
             and max(ends, default=0) < n
@@ -134,24 +137,24 @@ class TreePolymatrixGame:
                 raise InvalidGame(f"duplicate edge ({u}, {v})")
             seen.add(key)
             for pair, values in (((u, v), edge.payoff_u_v), ((v, u), edge.payoff_v_u)):
+                entries = np.asarray(values, dtype=object)  # rows of unequal length stay lists
+                if entries.shape != (m, m):
+                    raise InvalidGame(
+                        f"payoff matrix for {pair} has shape {entries.shape}, expected ({m}, {m})"
+                    )
                 try:
-                    arr = np.asarray(values, dtype=np.float64)
+                    arr = entries.astype(np.float64)
                 except OverflowError:
                     raise InvalidGame(
                         f"payoff matrix for {pair} has an entry too large for a float64"
                     ) from None
                 except (TypeError, ValueError):
-                    # an entry that is not a number, or rows of unequal length,
-                    # which the shape check below names
-                    arr = np.asarray(values, dtype=object)
-                    if arr.shape == (m, m):
-                        raise InvalidGame(
-                            f"payoff matrix for {pair} has an entry that is not a number"
-                        ) from None
-                if arr.shape != (m, m):
-                    raise InvalidGame(
-                        f"payoff matrix for {pair} has shape {arr.shape}, expected ({m}, {m})"
-                    )
+                    arr = None
+                # float() reads True, "1.5" and b"1" as numbers as well
+                if arr is None or any(
+                    isinstance(x, (str, bytes, bool, np.bool_)) for x in entries.flat
+                ):
+                    raise InvalidGame(f"payoff matrix for {pair} has an entry that is not a number")
                 matrices.append(arr)
         return np.array(matrices, dtype=np.float64).reshape(-1, m, m)
 
@@ -162,12 +165,18 @@ class TreePolymatrixGame:
     def degree(self, p: int) -> int:
         return len(self._neighbors[p])
 
-    def matrix(self, p: int, q: int) -> np.ndarray:
-        """Payoff matrix to p on edge (p, q), indexed ``[a_p, a_q]``."""
+    def position(self, p: int, q: int) -> int:
+        """The place of q among p's neighbours, ascending, and so of the slot
+        ``offsets[p] + position`` that holds ``A[p, q]``; KeyError if q is
+        not a neighbour of p."""
         i = bisect_left(self._neighbors[p], q)
         if self._neighbors[p][i:i + 1] != [q]:
             raise KeyError((p, q))
-        return self._incident[p][i]
+        return i
+
+    def matrix(self, p: int, q: int) -> np.ndarray:
+        """Payoff matrix to p on edge (p, q), indexed ``[a_p, a_q]``."""
+        return self._incident[p][self.position(p, q)]
 
 
 @dataclass(eq=False)
@@ -285,6 +294,14 @@ def action_payoffs(
     return v
 
 
+def payoff_rows(matrices: np.ndarray, strategies: np.ndarray) -> np.ndarray:
+    """``matrices @ x`` for every strategy x of ``strategies`` (..., m),
+    broadcast against the (..., m, m) ``matrices`` over their leading axes.
+    One stacked matmul against columns runs one gemv per row, the gemv
+    ``action_payoffs`` runs for one neighbour, so every row has its bits."""
+    return np.matmul(matrices, strategies[..., None])[..., 0]
+
+
 def mixed_payoff(strategy: np.ndarray, payoffs: np.ndarray) -> float:
     # Computed as (y * v).sum() so that batched evaluations (Y * v).sum(axis=1)
     # agree with the scalar path bit-for-bit.
@@ -324,7 +341,7 @@ def regrets(game: TreePolymatrixGame, profile: Sequence[np.ndarray]) -> np.ndarr
     slot from one stacked matmul, summed per owner from zeros in ascending
     neighbour order as ``action_payoffs`` sums them, with the same clamp."""
     x = np.asarray(profile, dtype=np.float64)
-    terms = np.matmul(game.payoffs, x[game.neighbor_ids][:, :, None])[:, :, 0]
+    terms = payoff_rows(game.payoffs, x[game.neighbor_ids])
     v = np.zeros((game.num_players, game.num_actions))
     np.add.at(v, game.owners, terms)  # slots are sorted by owner, then neighbour
     gaps = v.max(axis=1) - (x * v).sum(axis=1)

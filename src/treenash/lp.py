@@ -47,7 +47,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .game import RootedTree, TreePolymatrixGame, is_epsilon_best_response, mixed_payoff
+from .game import (
+    RootedTree, TreePolymatrixGame, is_epsilon_best_response, mixed_payoff, payoff_rows
+)
 from .uniform import UniformStrategySet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -141,18 +143,6 @@ class Extension:
     strategy_indices: tuple[int, ...]
 
 
-def _payoff_slots(game: TreePolymatrixGame, player: int, neighbors) -> np.ndarray:
-    """The slots of ``game.payoffs`` that hold ``A[player, q]``, one per given
-    neighbour q, in the given order; KeyError if one is not a neighbour."""
-    lo = game.offsets[player]
-    own = game.neighbor_ids[lo:game.offsets[player + 1]]
-    neighbors = np.asarray(neighbors, dtype=own.dtype)
-    at = own.searchsorted(neighbors)
-    if len(at) and (not len(own) or (own.take(at, mode="clip") != neighbors).any()):
-        raise KeyError((player, tuple(neighbors)))
-    return lo + at
-
-
 def _padded_rows(rows: Sequence[np.ndarray], fill) -> tuple[np.ndarray, np.ndarray]:
     """The 1-D ``rows`` as the rows of one 2-D array, in order, each padded
     with ``fill`` to the longest; and the rows' lengths."""
@@ -213,7 +203,8 @@ def build_lp(
     # columns are gathered from it. Its d * m * K float64 values take fewer
     # bytes than the d * K * K mask cells the candidate sets come from once
     # K > 8m.
-    mats = game.payoffs[_payoff_slots(game, player, children)]
+    lo = int(game.offsets[player])
+    mats = game.payoffs[[lo + game.position(player, c) for c in children]]
     diffs = mats - (y @ mats)[:, None, :]
     # Kept row-major: ``_residual`` reads it with a gemv, which sums the rows
     # of a column-major array in another order.
@@ -223,7 +214,7 @@ def build_lp(
     single = [i for i, size in enumerate(sizes) if size == 1]
     if single:
         columns = [bounds[i] for i in single]
-        a_ub[:, columns] = (diffs[single] @ probs[columns, :, None])[..., 0].T
+        a_ub[:, columns] = payoff_rows(diffs[single], probs[columns]).T
 
     return LpInstance(
         player=player,
@@ -493,7 +484,8 @@ def check_concentration_event(
     # without children hits is (0, 0), and argmax has no column to scan
     first = hits.argmax(axis=1) if hits.shape[1] else sizes
     probs = np.concatenate([np.empty((0, m)), *frac.candidate_probs])
-    mats = game.payoffs[_payoff_slots(game, player, sampled.child_ids)]
+    lo = int(game.offsets[player])
+    mats = game.payoffs[[lo + game.position(player, c) for c in sampled.child_ids]]
     sampled_payoffs = _summed_payoffs(mats, probs[np.cumsum(sizes) - sizes + first])
     expected_payoffs = _summed_payoffs(mats, np.reshape(frac.sigmas, (-1, m)))
     return bool(np.all(np.abs(sampled_payoffs - expected_payoffs) <= epsilon / 4.0 + 1e-12))
@@ -502,5 +494,5 @@ def check_concentration_event(
 def _summed_payoffs(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """``sum_c mats[c] @ vectors[c]``: one gemv per child, added to zeros in
     child order, as ``action_payoffs`` adds its terms."""
-    terms = (mats @ vectors[:, :, None])[:, :, 0]
+    terms = payoff_rows(mats, vectors)
     return np.cumsum(np.concatenate([np.zeros((1, vectors.shape[1])), terms]), axis=0)[-1]

@@ -30,8 +30,8 @@ player's latest witness is carried from y to y, and each witness is tried on
 every pending row by one broadcast of its tuple. Every returned profile is
 re-verified, so randomness can only affect running time, never correctness.
 
-Every payoff row A[player, neighbour] @ x of a solve comes from one table,
-built by one stacked matmul in ``build_tables``; every scan reads it.
+Each payoff row A[player, neighbour] @ x is computed where it is read, for
+the strategies read, by one stacked matmul (``payoff_rows``); none is cached.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .game import (
     TreePolymatrixGame,
     check_normalized,
     is_epsilon_best_response,  # not called here; perfbench's tracer wraps it by this name
+    payoff_rows,
     regrets,
     validate_and_root,
 )
@@ -170,8 +171,7 @@ class SolveStats:
 @dataclass(eq=False)
 class CandidateTables:
     """DP state, filled on demand: the decided cells of every row (player,
-    parent strategy), the LP route's tried witnesses, and the solve's payoff
-    rows.
+    parent strategy) and the LP route's tried witnesses.
 
     ``cells[(q, z)]`` holds, for q's strategies y = 0, 1, ... under parent
     strategy z (z is 0 at the root, whose parent has one payoff-free
@@ -181,16 +181,13 @@ class CandidateTables:
     route its position in ``extensions[(q, y)]``, the witnesses the LP route
     tried for y, in order, as canonical indices aligned with q's children
     list. ``firsts[(q, z)]`` is the row's lowest true cell, once it has one.
-    ``rows`` is the ``payoff_table``: every scan and leaf cell reads its
-    payoff rows there. Strategies are referenced by index only.
+    Strategies are referenced by index only.
     """
 
-    game: TreePolymatrixGame
     epsilon: float
     num_strategies: int
     cells: dict[tuple[int, int], np.ndarray]
     extensions: dict[tuple[int, int], list[tuple[int, ...]]]
-    rows: np.ndarray
     firsts: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
@@ -242,20 +239,6 @@ class CandidateTables:
             return tried[code]
         return _unflatten(code, [self.candidate_set(c, y_index) for c in rooted.children[player]])
 
-    def rows_of(self, player: int, parent: int | None) -> tuple[list[np.ndarray], np.ndarray]:
-        """``player``'s payoff rows under ``parent``: one array per child,
-        ascending, with the rows ``A[player, child] @ x`` of every grid
-        strategy x; and the parent rows ``A[player, parent] @ z`` of every z,
-        or one zero row at the root. All but the zero row are views of
-        ``rows``, whose slots ``offsets[player]:offsets[player + 1]`` hold the
-        player's neighbours in ascending order."""
-        offsets = self.game.offsets
-        own = list(self.rows[offsets[player]:offsets[player + 1]])
-        if parent is None:
-            return own, np.zeros((1, self.game.num_actions))
-        base = own.pop(bisect_left(self.game.neighbors(player), parent))
-        return own, base
-
 
 def _unflatten(flat: int, lists: Sequence[np.ndarray]) -> tuple[int, ...]:
     """The tuple at C-order index ``flat`` of the product of ``lists``."""
@@ -272,12 +255,18 @@ def _derived_seed(config: SolverConfig, player: int, z_index: int | None, y_inde
     return np.random.SeedSequence([config.rng_seed, player, z_code, y_index])
 
 
-def payoff_table(game: TreePolymatrixGame, uset: UniformStrategySet) -> np.ndarray:
-    """Every payoff row of a solve, shape (2|E|, K, m): ``table[s, x]`` is
-    ``A[owners[s], neighbor_ids[s]] @ x`` for payoff slot s and grid strategy
-    index x. One stacked matmul against columns runs one gemv per row, the
-    gemv ``action_payoffs`` runs for that neighbour."""
-    return np.matmul(game.payoffs[:, None], uset.probs[None, :, :, None])[..., 0]
+def _payoff_terms(
+    game: TreePolymatrixGame, uset: UniformStrategySet, player: int, parent: int | None,
+    z_indices: Sequence[int] | slice,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """``player``'s payoff matrices ``A[player, c]``, one per child c in
+    ascending order, and its parent rows ``A[player, parent] @ z`` for the
+    grid strategies ``z_indices``, or one zero row at the root."""
+    own = list(game._incident[player])
+    if parent is None:
+        return own, np.zeros((1, game.num_actions))
+    parent_matrix = own.pop(game.position(player, parent))
+    return own, payoff_rows(parent_matrix, uset.probs[z_indices])
 
 
 def _utilities(values: np.ndarray, strategies: np.ndarray) -> np.ndarray:
@@ -362,7 +351,7 @@ def first_witnesses(
     children: list[int],
     candidates: list[np.ndarray],
     sizes: np.ndarray,
-    rows: Sequence[np.ndarray],
+    matrices: Sequence[np.ndarray],
     uset: UniformStrategySet,
     epsilon: float,
     cap: int | float,
@@ -375,10 +364,9 @@ def first_witnesses(
     Child i's candidates for ``y_indices[g]`` are the first ``sizes[i, g]``
     entries of ``candidates[i][g]``, in scan order; the rest of that row is
     ignored. ``CandidateTables.candidate_rows`` builds both. ``children``
-    must be ascending, as in RootedTree; ``rows[i]`` holds the payoff rows
-    ``A[player, children[i]] @ x`` by strategy index x, as
-    ``CandidateTables.rows_of`` reads them from the payoff table.
-    Deterministic.
+    must be ascending, as in RootedTree; ``matrices[i]`` is
+    ``A[player, children[i]]``, and the payoff rows of child i's candidates
+    are computed from it by ``payoff_rows``. Deterministic.
 
     The first tuple, each child's lowest candidate, is one broadcast of each
     y's tuple against every row; a childless root ends there. The pairs
@@ -397,13 +385,15 @@ def first_witnesses(
     if stats is not None:
         stats.exhaustive_calls += num_rows * group
     # float64 products are exact up to 2^53, far beyond any scan that ends
-    products = sizes.prod(axis=0, dtype=np.float64)
+    with np.errstate(over="ignore"):  # and one beyond float64's range is inf
+        products = sizes.prod(axis=0, dtype=np.float64)
     m = game.num_actions
     # (take gathers rows far faster than indexing with a 2-D index array)
     ys = uset.probs.take(y_indices, axis=0)
     parent_at = 0 if parent is None else bisect_left(children, parent)
     found = np.full((group, num_rows), -1, dtype=np.int64)
-    gathered = [child_rows.take(lists, axis=0) for child_rows, lists in zip(rows, candidates)]
+    gathered = [payoff_rows(matrix, uset.probs.take(lists, axis=0))
+                for matrix, lists in zip(matrices, candidates)]
     live = np.flatnonzero(products)  # the strategies with a non-empty product
     if live.size:
         # Every pair is pending at the first tuple, each child's lowest
@@ -413,7 +403,8 @@ def first_witnesses(
         found[live] = np.where(_hits(terms, ys[live, None], epsilon), 0, -1)
     # y-major pairs g * num_rows + r that go on past the first tuple
     pending = np.flatnonzero((found < 0) & (products[:, None] > 1))
-    ends = sorted({int(size) for size in products.tolist() if size > 1})
+    # an infinite product ends no walk: its pairs stop at a hit or the cap
+    ends = [*sorted({int(size) for size in products.tolist() if 1 < size < math.inf}), math.inf]
     start, block = 1, 2
     while pending.size:
         if start == ends[0]:
@@ -480,18 +471,16 @@ def exhaustive_membership(
     children's candidate product, in canonical index order, against which
     (with z) y is an epsilon-best response, or None. ``candidate_lists``, one
     per child, default to the masks' candidate sets for y. The payoff rows are
-    read from ``tables.rows``.
+    computed for z and the candidates alone.
     """
     children = rooted.children[player]
     if candidate_lists is None:
         candidate_lists = [tables.candidate_set(c, y_index) for c in children]
-    rows, bases = tables.rows_of(player, parent)
-    if parent is not None:
-        bases = bases[[z_index]]
+    matrices, bases = _payoff_terms(game, uset, player, parent, [z_index])
     sizes = np.array([[len(c)] for c in candidate_lists], dtype=np.int64).reshape(-1, 1)
     [[flat]] = first_witnesses(
         game, player, parent, bases, [y_index], children, [c[None] for c in candidate_lists],
-        sizes, rows, uset, epsilon, cap, stats,
+        sizes, matrices, uset, epsilon, cap, stats,
     ).tolist()
     if flat < 0:
         return None
@@ -618,17 +607,18 @@ class _Search:
 
     def _complete_leaves(self, leaves: list[int], z_indices: Sequence[int]) -> None:
         """Complete the leaves' rows under ``z_indices``. A leaf's cell is the
-        direct check of y against z, whose payoff row is the (leaf, z) row of
-        the payoff table, so one broadcast decides a chunk of y's for all the
-        rows."""
+        direct check of y against z, whose payoff row ``A[leaf, parent] @ z``
+        is computed once per chunk, so one broadcast decides a chunk of y's
+        for all the rows."""
         tables, size, m = self.tables, self.tables.num_strategies, self.game.num_actions
         offsets, cells = self.game.offsets, tables.cells
         pending = [(q, z) for q in leaves for z in z_indices if len(cells.get((q, z), ())) < size]
         while pending:
             start = len(cells.get(pending[0], ()))
             batch = [key for key in pending if len(cells.get(key, ())) == start]
+            # a leaf's one slot holds its parent
             slots, zs = zip(*((offsets[q], z) for q, z in batch))
-            bases = tables.rows[list(slots), list(zs)]
+            bases = payoff_rows(self.game.payoffs[list(slots)], self.uset.probs[list(zs)])
             ys = np.arange(start, min(size, start + _group_size(len(batch), 0, m)))
             hits = _hits([bases], self.uset.probs[ys, None], tables.epsilon)
             self._append(batch, start, np.where(hits.T, 0, -1))
@@ -684,8 +674,7 @@ class _Search:
         game, tables, config = self.game, self.tables, self.config
         size = tables.num_strategies
         parent, children = self.rooted.parent[player], self.rooted.children[player]
-        rows, bases = tables.rows_of(player, parent)
-        bases = bases[z_indices]
+        matrices, bases = _payoff_terms(game, self.uset, player, parent, z_indices)
         ys = y_indices.tolist()
         if children:
             yield children, ys, None
@@ -709,8 +698,8 @@ class _Search:
                 candidates, sizes = tables.candidate_rows(children, walk)
                 sizes[:level] = np.minimum(sizes[:level], 1)
             codes[:, walking] = first_witnesses(
-                game, player, parent, bases, walk, children, candidates, sizes, rows, self.uset,
-                config.epsilon, config.exhaustive_cap,
+                game, player, parent, bases, walk, children, candidates, sizes, matrices,
+                self.uset, config.epsilon, config.exhaustive_cap,
             )
             walking &= (codes < 0).any(axis=0)
             walk = y_indices[walking].tolist()
@@ -748,7 +737,9 @@ class _Search:
         game, tables, config, stats = self.game, self.tables, self.config, self.stats
         size = tables.num_strategies
         parent, children = self.rooted.parent[player], self.rooted.children[player]
-        rows, bases = tables.rows_of(player, parent)
+        matrices, bases = _payoff_terms(game, self.uset, player, parent, slice(None))
+        # each witness's rows come from one stack of the children's matrices
+        stacked = np.stack(matrices)
         parent_at = 0 if parent is None else bisect_left(children, parent)
         start = self._decided((player, 0))
         latest = None
@@ -794,7 +785,7 @@ class _Search:
                 latest = witness
                 if not pending.size:
                     break
-                terms = [child_rows[index] for child_rows, index in zip(rows, witness)]
+                terms = list(payoff_rows(stacked, self.uset.probs.take(witness, axis=0)))
                 terms.insert(parent_at, bases[pending])
                 reused = _hits(terms, self.uset.probs[y_index], config.epsilon)
                 codes[pending[reused], g] = len(tried) - 1
@@ -813,19 +804,17 @@ def build_tables(
     config: SolverConfig,
     stats: SolveStats | None = None,
 ) -> CandidateTables:
-    """Start a solve's candidate tables: warn when the game is not normalized
-    for epsilon, and build the solve's ``payoff_table``, which every later
-    step reads. No cell is decided here; ``process_root`` decides the cells
-    its search reads. ``stats`` is accepted for symmetry with the other
-    phases and is left unchanged.
+    """Start a solve's empty candidate tables, and warn when the game is not
+    normalized for epsilon. No cell and no payoff row is computed here;
+    ``process_root`` decides the cells its search reads. ``rooted`` and
+    ``stats`` are accepted for symmetry with the other phases, and ``stats``
+    is left unchanged.
     """
     report = check_normalized(game, config.epsilon)
     if not report.ok:
         logger.warning("game is not normalized for the requested epsilon; proceeding\n%s",
                        report.summary())
-    return CandidateTables(
-        game, config.epsilon, len(uset), cells={}, extensions={}, rows=payoff_table(game, uset)
-    )
+    return CandidateTables(config.epsilon, len(uset), cells={}, extensions={})
 
 
 def process_root(

@@ -150,6 +150,19 @@ class TestSolveVerifyRoundTrip:
                    "--support-size", "1", "--out", str(tmp_path / "p.json"))
         assert code == 0
 
+    def test_solve_a_candidate_product_past_float64_exit_0(self, tmp_path, capsys):
+        # a star of 150 players at m=2 and eps 0.3: the theoretical b=3442
+        # and the LP threshold 185, so the root scans its 149 children, and
+        # the root cell's candidate product, up to 3443**149 tuples, lies
+        # beyond float64's range (it crashed with OverflowError, exit 1)
+        game_path, profile_path = tmp_path / "star.json", tmp_path / "profile.json"
+        assert run("generate", "--players", "150", "--actions", "2", "--epsilon", "0.3",
+                   "--topology", "star", "--seed", "1", "--out", str(game_path)) == 0
+        assert run("solve", "--game", str(game_path), "--epsilon", "0.3",
+                   "--out", str(profile_path)) == 0
+        assert "max regret" in capsys.readouterr().out
+        assert json.loads(profile_path.read_text())["support_size"] == 3442
+
     def test_solve_malformed_game_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"num_players": 2,\n  "oops"\n}')

@@ -81,6 +81,25 @@ class TestGameConstruction:
         with pytest.raises(InvalidGame, match=re.escape(message)):
             game_from_matrices(5, 2, edges)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [[["1.5"]], [[True]], [[b"1"]], [[np.True_]], np.array([[True]]), np.array([["1.5"]])],
+        ids=["str", "bool", "bytes", "numpy-bool", "bool-array", "str-array"],
+    )
+    def test_rejects_an_entry_that_is_not_a_number(self, matrix):
+        # np.array reads each of these as a number, and the file loader
+        # refuses each; ints, numpy scalars and float arrays are numbers
+        with pytest.raises(InvalidGame) as excinfo:
+            TreePolymatrixGame(2, 1, [Edge(0, 1, matrix, [[1.0]])])
+        assert str(excinfo.value) == "payoff matrix for (0, 1) has an entry that is not a number"
+        edges = [Edge(0, 1, [[1]], np.array([[0.5]])), Edge(2, 1, [[np.int64(2)]], matrix)]
+        with pytest.raises(InvalidGame) as excinfo:
+            TreePolymatrixGame(3, 1, edges)
+        assert str(excinfo.value) == "payoff matrix for (1, 2) has an entry that is not a number"
+        edges[1] = Edge(2, 1, [[np.int64(2)]], [[np.float32(0.25)]])
+        game = TreePolymatrixGame(3, 1, edges)
+        assert game.payoffs.tolist() == [[[1.0]], [[0.5]], [[0.25]], [[2.0]]]
+
     def test_payoffs_are_one_owner_grouped_read_only_array(self):
         rng = np.random.default_rng(5)
         for trial in range(20):
@@ -98,7 +117,8 @@ class TestGameConstruction:
                 assert game.owners[block].tolist() == [p] * game.degree(p)
                 assert game.neighbor_ids[block].tolist() == game.neighbors(p)
                 assert game.neighbors(p) == sorted(game.neighbors(p))
-                for q in game.neighbors(p):
+                for i, q in enumerate(game.neighbors(p)):
+                    assert game.position(p, q) == i
                     assert np.shares_memory(game.matrix(p, q), game.payoffs)
             for s in range(len(game.payoffs)):
                 matrix = game.matrix(int(game.owners[s]), int(game.neighbor_ids[s]))
@@ -121,6 +141,8 @@ class TestGameConstruction:
             game.matrix(0, 2)
         with pytest.raises(KeyError):
             game.matrix(3, 4)
+        with pytest.raises(KeyError):
+            game.position(1, 3)
 
     def test_edge_list_may_come_in_any_order(self):
         zero = np.zeros((2, 2))
