@@ -302,6 +302,16 @@ def payoff_rows(matrices: np.ndarray, strategies: np.ndarray) -> np.ndarray:
     return np.matmul(matrices, strategies[..., None])[..., 0]
 
 
+def padded_rows(rows: Sequence[np.ndarray], fill) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D ``rows`` as the rows of one 2-D array, in order, each padded
+    with ``fill`` to the longest; and the rows' lengths."""
+    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    flat = np.concatenate(rows) if len(rows) else np.empty(0)
+    padded = np.full((len(rows), sizes.max(initial=0)), fill, dtype=flat.dtype)
+    padded[np.arange(padded.shape[1]) < sizes[:, None]] = flat
+    return padded, sizes
+
+
 def mixed_payoff(strategy: np.ndarray, payoffs: np.ndarray) -> float:
     # Computed as (y * v).sum() so that batched evaluations (Y * v).sum(axis=1)
     # agree with the scalar path bit-for-bit.

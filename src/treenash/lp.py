@@ -43,12 +43,13 @@ import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import getitem
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .game import (
-    RootedTree, TreePolymatrixGame, is_epsilon_best_response, mixed_payoff, payoff_rows
+    RootedTree, TreePolymatrixGame, is_epsilon_best_response, mixed_payoff, padded_rows,
+    payoff_rows,
 )
 from .uniform import UniformStrategySet
 
@@ -141,16 +142,6 @@ class Extension:
 
     child_ids: tuple[int, ...]
     strategy_indices: tuple[int, ...]
-
-
-def _padded_rows(rows: Sequence[np.ndarray], fill) -> tuple[np.ndarray, np.ndarray]:
-    """The 1-D ``rows`` as the rows of one 2-D array, in order, each padded
-    with ``fill`` to the longest; and the rows' lengths."""
-    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    flat = np.concatenate(rows) if len(rows) else np.empty(0)
-    padded = np.full((len(rows), sizes.max(initial=0)), fill, dtype=flat.dtype)
-    padded[np.arange(padded.shape[1]) < sizes[:, None]] = flat
-    return padded, sizes
 
 
 def build_lp(
@@ -433,7 +424,7 @@ def round_extension(
     d = len(frac.child_ids)
     # a padded entry repeats its row's total: a draw counts it only when it
     # counts the last candidate too, and the clamp takes that candidate
-    weights, sizes = _padded_rows(frac.alphas, 0.0)
+    weights, sizes = padded_rows(frac.alphas, 0.0)
     cums, last = np.cumsum(weights, axis=1), sizes - 1
     fixed = {parent: np.asarray(z, dtype=np.float64)} if parent is not None else {}
     if stats is not None:
@@ -475,7 +466,7 @@ def check_concentration_event(
     m = game.num_actions
     # each sampled index's first place among its child's candidates
     sampled_at = np.reshape(sampled.strategy_indices, (-1, 1))
-    candidates, sizes = _padded_rows(frac.candidate_indices, -1)
+    candidates, sizes = padded_rows(frac.candidate_indices, -1)
     hits = candidates == sampled_at
     found = hits.any(axis=1)
     if not found.all():

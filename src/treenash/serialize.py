@@ -228,9 +228,10 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             # an integer literal past Python's int-string conversion limit
-            # (4300 digits by default), or bytes that are not UTF-8
+            # (4300 digits by default), bytes that are not UTF-8, or arrays
+            # and objects nested past Python's recursion limit
             raise SchemaError(f"{path}: {exc}") from exc
 
 

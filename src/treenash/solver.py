@@ -18,9 +18,10 @@ the LP threshold a chunk first checks every cell's first tuple, each child's
 lowest candidate, for which each child's row is decided only until it holds
 a true cell; the cells that fail it walk on through prefixes of their
 products as their children's rows are decided further (``_Search._evaluate``).
-A leaf's cells are the direct check of y against z, one broadcast per chunk
-of rows. Requests for rows go on an explicit stack of generators, so the
-tree's depth never becomes Python recursion.
+A leaf's rows are decided whole, their parent payoff rows computed once per
+request and each chunk of y's one broadcast over them. Requests for rows go
+on an explicit stack of generators, so the tree's depth never becomes Python
+recursion.
 
 Players with many children take the LP route (LP, randomized rounding,
 exhaustive fallback, ``_Search._decide_columns``): when one of their cells is
@@ -54,6 +55,7 @@ from .game import (
     TreePolymatrixGame,
     check_normalized,
     is_epsilon_best_response,  # not called here; perfbench's tracer wraps it by this name
+    padded_rows,
     payoff_rows,
     regrets,
     validate_and_root,
@@ -208,15 +210,9 @@ class CandidateTables:
         ``sizes[child position, row]`` entries are that set (the rest of the
         row holds other indices), and ``sizes``."""
         zs = parent_strategy_indices.tolist()
-        rows = [self.cells[(c, z)] for c in children for z in zs]
-        width = max(map(len, rows), default=0)
-        if all(len(row) == width for row in rows):
-            masks = np.array(rows, dtype=np.int64).reshape(len(rows), width) >= 0
-        else:  # rows decided only in part count their undecided cells out
-            masks = np.zeros((len(rows), width), dtype=bool)
-            for mask, row in zip(masks, rows):
-                mask[:len(row)] = row >= 0
-        masks = masks.reshape(len(children), len(zs), width)
+        # a row decided only in part is padded as false past its end
+        codes, _ = padded_rows([self.cells[(c, z)] for c in children for z in zs], -1)
+        masks = codes.reshape(len(children), len(zs), codes.shape[1]) >= 0
         sizes = masks.sum(axis=2)
         # a stable sort puts each row's candidates first, in ascending order
         order = np.argsort(~masks, axis=2, kind="stable")
@@ -460,22 +456,18 @@ def exhaustive_membership(
     parent: int | None,
     z_index: int | None,
     y_index: int,
-    tables: CandidateTables,
+    candidate_lists: list[np.ndarray],
     uset: UniformStrategySet,
     epsilon: float,
     cap: int | float,
     stats: SolveStats | None = None,
-    candidate_lists: list[np.ndarray] | None = None,
 ) -> Extension | None:
     """``first_witnesses`` for the single pair (z, y): the first tuple of the
-    children's candidate product, in canonical index order, against which
-    (with z) y is an epsilon-best response, or None. ``candidate_lists``, one
-    per child, default to the masks' candidate sets for y. The payoff rows are
-    computed for z and the candidates alone.
+    product of ``candidate_lists``, one ascending list per child, in canonical
+    index order, against which (with z) y is an epsilon-best response, or
+    None. The payoff rows are computed for z and the candidates alone.
     """
     children = rooted.children[player]
-    if candidate_lists is None:
-        candidate_lists = [tables.candidate_set(c, y_index) for c in children]
     matrices, bases = _payoff_terms(game, uset, player, parent, [z_index])
     sizes = np.array([[len(c)] for c in candidate_lists], dtype=np.int64).reshape(-1, 1)
     [[flat]] = first_witnesses(
@@ -494,11 +486,10 @@ def membership_test(
     parent: int | None,
     z_index: int | None,
     y_index: int,
-    tables: CandidateTables,
+    candidate_lists: list[np.ndarray],
     uset: UniformStrategySet,
     config: SolverConfig,
     stats: SolveStats,
-    candidate_lists: list[np.ndarray],
 ) -> Extension | None:
     """The LP route for one pair (z, y), given the children's non-empty
     ``candidate_lists``: solve the LP and round its solution; when the LP is
@@ -524,8 +515,8 @@ def membership_test(
             return extension
     stats.fallbacks += 1
     return exhaustive_membership(
-        game, rooted, player, parent, z_index, y_index, tables, uset,
-        config.epsilon, config.exhaustive_cap, stats, candidate_lists,
+        game, rooted, player, parent, z_index, y_index, candidate_lists, uset,
+        config.epsilon, config.exhaustive_cap, stats,
     )
 
 
@@ -599,30 +590,30 @@ class _Search:
     def _extend(self, players: Sequence[int], z_indices: Sequence[int], need: int | None):
         rooted = self.rooted
         leaves = [q for q in players if not rooted.children[q] and rooted.parent[q] is not None]
-        if leaves:
-            self._complete_leaves(leaves, z_indices)
+        self._complete_leaves(leaves, z_indices)
         for q in players:
             if rooted.children[q] or rooted.parent[q] is None:
                 yield from self._extend_player(q, z_indices, need)
 
     def _complete_leaves(self, leaves: list[int], z_indices: Sequence[int]) -> None:
-        """Complete the leaves' rows under ``z_indices``. A leaf's cell is the
-        direct check of y against z, whose payoff row ``A[leaf, parent] @ z``
-        is computed once per chunk, so one broadcast decides a chunk of y's
-        for all the rows."""
-        tables, size, m = self.tables, self.tables.num_strategies, self.game.num_actions
-        offsets, cells = self.game.offsets, tables.cells
-        pending = [(q, z) for q in leaves for z in z_indices if len(cells.get((q, z), ())) < size]
-        while pending:
-            start = len(cells.get(pending[0], ()))
-            batch = [key for key in pending if len(cells.get(key, ())) == start]
-            # a leaf's one slot holds its parent
-            slots, zs = zip(*((offsets[q], z) for q, z in batch))
-            bases = payoff_rows(self.game.payoffs[list(slots)], self.uset.probs[list(zs)])
-            ys = np.arange(start, min(size, start + _group_size(len(batch), 0, m)))
-            hits = _hits([bases], self.uset.probs[ys, None], tables.epsilon)
-            self._append(batch, start, np.where(hits.T, 0, -1))
-            pending = [key for key in pending if len(cells.get(key, ())) < size]
+        """Decide the leaves' missing rows under ``z_indices`` whole; only
+        this method writes a leaf's rows, so each is absent or complete. A
+        leaf's cell is the direct check of y against z, whose payoff row
+        ``A[leaf, parent] @ z`` is computed once, and one broadcast decides a
+        chunk of y's for all the rows."""
+        game, tables, size = self.game, self.tables, self.tables.num_strategies
+        keys = [(q, z) for q in leaves for z in z_indices if (q, z) not in tables.cells]
+        if not keys:
+            return
+        # a leaf's one slot holds its parent
+        slots, zs = zip(*((game.offsets[q], z) for q, z in keys))
+        bases = payoff_rows(game.payoffs[list(slots)], self.uset.probs[list(zs)])
+        codes = np.empty((len(keys), size), dtype=np.int64)
+        width = _group_size(len(keys), 0, game.num_actions)
+        for start in range(0, size, width):
+            hits = _hits([bases], self.uset.probs[start:start + width, None], tables.epsilon)
+            codes[:, start:start + width] = np.where(hits.T, 0, -1)
+        self._append(keys, 0, codes)
 
     def _extend_player(self, player: int, z_indices: Sequence[int], need: int | None):
         tables, size, m = self.tables, self.tables.num_strategies, self.game.num_actions
@@ -742,16 +733,14 @@ class _Search:
         stacked = np.stack(matrices)
         parent_at = 0 if parent is None else bisect_left(children, parent)
         start = self._decided((player, 0))
-        latest = None
-        if parent is None:
-            width = 1
-        else:
-            width = _group_size(len(bases), len(children), game.num_actions)
-            latest = next(
-                (tables.extensions[(player, y)][-1] for y in range(start - 1, -1, -1)
-                 if (player, y) in tables.extensions),
-                None,
-            )
+        width = 1 if parent is None else _group_size(len(bases), len(children), game.num_actions)
+        # the root's one row stops at its first true cell, so for the root
+        # this finds no earlier witness
+        latest = next(
+            (tables.extensions[(player, y)][-1] for y in range(start - 1, -1, -1)
+             if (player, y) in tables.extensions),
+            None,
+        )
         y_indices = np.arange(start, min(size, start + width))
         yield children, y_indices.tolist(), size
         candidates, sizes = tables.candidate_rows(children, y_indices)
@@ -775,7 +764,7 @@ class _Search:
                     r, pending = int(pending[0]), pending[1:]
                     extension = membership_test(
                         game, self.rooted, player, parent, None if parent is None else r,
-                        y_index, tables, self.uset, config, stats, candidate_lists,
+                        y_index, candidate_lists, self.uset, config, stats,
                     )
                     if extension is None:
                         continue

@@ -202,6 +202,29 @@ class TestSolveVerifyRoundTrip:
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {game_path}: ") and "4300" in err, err
 
+    @pytest.mark.parametrize("command", ["solve", "verify-game", "verify-profile", "oracle"])
+    def test_json_nested_past_the_recursion_limit_exit_2_names_the_file(
+        self, command, tmp_path, capsys
+    ):
+        # json.load raises RecursionError, not a ValueError, for such nesting
+        game_path = write_game(tmp_path / "game.json", identity_edge_game())
+        profile_path = tmp_path / "p.json"
+        save_profile(str(profile_path), [[1.0, 0.0], [1.0, 0.0]], 0.5, [0.0, 0.0])
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        if command == "solve":
+            code = run("solve", "--game", str(deep), "--epsilon", "0.5",
+                       "--out", str(tmp_path / "out.json"))
+        elif command == "oracle":
+            code = run("oracle", "--game", str(deep), "--epsilon", "0.5", "--support-size", "1")
+        else:
+            game, profile = (deep, profile_path) if command == "verify-game" else (game_path, deep)
+            code = run("verify", "--game", str(game), "--profile", str(profile),
+                       "--epsilon", "0.5")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {deep}: ") and "recursion" in err, err
+
     def test_internal_error_exit_6(self, tmp_path, monkeypatch, capsys):
         def broken_solve(*args, **kwargs):
             raise InternalSoundnessViolation("assembled profile failed verification")

@@ -311,6 +311,23 @@ class TestJsonText:
             message = str(excinfo.value)
             assert message.startswith(f"{path}: ") and "4300" in message, message
 
+    def test_nesting_past_the_recursion_limit_names_the_file(self, tmp_path):
+        # json.load raises RecursionError for arrays and objects nested past
+        # Python's recursion limit, which is neither a ValueError nor caught
+        # by the command line's input-error handler
+        depth = 100_000
+        for load, text in (
+            (load_game, "[" * depth + "]" * depth),
+            (load_game, '{"a": ' * depth + "1" + "}" * depth),
+            (load_profile, '{"strategies": ' + "[" * depth + "]" * depth + "}"),
+        ):
+            path = tmp_path / f"{load.__name__}.json"
+            path.write_text(text)
+            with pytest.raises(SchemaError) as excinfo:
+                load(str(path))
+            message = str(excinfo.value)
+            assert message.startswith(f"{path}: ") and "recursion" in message, message
+
     def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
         path = tmp_path / "game.json"
         path.write_bytes(b'{"num_players": "\xff"}')

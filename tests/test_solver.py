@@ -561,6 +561,51 @@ class TestBuildTables:
         assert {1, 2, 3} <= {size for size, _ in groups}
         assert any(size > 1 and children > 1 for size, children in groups)
 
+    def test_a_leaf_request_computes_its_parent_rows_once_and_appends_once(self, monkeypatch):
+        # at two y's a chunk a request for every leaf row spans 8 chunks; it
+        # still computes the leaves' parent rows in one stacked matmul and
+        # writes its rows whole in one append, so in a solve every leaf row
+        # is absent or complete
+        game = random_normalized_game(9, 3, 0.5, rng_seed=1)
+        config = SolverConfig(epsilon=0.5, b_override=4, lp_threshold=math.inf)
+        rooted = validate_and_root(game, 0)
+        uset = enumerate_uniform(3, 4)
+        size = len(uset)
+        leaves = [q for q in range(game.num_players) if not rooted.children[q]]
+        rows = len(leaves) * size
+        monkeypatch.setattr(solver_module, "_GROUP_ELEMENT_LIMIT", 2 * rows * 4)
+        assert -(-size // solver_module._group_size(rows, 0, 3)) == 8
+        appends, products = [], []
+        append, product = _Search._append, solver_module.payoff_rows
+
+        def spied_append(search, keys, start, codes):
+            appends.append((list(keys), start, codes.shape))
+            return append(search, keys, start, codes)
+
+        def spied_product(*args):
+            products.append(args)
+            return product(*args)
+
+        monkeypatch.setattr(_Search, "_append", spied_append)
+        monkeypatch.setattr(solver_module, "payoff_rows", spied_product)
+        tables = build_tables(game, rooted, uset, config)
+        _Search(game, rooted, uset, tables, config, SolveStats()).run(leaves, range(size), size)
+        keys = [(q, z) for q in leaves for z in range(size)]
+        assert appends == [(keys, 0, (rows, size))] and len(products) == 1
+        appends.clear()
+        tables = build_tables(game, rooted, uset, config)
+        stats = SolveStats()
+        y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
+        backtrack(rooted, tables, y_idx, ext, uset)
+        leaf_appends = [
+            (start, shape) for keys, start, shape in appends if not rooted.children[keys[0][0]]
+        ]
+        assert leaf_appends and all(
+            start == 0 and shape[1] == size for start, shape in leaf_appends
+        )
+        leaf_rows = [row for (q, _), row in tables.cells.items() if not rooted.children[q]]
+        assert leaf_rows and all(len(row) == size for row in leaf_rows)
+
     def test_cap_exceeded_names_the_same_strategy_for_every_group_size(self, monkeypatch):
         # the cap bounds the tuples one cell walks: player 6's strategy 4 has
         # a candidate product of 12 tuples and no hit among its first 4, and
@@ -631,7 +676,9 @@ class TestExhaustiveMembership:
         uset = enumerate_uniform(2, 1)
         tables = tables_from_masks(0.1, uset, {2: np.zeros((2, 2), dtype=bool)})
         assert (
-            exhaustive_membership(game, rooted, 1, 0, 0, 0, tables, uset, 0.1, 100)
+            exhaustive_membership(
+                game, rooted, 1, 0, 0, 0, [tables.candidate_set(2, 0)], uset, 0.1, 100
+            )
             is None
         )
 
@@ -642,7 +689,8 @@ class TestExhaustiveMembership:
         tables = tables_from_masks(
             0.5, uset, {q: np.ones((2, 2), dtype=bool) for q in (1, 2, 3)}
         )
-        ext = exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, 0.5, 100)
+        lists = [tables.candidate_set(c, 0) for c in rooted.children[0]]
+        ext = exhaustive_membership(game, rooted, 0, None, None, 0, lists, uset, 0.5, 100)
         assert ext.child_ids == (1, 2, 3)
         assert ext.strategy_indices == (0, 0, 0)
 
@@ -663,12 +711,12 @@ class TestExhaustiveMembership:
             epsilon = 0.5
             for z_idx in range(2):
                 for y_idx in range(2):
-                    ext = exhaustive_membership(
-                        game, rooted, 1, 0, z_idx, y_idx, tables, uset, epsilon, 1000
-                    )
                     candidates = [
                         np.flatnonzero(masks[c][y_idx]) for c in (2, 3)
                     ]
+                    ext = exhaustive_membership(
+                        game, rooted, 1, 0, z_idx, y_idx, candidates, uset, epsilon, 1000
+                    )
                     expected = None
                     for i, j in itertools.product(*candidates):
                         neighbors = {
@@ -696,14 +744,15 @@ class TestExhaustiveMembership:
         tables = tables_from_masks(
             0.5, uset, {q: np.ones((2, 2), dtype=bool) for q in (1, 2, 3)}
         )
+        lists = [tables.candidate_set(c, 0) for c in rooted.children[0]]
         with pytest.raises(CapExceeded) as raised:
-            exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, -1.0, 7)
+            exhaustive_membership(game, rooted, 0, None, None, 0, lists, uset, -1.0, 7)
         assert str(raised.value) == (
             "player 0, strategy index 0: no hit among the first 7 tuples of a candidate "
             "product of size 8 (the exhaustive cap)"
         )
-        assert exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, -1.0, 8) is None
-        ext = exhaustive_membership(game, rooted, 0, None, None, 0, tables, uset, 0.5, 1)
+        assert exhaustive_membership(game, rooted, 0, None, None, 0, lists, uset, -1.0, 8) is None
+        ext = exhaustive_membership(game, rooted, 0, None, None, 0, lists, uset, 0.5, 1)
         assert ext.strategy_indices == (0, 0, 0)
 
 
@@ -792,7 +841,7 @@ class TestFirstWitnesses:
             empty += any(len(c) == 0 for c in lists)
             for z_idx, row in zip(z_indices, rows):
                 single = exhaustive_membership(
-                    game, rooted, q, parent, z_idx, y_idx, tables, uset, epsilon, 10**6
+                    game, rooted, q, parent, z_idx, y_idx, lists, uset, epsilon, 10**6
                 )
                 flat, expected = first_hit_by_brute_force(
                     game, q, parent, children, z_idx, y_idx, lists, uset, epsilon
@@ -1300,8 +1349,9 @@ class TestBacktrack:
                 if not children:
                     continue
                 for z_idx, y_idx in zip(*map(np.ndarray.tolist, np.nonzero(mask))):
+                    lists = [tables.candidate_set(c, y_idx) for c in children]
                     expected[(q, z_idx, y_idx)] = exhaustive_membership(
-                        game, rooted, q, rooted.parent[q], z_idx, y_idx, tables, uset,
+                        game, rooted, q, rooted.parent[q], z_idx, y_idx, lists, uset,
                         epsilon, math.inf,
                     ).strategy_indices
                     first = tuple(int(tables.candidate_set(c, y_idx)[0]) for c in children)
