@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +42,16 @@ class Edge:
     payoff_v_u: np.ndarray
 
 
+class _LoadedEdges(NamedTuple):
+    """A file's edges as the file loader checked them, passed as a game's
+    ``edges`` so that each ``Edge`` is built once, by the constructor: the
+    ``int`` ids u0, v0, u1, v1, ... and the float64 matrices A[u0, v0],
+    A[v0, u0], ... as one (2 * edges, m, m) array."""
+
+    ends: list[int]
+    matrices: np.ndarray
+
+
 @dataclass(eq=False)
 class TreePolymatrixGame:
     """Polymatrix game whose interaction graph is expected to be a tree.
@@ -58,8 +68,10 @@ class TreePolymatrixGame:
     duplicate edge), then finiteness and signs. When one of the first four
     fails, the per-edge loop ``_check_edges`` raises the first error in edge
     order, or passes ids of other types and numeric entries that it allows.
-    Tree-ness of the edge set is checked separately by
-    :func:`validate_and_root`.
+    The file loader passes its ids and its stacked float64 matrices as a
+    ``_LoadedEdges`` instead of a list of edges: the stacking and the matrix
+    type checks are skipped, and each ``Edge`` is built once, here. Tree-ness
+    of the edge set is checked separately by :func:`validate_and_root`.
     """
 
     num_players: int
@@ -78,29 +90,38 @@ class TreePolymatrixGame:
             raise InvalidGame("num_players must be >= 1")
         if m < 1:
             raise InvalidGame("num_actions must be >= 1")
-        ends = list(chain.from_iterable(map(attrgetter("u", "v"), self.edges)))
-        matrices = [*chain.from_iterable(map(attrgetter("payoff_u_v", "payoff_v_u"), self.edges))]
-        try:
-            stacked = np.array(matrices, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):  # ragged, or entries that are not floats
-            stacked = None
-        if not (
-            stacked is not None
-            and stacked.shape == (len(ends), m, m)
+        if isinstance(self.edges, _LoadedEdges):
+            ends, matrices = self.edges
+            stacked, plain = matrices, True
+        else:
+            ends = list(chain.from_iterable(map(attrgetter("u", "v"), self.edges)))
+            matrices = [
+                *chain.from_iterable(map(attrgetter("payoff_u_v", "payoff_v_u"), self.edges))
+            ]
+            try:
+                stacked = np.array(matrices, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):  # ragged, or entries that are not floats
+                stacked = None
             # np.array reads True, "1.5" and b"1" as numbers: other inputs
-            # than float arrays (which the file loader passes) are checked
-            and set(map(type, matrices)) <= {np.ndarray}
-            and {dtype.kind for dtype in set(map(attrgetter("dtype"), matrices))} <= {"f"}
+            # than float arrays are checked
+            plain = (
+                stacked is not None
+                and set(map(type, matrices)) <= {np.ndarray}
+                and {dtype.kind for dtype in set(map(attrgetter("dtype"), matrices))} <= {"f"}
+            )
+        # slot 2i is A[u, v] of edge i and slot 2i + 1 is A[v, u]
+        if not (
+            plain
+            and stacked.shape == (len(ends), m, m)
             and set(map(type, ends)) <= {int}
             and min(ends, default=0) >= 0
             and max(ends, default=0) < n
         ):
-            stacked = self._check_edges()
-        # slot 2i is A[u, v] of edge i and slot 2i + 1 is A[v, u]
+            stacked = self._check_edges(ends, matrices)
         across = ends.copy()
         across[0::2], across[1::2] = ends[1::2], ends[0::2]
         if len(set(zip(ends, across))) < len(ends):  # a self-loop or a duplicate edge
-            self._check_edges()  # raises for the first one
+            self._check_edges(ends, matrices)  # raises for the first one
         pairs = np.array([ends, across], dtype=np.intp)  # owner and neighbour per slot
         slots = np.lexsort(pairs[::-1])  # by owner, then neighbour
         self.owners, self.neighbor_ids = owners, neighbor_ids = pairs[:, slots]
@@ -118,16 +139,17 @@ class TreePolymatrixGame:
         placed = list(map(views.__getitem__, np.argsort(slots).tolist()))  # in edge order
         self.edges = list(map(Edge, ends[0::2], ends[1::2], placed[0::2], placed[1::2]))
 
-    def _check_edges(self) -> np.ndarray:
-        """The per-edge checks in edge order: raise InvalidGame for the first
-        unknown player, self-loop, duplicate edge, misshapen matrix, entry
-        that is not a number or integer entry too large for a float64, else
-        return every matrix stacked as (2 * len(edges), m, m)."""
+    def _check_edges(self, ends: Sequence, matrices: Sequence) -> np.ndarray:
+        """The per-edge checks in edge order, over the ids u0, v0, u1, ...
+        and the matrices A[u0, v0], A[v0, u0], ...: raise InvalidGame for the
+        first unknown player, self-loop, duplicate edge, misshapen matrix,
+        entry that is not a number or integer entry too large for a float64,
+        else return every matrix stacked as (2 * len(edges), m, m)."""
         n, m = self.num_players, self.num_actions
         seen: set[tuple[int, int]] = set()
-        matrices = []
-        for edge in self.edges:
-            u, v = edge.u, edge.v
+        stacked = []
+        edges = zip(ends[0::2], ends[1::2], matrices[0::2], matrices[1::2])
+        for u, v, payoff_u_v, payoff_v_u in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidGame(f"edge ({u}, {v}) references an unknown player")
             if u == v:
@@ -136,7 +158,7 @@ class TreePolymatrixGame:
             if key in seen:
                 raise InvalidGame(f"duplicate edge ({u}, {v})")
             seen.add(key)
-            for pair, values in (((u, v), edge.payoff_u_v), ((v, u), edge.payoff_v_u)):
+            for pair, values in (((u, v), payoff_u_v), ((v, u), payoff_v_u)):
                 entries = np.asarray(values, dtype=object)  # rows of unequal length stay lists
                 if entries.shape != (m, m):
                     raise InvalidGame(
@@ -155,8 +177,8 @@ class TreePolymatrixGame:
                     isinstance(x, (str, bytes, bool, np.bool_)) for x in entries.flat
                 ):
                     raise InvalidGame(f"payoff matrix for {pair} has an entry that is not a number")
-                matrices.append(arr)
-        return np.array(matrices, dtype=np.float64).reshape(-1, m, m)
+                stacked.append(arr)
+        return np.array(stacked, dtype=np.float64).reshape(-1, m, m)
 
     def neighbors(self, p: int) -> list[int]:
         """Neighbors of p in ascending order."""

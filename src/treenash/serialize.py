@@ -23,7 +23,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InvalidGame, SchemaError
-from .game import SIMPLEX_TOL, Edge, TreePolymatrixGame
+from .game import SIMPLEX_TOL, TreePolymatrixGame, _LoadedEdges
 
 _GAME_KEYS = ("num_players", "num_actions", "epsilon_normalization", "edges")
 _EDGE_KEYS = ("u", "v", "payoff_u_v", "payoff_v_u")
@@ -119,12 +119,12 @@ def game_to_dict(game: TreePolymatrixGame, epsilon_normalization: float) -> dict
 def game_from_dict(data: dict) -> tuple[TreePolymatrixGame, float]:
     """Build a game from its JSON document; return it with its epsilon_normalization.
 
-    The edges pass one structural check in whole-list passes, their matrices
-    become one float64 array of shape (edges, 2, m, m), and each ``Edge``
-    holds views of it. When the check fails, or the array's conversion
-    overflows, the per-edge walk raises SchemaError for the first fault in
-    edge order; the constructor's InvalidGame comes back as
-    ``SchemaError("game: ...")``.
+    The edges pass one structural check in whole-list passes, and their
+    matrices become one float64 array of shape (2 * edges, m, m), which the
+    constructor takes with the ids in place of a list of ``Edge``s. When the
+    check fails, or the array's conversion overflows, the per-edge walk
+    raises SchemaError for the first fault in edge order; the constructor's
+    InvalidGame comes back as ``SchemaError("game: ...")``.
     """
     _check_keys(data, _GAME_KEYS, (), "game")
     n = _as_int(data["num_players"], "game.num_players")
@@ -145,10 +145,9 @@ def game_from_dict(data: dict) -> tuple[TreePolymatrixGame, float]:
         values = [x for matrix in matrices for row in matrix for x in row]
         payoffs = np.array(values, dtype=np.float64)
     edges = []
-    if entries:  # every matrix in one array; each Edge holds views of it
-        payoffs = payoffs.reshape(len(entries), 2, m, m)
-        us, vs = map(itemgetter("u"), entries), map(itemgetter("v"), entries)
-        edges = list(map(Edge, us, vs, payoffs[:, 0], payoffs[:, 1]))
+    if entries:  # every matrix in one array, from which the game builds its edges
+        ends = list(chain.from_iterable(map(itemgetter("u", "v"), entries)))
+        edges = _LoadedEdges(ends, payoffs.reshape(len(ends), m, m))
     try:
         game = TreePolymatrixGame(num_players=n, num_actions=m, edges=edges)
     except InvalidGame as exc:

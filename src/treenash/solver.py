@@ -26,10 +26,11 @@ recursion.
 Players with many children take the LP route (LP, randomized rounding,
 exhaustive fallback, ``_Search._decide_columns``): when one of their cells is
 first read they decide whole columns, every z at once for a group of y's, in
-ascending y, once their children's rows under those y's are complete. The
-player's latest witness is carried from y to y, and each witness is tried on
-every pending row by one broadcast of its tuple. Every returned profile is
-re-verified, so randomness can only affect running time, never correctness.
+ascending y, once their children's rows under those y's are complete. Each y
+tries its first tuple, with the scan's own sums, then the player's latest
+witness, carried from y to y, and only then LPs; each tuple is tried on every
+pending row by one broadcast. Every returned profile is re-verified, so
+randomness can only affect running time, never correctness.
 
 Each payoff row A[player, neighbour] @ x is computed where it is read, for
 the strategies read, by one stacked matmul (``payoff_rows``); none is cached.
@@ -151,9 +152,11 @@ class SolveStats:
     decided on demand, so these are the cells the search reads and the rest
     of their chunks. ``exhaustive_calls`` counts the cells the scan decides
     and the LP route's fallback scans; ``lp_calls`` the LPs actually solved;
-    ``reused_witnesses`` the LP-route cells settled without an LP, by a
+    ``first_tuple_hits`` the LP-route cells settled by y's first tuple;
+    ``reused_witnesses`` the other LP-route cells settled without an LP, by a
     witness found for a lower z of the same y or for an earlier y. So
-    ``lp_calls + reused_witnesses`` is the number of LP-route cells.
+    ``lp_calls + reused_witnesses + first_tuple_hits`` is the number of
+    LP-route cells.
     """
 
     support_size: int | None = None
@@ -167,6 +170,7 @@ class SolveStats:
     fallbacks: int = 0
     exhaustive_calls: int = 0
     reused_witnesses: int = 0
+    first_tuple_hits: int = 0
     max_lp_residual: float = 0.0
 
 
@@ -301,12 +305,14 @@ def _hits(terms: list[np.ndarray], ys: np.ndarray, epsilon: float) -> np.ndarray
 # per action. The chain makes 2m - 1 numpy calls where the sum makes two, and
 # a sum over a length-m last axis costs several times as much per utility.
 # Most calls of the gated workloads are small and take the sum: at perfbench
-# seed 1, lp-random (n=32, m=3, b=4, lp_threshold=2) makes 139 of a solve's
-# 159 calls below the limit, 120 of them the LP route's reuse checks of one
-# witness; theory-path makes 2 of 3, and star-wide none of its one leaf call
-# per game. Measured on a 2-vCPU host with the on-demand search, summing
-# every call read solve_s -0.1% to +1.6% against this limit on those three
-# workloads (4 alternating 8 s perfbench pairs each). The chain pays on
+# seed 1, lp-random (n=32, m=3, b=4, lp_threshold=2) makes 145 of a solve's
+# 165 calls below the limit, 123 of them the LP route's checks of one first
+# tuple or witness and 3 its fallback scans; theory-path makes 2 of 3, and
+# star-wide 1 of 2 per game, the root's first tuple, against the leaf call.
+# Measured on a 2-vCPU host with the on-demand search, before the LP route
+# tried first tuples, summing every call read solve_s -0.1% to +1.6%
+# against this limit on those three workloads (4 alternating 8 s perfbench
+# pairs each). The chain pays on
 # sparse walks, where a call holds many cells: in process, games normalized
 # for eps 0.5 and lp_threshold=inf, 7-run medians over 4 alternating runs,
 # random n=32, m=3, b=4 at eps 0.05 took 37.3-37.7 ms with the chain against
@@ -717,11 +723,14 @@ class _Search:
         time).
 
         A y with an empty candidate product is decided false without a
-        count. The latest witness, carried from the last decided y, is tried
-        first when it lies in y's candidate product; then ``membership_test``
-        runs for the lowest pending row. Each witness is tried on every
-        pending row by one broadcast of its tuple and settles the rows it
-        hits, whose code is its position in ``tables.extensions[(player,
+        count. Its first tuple, each child's lowest candidate, is tried
+        first, by the sums the scan adds for it, so a cell it settles gets
+        the scan route's witness; it is stored only when it settles a row.
+        Then the latest stored witness, carried from the last decided y, is
+        tried when it lies in y's candidate product and is another tuple;
+        then ``membership_test`` runs for the lowest pending row. Each tuple
+        is tried on every pending row by one broadcast and settles the rows
+        it hits, whose code is its position in ``tables.extensions[(player,
         y)]``. A tried tuple lies in the candidate product, so the cells are
         those of the full scan.
         """
@@ -742,6 +751,14 @@ class _Search:
             None,
         )
         y_indices = np.arange(start, min(size, start + width))
+
+        def reaches(witness: tuple[int, ...], rows: np.ndarray, y_index: int) -> np.ndarray:
+            # whether y is an epsilon-best response to the witness under each
+            # parent row: the scan's broadcast of one tuple
+            terms = list(payoff_rows(stacked, self.uset.probs.take(witness, axis=0)))
+            terms.insert(parent_at, bases[rows])
+            return _hits(terms, self.uset.probs[y_index], config.epsilon)
+
         yield children, y_indices.tolist(), size
         candidates, sizes = tables.candidate_rows(children, y_indices)
         codes = np.full((len(bases), len(y_indices)), -1, dtype=np.int64)
@@ -754,10 +771,17 @@ class _Search:
             ]
             tried: list[tuple[int, ...]] = []
             pending = np.arange(len(bases))
+            first = tuple(int(lists[0]) for lists in candidate_lists)
+            hit = reaches(first, pending, y_index)
+            if hit.any():
+                codes[hit, g] = 0
+                tried.append(first)
+                stats.first_tuple_hits += int(hit.sum())
+                pending = pending[~hit]
             witness = latest
-            if witness is not None and not all(
+            if witness is not None and (witness == first or not all(
                 tables.cells[(c, y_index)][index] >= 0 for c, index in zip(children, witness)
-            ):
+            )):
                 witness = None
             while pending.size:
                 if witness is None:
@@ -771,18 +795,16 @@ class _Search:
                     witness = extension.strategy_indices
                     codes[r, g] = len(tried)
                 tried.append(witness)
-                latest = witness
                 if not pending.size:
                     break
-                terms = list(payoff_rows(stacked, self.uset.probs.take(witness, axis=0)))
-                terms.insert(parent_at, bases[pending])
-                reused = _hits(terms, self.uset.probs[y_index], config.epsilon)
+                reused = reaches(witness, pending, y_index)
                 codes[pending[reused], g] = len(tried) - 1
                 stats.reused_witnesses += int(reused.sum())
                 pending = pending[~reused]
                 witness = None
             if tried:
                 tables.extensions[(player, y_index)] = tried
+                latest = tried[-1]
         self._append([(player, z) for z in range(len(bases))], start, codes)
 
 

@@ -241,6 +241,25 @@ class TestConstruction:
                 assert not view.flags.writeable
                 assert view.base is game.payoffs and np.shares_memory(view, game.payoffs)
 
+    def test_a_load_builds_each_edge_once(self, monkeypatch):
+        # the loader hands the constructor its ids and stacked matrices, and
+        # only the constructor builds an Edge, around views of payoffs
+        import treenash.game as game_module
+        import treenash.serialize as serialize_module
+
+        built = []
+
+        def counted(*args):
+            built.append(args[:2])
+            return Edge(*args)
+
+        for module in (game_module, serialize_module):
+            monkeypatch.setattr(module, "Edge", counted, raising=False)
+        data = faulty_star([])
+        game, _ = game_from_dict(data)
+        assert built == [(e["u"], e["v"]) for e in data["edges"]]
+        assert all(edge.payoff_u_v.base is game.payoffs for edge in game.edges)
+
     @pytest.mark.parametrize("change", ["ordered dict", "numpy float entry", "keys reordered"])
     def test_entries_beyond_plain_json_types_load_the_same(self, change):
         data = faulty_star([])

@@ -23,6 +23,8 @@ from helpers import (
 )
 from treenash.errors import CapExceeded, InvalidPlayerId, NoEquilibriumFound, SetTooLarge
 from treenash.game import (
+    Edge,
+    TreePolymatrixGame,
     action_payoffs,
     is_epsilon_best_response,
     mixed_payoff,
@@ -79,6 +81,38 @@ def tables_from_masks(epsilon, uset, masks):
         (q, z): np.where(row, 0, -1) for q, mask in masks.items() for z, row in enumerate(mask)
     }
     return CandidateTables(epsilon, len(uset), cells=cells, extensions={})
+
+
+def scaled_payoffs(game, players, factor):
+    """``game`` with every payoff matrix paid to one of ``players``
+    multiplied by ``factor``; beyond the normalized scale, first tuples miss
+    more often."""
+    edges = [
+        Edge(e.u, e.v, e.payoff_u_v * (factor if e.u in players else 1.0),
+             e.payoff_v_u * (factor if e.v in players else 1.0))
+        for e in game.edges
+    ]
+    return TreePolymatrixGame(game.num_players, game.num_actions, edges)
+
+
+# A hub-leaf edge at m=3 on which the hub's first tuples miss: with b=1 (the
+# pure strategies), a leaf's best responses are actions 1 and 2 when the hub
+# plays action 0, and 0 and 2 otherwise, so its lowest candidate is 1 or 0;
+# the hub's payoff favours a leaf's action 0 or 1, which makes each hub
+# strategy a strict non-best response against the leaf's lowest candidate,
+# and is zero against action 2, the witness for every hub strategy.
+DECOY_HUB = np.diag([1.0, 1.0, 0.0])  # [hub action, leaf action]
+DECOY_LEAF = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])  # [leaf, hub]
+
+
+def decoy_star(n, hub, decoys):
+    """A star on ``n`` players at m=3 around ``hub``, whose edges to
+    ``decoys`` carry DECOY_HUB and DECOY_LEAF and whose other edges pay 0."""
+    zero = np.zeros((3, 3))
+    return game_from_matrices(n, 3, [
+        (hub, v, DECOY_HUB, DECOY_LEAF) if v in decoys else (hub, v, zero, zero)
+        for v in range(n) if v != hub
+    ])
 
 
 def recovered_witnesses(rooted, uset, tables):
@@ -372,13 +406,21 @@ class TestBuildTables:
                         )
         assert places == {"below", "between", "above"}
 
-    def test_carried_witness_reused_exactly_at_the_scalar_boundary(self):
-        # The reuse broadcast has no scalar confirm, so its payoff sums must
-        # round like action_payoffs'. Player 2's children's rows are complete
-        # and all true, and a witness is carried into column y; epsilon is
-        # the smallest float at which the scalar check accepts it under one
-        # parent strategy, and the float just below. Rooted at 0, 3 and 4,
-        # player 2's parent id falls below, between and above its children's.
+    @staticmethod
+    def lp_route_boundaries(carried):
+        """Decide column y of player 2 on the LP route at epsilon at the
+        scalar boundary of a drawn tuple and at the float just below, and
+        check that each cell's code follows the scalar check. Player 2's
+        children are leaves whose rows under every other y are complete and
+        all true. With ``carried`` the tuple is carried into y from column
+        y - 1, and under y each child's candidates are its entry of the
+        tuple and a lower entry of a first tuple that the scalar check
+        rejects under every parent strategy at both epsilons; else the tuple
+        is y's first tuple, each child's lowest candidate. Epsilon is the
+        smallest float at which the scalar check accepts the tuple under
+        one parent strategy. Rooted at 0, 3 and 4, player 2's parent id
+        falls below, between and above its children's. Return the count of
+        boundary epsilons per root."""
         edges = [(3, 2), (2, 1), (2, 4), (2, 0)]
         rng = np.random.default_rng(5)
         boundaries = dict.fromkeys((0, 3, 4), 0)  # per root, over both m
@@ -389,14 +431,14 @@ class TestBuildTables:
             for root in (0, 3, 4):
                 rooted = validate_and_root(game, root)
                 parent, children = rooted.parent[2], rooted.children[2]
-                for _ in range(8):
+                for _ in range(24):
                     y_idx = int(rng.integers(1, size))
-                    witness = tuple(rng.integers(size, size=len(children)).tolist())
+                    witness = tuple(rng.integers(1, size, size=len(children)).tolist())
                     z_idx = int(rng.integers(size))
 
-                    def accepts(eps, z_idx):
+                    def accepts(eps, z_idx, indices=witness, y_idx=y_idx):
                         neighbors = {parent: uset.probs[z_idx]}
-                        neighbors.update({c: uset.probs[x] for c, x in zip(children, witness)})
+                        neighbors.update({c: uset.probs[x] for c, x in zip(children, indices)})
                         return is_epsilon_best_response(game, 2, uset.probs[y_idx], neighbors, eps)
 
                     low, high = -1.0, 2.0  # payoffs lie in [0, 1]
@@ -404,24 +446,63 @@ class TestBuildTables:
                         low, high = (low, mid) if accepts(mid, z_idx) else (mid, high)
                     if not 0.0 < low < high <= 1.0:
                         continue  # a best response, whose boundary is not a valid epsilon
+                    first = witness
+                    if carried:
+                        # a lower tuple that misses every row, tried first
+                        draws = (tuple(int(rng.integers(x + 1)) for x in witness) for _ in range(40))
+                        first = next(
+                            (t for t in draws if t != witness
+                             and not any(accepts(high, z, t) for z in range(size))),
+                            None,
+                        )
+                        if first is None:
+                            continue
                     for eps in (high, low):
                         config = SolverConfig(epsilon=eps, b_override=3, lp_threshold=2, root=root)
                         tables = build_tables(game, rooted, uset, config)
-                        for c in children:
+                        for c, x, f in zip(children, witness, first):
                             for y in range(size):
                                 tables.cells[(c, y)] = np.zeros(size, dtype=np.int64)
+                            tables.cells[(c, y_idx)][:] = -1
+                            tables.cells[(c, y_idx)][[f, x]] = 0
                         for z in range(size):
                             tables.cells[(2, z)] = np.zeros(y_idx, dtype=np.int64)
-                        tables.extensions[(2, y_idx - 1)] = [witness]
-                        _Search(game, rooted, uset, tables, config, SolveStats()).run(
+                        if carried:
+                            tables.extensions[(2, y_idx - 1)] = [witness]
+                        stats = SolveStats()
+                        _Search(game, rooted, uset, tables, config, stats).run(
                             [2], range(size), size
                         )
-                        assert tables.extensions[(2, y_idx)][0] == witness
+                        hits = [accepts(eps, z) for z in range(size)]
+                        tried = tables.extensions.get((2, y_idx), [])
+                        # a first tuple that hits no row is not stored
+                        assert (tried[:1] == [witness]) == (carried or any(hits))
                         for z in range(size):
-                            reused = tables.cells[(2, z)][y_idx] == 0
-                            assert reused == accepts(eps, z), (m, root, eps, z)
+                            code = tables.cells[(2, z)][y_idx]
+                            assert (code == 0) == hits[z], (m, root, eps, z)
+                        if carried:
+                            assert tried[0] != first  # the first tuple missed every row
+                        else:
+                            # counted once for each row that a first tuple
+                            # settles; the later columns' first tuple is 0, ...
+                            later = sum(
+                                accepts(eps, z, (0,) * len(children), y)
+                                for y in range(y_idx + 1, size) for z in range(size)
+                            )
+                            assert stats.first_tuple_hits == sum(hits) + later
                         boundaries[root] += eps == high
-        assert min(boundaries.values()) >= 10
+        return boundaries
+
+    def test_carried_witness_reused_exactly_at_the_scalar_boundary(self):
+        # The reuse broadcast has no scalar confirm, so its payoff sums must
+        # round like action_payoffs'
+        assert min(self.lp_route_boundaries(carried=True).values()) >= 10
+
+    def test_first_tuple_settles_exactly_at_the_scalar_boundary(self):
+        # An LP-route column tries each y's first tuple before its carried
+        # witness and its LP, by the same broadcast, which must accept
+        # exactly where is_epsilon_best_response does
+        assert min(self.lp_route_boundaries(carried=False).values()) >= 10
 
 
     def test_masks_identical_with_and_without_the_lp_route(self):
@@ -454,12 +535,14 @@ class TestBuildTables:
     def test_masks_identical_across_routes_at_the_theoretical_grid(self):
         # a star rooted at leaf 1: hub 0 decides each of its K=255 strategies
         # against 255 parent strategies over two leaves' candidate lists, a
-        # grid no oracle can enumerate. At this epsilon every mask is full,
-        # so the LP route settles the hub's 65k pairs by witness reuse.
+        # grid no oracle can enumerate. At this epsilon every mask is full.
+        # The hub's payoffs are doubled, so that its first tuples miss some
+        # pairs, and the LP route settles those by LPs and witness reuse.
         b = support_size(2, 4, 0.8)
         assert b == 254
-        for seed in (1, 2):
+        for seed in (2, 7):
             game = random_normalized_game(4, 2, 0.8, topology=star_edges(4), rng_seed=seed)
+            game = scaled_payoffs(game, {0}, 2.0)
             runs = []
             for threshold in (math.inf, 2):
                 rooted, uset, tables, config, stats = tables_for(
@@ -471,6 +554,8 @@ class TestBuildTables:
                 runs.append((full_masks(rooted, tables), stats))
             (exact, _), (mixed, stats) = runs
             assert stats.lp_calls > 0 and stats.reused_witnesses > 0
+            # the first tuples settle most pairs and miss the rest
+            assert 0 < stats.first_tuple_hits < stats.membership_tests
             assert set(exact) == set(mixed)
             for q, mask in exact.items():
                 assert np.array_equal(mask, mixed[q]), (seed, q)
@@ -637,9 +722,9 @@ class TestBuildTables:
             (20, 3, 0.5, 3, 7, None, dict(lp_threshold=math.inf, root=10),
              ("089110946d5720f5", "e338fe3130d3eee0", "298b7784d13a28bc")),
             (9, 2, 0.5, 2, 4, None, dict(lp_threshold=2, root=4, rng_seed=4),
-             ("c86c63419480c26e", "a39bbbb9c24f7e4a", "c50296e314347e75")),
+             ("c86c63419480c26e", "97ae4cb08e8dc8b8", "aff24e1891407fc1")),
             (13, 3, 0.1, 2, 5, None, dict(lp_threshold=2, root=12, rng_seed=5),
-             ("513e1739fe2bd178", "a2e41a3114c4dea0", "d98b5d6084eb6bc4")),
+             ("513e1739fe2bd178", "a39a455a3eff5ff0", "6dc343d99ba13091")),
             (3, 2, 0.8, 120, 6, path_edges(3), dict(lp_threshold=math.inf, root=2),
              ("c376660c09363f33", "3d9051f7813d4632", "ef07a1fd1a788f2e")),
         ],
@@ -663,7 +748,14 @@ class TestBuildTables:
         found = tuple(h.hexdigest()[:16] for h in (masks, witnesses, indices))
         assert found == expected
         if options["lp_threshold"] == 2:
-            assert stats.fallbacks > 0 and stats.reused_witnesses > 0
+            # (lp_calls, fallbacks, reused_witnesses, first_tuple_hits): at
+            # eps 0.5 the first tuple settles all ten LP-route cells of
+            # lp-n9; at eps 0.1 lp-n13 also solves LPs, falls back and
+            # reuses witnesses
+            counters = {9: (0, 0, 0, 10), 13: (43, 33, 58, 80)}[n]
+            found = (stats.lp_calls, stats.fallbacks, stats.reused_witnesses,
+                     stats.first_tuple_hits)
+            assert found == counters
 
 
 class TestExhaustiveMembership:
@@ -1021,16 +1113,17 @@ class TestFirstWitnesses:
         # membership_tests counts the cells of players with children, root
         # included, whose candidate product is not empty; on the scan route
         # exhaustive_calls counts the same cells, and on the LP route
-        # lp_calls + reused_witnesses do, while fallback scans add to
-        # exhaustive_calls
-        game = random_normalized_game(10, 2, 0.5, rng_seed=3)
+        # lp_calls + reused_witnesses + first_tuple_hits do, while fallback
+        # scans add to exhaustive_calls. At epsilon 0.1 first tuples miss
+        # some LP-route cells, which take an LP or a reused witness.
+        game = random_normalized_game(10, 2, 0.1, rng_seed=5)
         scanned = 0
         for threshold in (math.inf, 2):
             for full in (True, False):
-                config = SolverConfig(epsilon=0.5, b_override=2, lp_threshold=threshold)
+                config = SolverConfig(epsilon=0.1, b_override=2, lp_threshold=threshold)
                 if full:
                     rooted, uset, tables, config, stats = tables_for(
-                        game, 0.5, 2, lp_threshold=threshold
+                        game, 0.1, 2, lp_threshold=threshold
                     )
                 else:
                     rooted = validate_and_root(game, 0)
@@ -1050,10 +1143,22 @@ class TestFirstWitnesses:
                 lp_players = [q for q in internal if len(rooted.children[q]) >= threshold]
                 batched = counted([q for q in internal if q not in lp_players])
                 assert stats.membership_tests == counted(internal)
-                assert stats.lp_calls + stats.reused_witnesses == counted(lp_players)
+                assert stats.lp_calls + stats.reused_witnesses + stats.first_tuple_hits == (
+                    counted(lp_players)
+                )
                 assert stats.exhaustive_calls == batched + stats.fallbacks
+                # once for each LP-route cell whose witness is its first tuple
+                first_tuples = 0
+                for (q, z), row in tables.cells.items():
+                    for y_idx in np.flatnonzero(row >= 0).tolist() if q in lp_players else ():
+                        first = tuple(
+                            int(tables.candidate_set(c, y_idx)[0]) for c in rooted.children[q]
+                        )
+                        first_tuples += tables.witness(rooted, q, z, y_idx) == first
+                assert stats.first_tuple_hits == first_tuples
                 scanned += batched
         assert stats.lp_calls > 0 and scanned > 0
+        assert stats.first_tuple_hits > 0 and stats.reused_witnesses > 0
 
     @pytest.mark.parametrize(
         "num_rows, strategies", [(1, 1), (3, 3)], ids=["one-row", "every-row"]
@@ -1151,14 +1256,17 @@ class TestFirstWitnesses:
 
 class TestMembershipTest:
     def test_lp_route_used_above_threshold_and_verified(self):
-        # broom: root 0 - hub 1 - thirty leaves; hub membership goes through the LP
+        # broom: root 0 - hub 1 - thirty leaves; hub membership goes through
+        # the LP route, and at epsilon 0.1 the first tuple misses a cell, for
+        # which an LP runs
         n = 32
         topology = [(0, 1)] + [(1, i) for i in range(2, n)]
-        game = random_normalized_game(n, 2, 0.5, topology=topology, rng_seed=21)
+        game = random_normalized_game(n, 2, 0.1, topology=topology, rng_seed=21)
         rooted, uset, tables, config, stats = tables_for(
-            game, 0.5, 1, lp_threshold=2, rng_seed=21
+            game, 0.1, 1, lp_threshold=2, rng_seed=21
         )
         assert stats.lp_calls > 0
+        assert stats.first_tuple_hits < stats.membership_tests
         hub_entries = {
             key: indices for key, indices in recovered_witnesses(rooted, uset, tables).items()
             if key[0] == 1
@@ -1169,7 +1277,7 @@ class TestMembershipTest:
             neighbors.update(
                 {c: uset.probs[i] for c, i in zip(rooted.children[1], indices)}
             )
-            assert is_epsilon_best_response(game, 1, uset.probs[y_idx], neighbors, 0.5)
+            assert is_epsilon_best_response(game, 1, uset.probs[y_idx], neighbors, 0.1)
 
     def test_falls_back_when_lp_is_infeasible(self):
         # leaves coordinate with the hub, so candidate sets are singletons; the
@@ -1198,17 +1306,28 @@ class TestMembershipTest:
             assert is_epsilon_best_response(game, q, uset.probs[y_idx], neighbors, 0.2)
 
     def test_zero_game_one_lp_per_lp_route_player(self):
-        # every tuple works for every (z, y) in a zero game, so the first LP's
-        # witness settles every other parent strategy of its y and is then
-        # carried over to every later y
+        # every tuple works for every (z, y) in a zero game, so the first
+        # tuple settles every cell of the LP-route player 1, once each
         game = zero_game(5, [(0, 1), (1, 2), (1, 3), (1, 4)])
         rooted, uset, tables, config, stats = tables_for(game, 0.5, 2, lp_threshold=2)
         size = len(uset)
         assert full_masks(rooted, tables)[1].all()
+        assert (stats.lp_calls, stats.reused_witnesses) == (0, 0)
+        assert stats.first_tuple_hits == stats.membership_tests == size * size
+        assert len(set(recovered_witnesses(rooted, uset, tables).values())) == 1
+        # With decoy leaves the first tuple misses every cell, and all
+        # leaves playing action 2 work for every (z, y): the first LP's
+        # witness settles every other parent strategy of its y and is then
+        # carried over to every later y
+        game = decoy_star(5, 1, {2, 3, 4})
+        rooted, uset, tables, config, stats = tables_for(game, 0.5, 1, lp_threshold=2)
+        size = len(uset)
+        assert full_masks(rooted, tables)[1].all()
+        assert stats.first_tuple_hits == 0
         assert stats.lp_calls == 1
         assert stats.reused_witnesses == size * size - 1
         assert stats.membership_tests == size * size
-        assert len(set(recovered_witnesses(rooted, uset, tables).values())) == 1
+        assert set(recovered_witnesses(rooted, uset, tables).values()) == {(2, 2, 2)}
 
 
 class TestInvariants:
@@ -1308,11 +1427,22 @@ class TestProcessRoot:
         with pytest.raises(NoEquilibriumFound):
             process_root(game, rooted, uset, tables, config, stats)
         assert stats.exhaustive_calls == 2
-        # an LP-route root whose first LP rounds to a witness runs no scan
+        # an LP-route root whose first tuple hits runs neither an LP nor a
+        # scan
         game = zero_game(5, star_edges(5))
         rooted, uset, tables, config, stats = tables_for(game, 0.5, 1, lp_threshold=2)
         y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
+        assert (y_idx, ext.child_ids, stats.lp_calls, stats.first_tuple_hits) == (
+            0, (1, 2, 3, 4), 0, 1
+        )
+        assert stats.exhaustive_calls == 0
+        # one whose first tuple misses and whose first LP rounds to a
+        # witness runs no scan
+        game = decoy_star(5, 0, {1, 2, 3, 4})
+        rooted, uset, tables, config, stats = tables_for(game, 0.5, 1, lp_threshold=2)
+        y_idx, ext = process_root(game, rooted, uset, tables, config, stats)
         assert (y_idx, ext.child_ids, stats.lp_calls, stats.fallbacks) == (0, (1, 2, 3, 4), 1, 0)
+        assert (stats.first_tuple_hits, stats.exhaustive_calls) == (0, 0)
 
 
 class TestBacktrack:
@@ -1400,16 +1530,20 @@ class TestSolve:
         for threshold in (None, math.inf):
             cert = solve(game, SolverConfig(epsilon=0.1, b_override=1, lp_threshold=threshold))
             assert cert.max_regret == 0.0
-        # rooted at a leaf, the hub takes the LP route under a parent; every
-        # LP reads infeasible, so the exhaustive fallback decides each y and
-        # its witness is reused for the other parent strategy
+        # rooted at a leaf, the hub takes the LP route under a parent, and
+        # with a decoy last leaf its first tuples miss; the LP reads
+        # infeasible, so the exhaustive fallback decides the first y, and its
+        # witness is reused for the other parent strategies and carried to
+        # the later y's
+        game = decoy_star(n, 0, {n - 1})
         monkeypatch.setattr(solver_module, "solve_feasibility", lambda *args: None)
         stats = SolveStats()
         config = SolverConfig(epsilon=0.1, b_override=1, lp_threshold=2, root=1)
         cert = solve(game, config, stats)
         assert cert.max_regret == 0.0
-        assert stats.fallbacks == stats.lp_calls == 2
-        assert stats.reused_witnesses == 2
+        assert stats.first_tuple_hits == 0
+        assert stats.fallbacks == stats.lp_calls == 1
+        assert stats.reused_witnesses == 3 * 3 - 1
 
     def test_zero_tree_all_regrets_zero(self):
         game = zero_game(5, path_edges(5))
@@ -1646,6 +1780,24 @@ class TestPhaseApi:
             assert callable(getattr(solver_module, attr))
 
 
+class TestRoutes:
+    @pytest.mark.parametrize(
+        "name, seed", [("star-wide", 1), ("star-wide", 7), ("lp-random", 7)]
+    )
+    def test_benchmark_shapes_give_the_scan_routes_profile(self, name, seed):
+        # An LP-route cell first tries its first tuple, by the sums the scan
+        # adds for it. On these games it settles every LP-route cell the
+        # search reads, so the LP route stores the scan route's witnesses and
+        # returns its profile bit for bit
+        for game, config in workload_games(name, seed):
+            stats = SolveStats()
+            profile = solve(game, config, stats).profile
+            scanned = solve(game, dataclasses.replace(config, lp_threshold=math.inf)).profile
+            assert [s.tobytes() for s in profile] == [s.tobytes() for s in scanned]
+            assert (stats.lp_calls, stats.reused_witnesses) == (0, 0)
+            assert stats.first_tuple_hits > 0
+
+
 class TestLpPrograms:
     """A strategy y whose children's candidate product is empty is decided
     false before any LP, so every program the search builds has a candidate
@@ -1671,9 +1823,17 @@ class TestLpPrograms:
     def test_benchmark_shapes_build_no_program_with_an_empty_candidate_set(
         self, name, seed, monkeypatch
     ):
+        # each game as the benchmark solves it, and with the payoffs of its
+        # LP-route players 30 times their normalized scale, so that their
+        # first tuples miss (the star's hub rarely misses otherwise) and
+        # LPs are built
         built = self.recording(monkeypatch)
         for game, config in workload_games(name, seed):
             solve(game, config)
+            rooted = validate_and_root(game, config.root)
+            threshold = config.effective_lp_threshold(game.num_actions)
+            lp_players = {q for q, kids in enumerate(rooted.children) if len(kids) >= threshold}
+            solve(scaled_payoffs(game, lp_players, 30.0), config)
         assert built
 
     def test_random_trees_build_no_program_with_an_empty_candidate_set(self, monkeypatch):
